@@ -1,16 +1,15 @@
 //! **Serving-layer benchmark**: admissions per second through the full
-//! network path — codec, TCP loopback, per-connection reader threads,
-//! sharded engine, response write-back — versus the same trace driven
-//! in-process. The gap is the wire tax; the invariant is that the wire
-//! changes *throughput*, never *outcomes* (zero blocks at the bound
-//! either way).
+//! network path — codec, TCP loopback, epoll reactor, sharded engine,
+//! response write-back — versus the same trace driven in-process. The
+//! gap is the wire tax; the invariant is that the wire changes
+//! *throughput*, never *outcomes* (zero blocks at the bound either
+//! way). The wire leg runs on Linux only, like the reactor it measures.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use wdm_core::MulticastModel;
 use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
-use wdm_net::{NetClient, NetServer, NetServerConfig, Request};
 use wdm_runtime::{AdmissionEngine, EngineBuilder};
-use wdm_workload::{close_trace, partition_by_source, DynamicTraffic, TimedEvent};
+use wdm_workload::{close_trace, DynamicTraffic, TimedEvent};
 
 fn closed_trace(p: ThreeStageParams, seed: u64) -> Vec<TimedEvent> {
     let horizon = 20.0;
@@ -29,8 +28,12 @@ fn engine(p: ThreeStageParams) -> AdmissionEngine<ThreeStageNetwork> {
 }
 
 /// Stream the trace through `clients` loopback connections and drain.
+#[cfg(target_os = "linux")]
 fn drive_over_wire(p: ThreeStageParams, events: &[TimedEvent], clients: usize) -> u64 {
-    let server = NetServer::serve(engine(p), "127.0.0.1:0", NetServerConfig::default())
+    use wdm_net::{NetClient, ReactorConfig, ReactorServer, Request};
+    use wdm_workload::partition_by_source;
+
+    let server = ReactorServer::serve(engine(p), "127.0.0.1:0", ReactorConfig::default())
         .expect("bind loopback");
     let addr = server.local_addr();
     let lanes = partition_by_source(events.iter().cloned(), clients);
@@ -78,9 +81,10 @@ fn bench_wire_vs_in_process(c: &mut Criterion) {
     g.bench_function("in_process", |b| {
         b.iter(|| drive_in_process(p, &events));
     });
+    #[cfg(target_os = "linux")]
     for clients in [1usize, 4] {
         g.bench_with_input(
-            BenchmarkId::new("loopback_tcp", clients),
+            criterion::BenchmarkId::new("loopback_tcp", clients),
             &clients,
             |b, &cl| {
                 b.iter(|| drive_over_wire(p, &events, cl));

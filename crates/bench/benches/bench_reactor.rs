@@ -1,11 +1,8 @@
-//! **Serving-layer shoot-out**: the thread-per-connection server versus
-//! the epoll reactor on the identical closed-loop lane workload (the
-//! same generator the C10k soak and the `bench-net` sweep use). Each
-//! iteration is a full serve cycle — bind, connect storm, pipelined
-//! admission/release rounds, drain — so the number is end-to-end
-//! admissions time, not a microbenchmark of the event loop. The
-//! reactor's edge comes from batch coalescing: one engine submission
-//! per poll cycle instead of one per request.
+//! **Serving-layer benchmark**: the epoll reactor under the closed-loop
+//! lane workload (the same generator the C10k soak and the `bench-net`
+//! sweep use). Each iteration is a full serve cycle — bind, connect
+//! storm, pipelined admission/release rounds, drain — so the number is
+//! end-to-end admissions time, not a microbenchmark of the event loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -14,7 +11,7 @@ mod linux {
     use criterion::{BenchmarkId, Criterion};
     use wdm_core::MulticastModel;
     use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
-    use wdm_net::{loadgen, LoadConfig, NetServer, NetServerConfig, ReactorConfig, ReactorServer};
+    use wdm_net::{loadgen, LoadConfig, ReactorConfig, ReactorServer};
     use wdm_runtime::{AdmissionEngine, EngineBuilder};
 
     fn engine(p: ThreeStageParams) -> AdmissionEngine<ThreeStageNetwork> {
@@ -37,16 +34,6 @@ mod linux {
         }
     }
 
-    /// One full serve cycle through the thread-per-connection server.
-    fn drive_threads(p: ThreeStageParams, connections: usize) {
-        let server = NetServer::serve(engine(p), "127.0.0.1:0", NetServerConfig::default())
-            .expect("bind threads");
-        let report = loadgen::run(server.local_addr(), load(p, connections)).expect("load");
-        assert!(report.completed && report.rejects() == 0, "{report:?}");
-        let report = server.shutdown();
-        assert!(report.is_clean());
-    }
-
     /// One full serve cycle through the epoll reactor.
     fn drive_reactor(p: ThreeStageParams, connections: usize) {
         let server = ReactorServer::serve(engine(p), "127.0.0.1:0", ReactorConfig::default())
@@ -57,7 +44,7 @@ mod linux {
         assert!(report.is_clean());
     }
 
-    pub fn bench_serving_layers(c: &mut Criterion) {
+    pub fn bench_reactor_serve(c: &mut Criterion) {
         // 8×8 modules of 8 wavelengths at the Theorem-1 bound: big
         // enough that every lane is conflict-free, small enough that
         // engine admission cost does not mask the serving layer.
@@ -67,11 +54,6 @@ mod linux {
         let mut g = c.benchmark_group("reactor/serve");
         g.sample_size(10);
         for connections in [16usize, 64] {
-            g.bench_with_input(
-                BenchmarkId::new("threads", connections),
-                &connections,
-                |b, &conns| b.iter(|| drive_threads(p, conns)),
-            );
             g.bench_with_input(
                 BenchmarkId::new("reactor", connections),
                 &connections,
@@ -84,7 +66,7 @@ mod linux {
 
 #[cfg(target_os = "linux")]
 fn benches(c: &mut Criterion) {
-    linux::bench_serving_layers(c);
+    linux::bench_reactor_serve(c);
 }
 
 #[cfg(not(target_os = "linux"))]

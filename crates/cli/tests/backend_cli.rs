@@ -326,3 +326,51 @@ fn serve_listen_on_an_occupied_port_fails_with_context() {
     );
     drop(squatter);
 }
+
+/// `Opts::parse` ignores unknown flags, so the removed `--serve-mode`
+/// must be refused by name — otherwise `--serve-mode threads` would
+/// silently run the reactor.
+#[test]
+fn removed_serving_layer_flag_is_rejected_loudly() {
+    for args in [
+        &["serve", "--listen", "127.0.0.1:0", "--n", "2", "--r", "4"][..],
+        &["bench-net", "--connections", "8"][..],
+    ] {
+        let out = wdmcast()
+            .args(args)
+            .args(["--serve-mode", "threads"])
+            .output()
+            .expect("spawn wdmcast");
+        assert!(!out.status.success(), "{args:?} accepted --serve-mode");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--serve-mode was removed")
+                && stderr.contains("reactor is the only serving layer"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// `bench-net` with no `--connect` runs the self-hosted sweep: one
+/// reactor cell here, written without any `mode` field.
+#[cfg(target_os = "linux")]
+#[test]
+fn bench_net_without_connect_runs_the_self_hosted_sweep() {
+    let out_file = std::env::temp_dir().join(format!("wdmcast-sweep-{}.json", std::process::id()));
+    let out = wdmcast()
+        .args(["bench-net", "--connections", "8", "--rounds", "2", "--out"])
+        .arg(&out_file)
+        .output()
+        .expect("spawn wdmcast");
+    assert!(
+        out.status.success(),
+        "sweep failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&out_file).expect("sweep wrote its JSON");
+    assert!(json.contains("\"cells\":[{\"connections\":8,"), "{json}");
+    assert!(json.contains("\"passed\":true"), "{json}");
+    assert!(!json.contains("mode"), "{json}");
+    let _ = std::fs::remove_file(&out_file);
+}

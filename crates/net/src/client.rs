@@ -132,9 +132,9 @@ fn is_timeout_message(msg: &str) -> bool {
         || lower.contains("would block")
 }
 
-/// A reusable, pipelining connection to a [`NetServer`].
+/// A reusable, pipelining connection to a [`ReactorServer`].
 ///
-/// [`NetServer`]: crate::NetServer
+/// [`ReactorServer`]: crate::ReactorServer
 pub struct NetClient {
     addr: SocketAddr,
     config: ClientConfig,

@@ -6,7 +6,7 @@
 //! down multicast connections on a switch whose nonblocking guarantees
 //! come from Theorems 1–2 of Yang–Wang–Qiao.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`protocol`] — the request/response vocabulary ([`Request`],
 //!   [`Response`], [`RejectReason`]) mirroring the runtime's error
@@ -14,31 +14,35 @@
 //!   Request`).
 //! * [`codec`] — versioned framing with strict malformed-frame
 //!   rejection ([`WireError`]); decoding never panics on hostile input.
-//! * [`server`] / [`client`] — a multi-threaded [`NetServer`] feeding
-//!   the engine's sharded submit path with per-request write-back,
-//!   backpressure, and graceful drain; and a pipelining [`NetClient`]
-//!   with connection reuse and timeout/retry.
-//! * [`reactor`] *(Linux)* — the event-driven alternative to
-//!   [`NetServer`]: a sharded epoll pool serving tens of thousands of
-//!   connections from a fixed set of threads, coalescing each poll
-//!   cycle's decodable frames into one batched engine submission.
-//!   [`mux`] multiplexes many logical request lanes over one socket so
-//!   load generators reach C100k without C100k descriptors, and
-//!   [`loadgen`] *(Linux)* is the matching epoll-driven closed-loop
-//!   driver.
+//! * [`reactor`] *(Linux)* — the server: [`ReactorServer`], a sharded
+//!   epoll pool serving tens of thousands of connections from a fixed
+//!   set of threads, coalescing each poll cycle's decodable frames into
+//!   one batched engine submission, with per-request write-back,
+//!   backpressure, and graceful drain.
+//! * [`client`] / [`mux`] / [`loadgen`] — a pipelining [`NetClient`]
+//!   with connection reuse and timeout/retry; [`MuxClient`] multiplexes
+//!   many logical request lanes over one socket so load generators
+//!   reach C100k without C100k descriptors; and [`loadgen`] *(Linux)*
+//!   is the matching epoll-driven closed-loop driver.
+//!
+//! Linux is the only target that is built, tested or benchmarked
+//! (`reactor/sys.rs` binds epoll directly). Elsewhere the crate keeps
+//! [`protocol`], [`codec`], [`client`], [`mux`] and [`MemDuplex`] and
+//! has no server.
 //!
 //! # Example
 //!
 //! ```
+//! # #[cfg(target_os = "linux")] {
 //! use wdm_core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
 //! use wdm_fabric::CrossbarSession;
-//! use wdm_net::{NetClient, NetServer, NetServerConfig, Request, Response};
+//! use wdm_net::{NetClient, ReactorConfig, ReactorServer, Request, Response};
 //! use wdm_runtime::EngineBuilder;
 //!
 //! let net = NetworkConfig::new(4, 2);
 //! let backend = CrossbarSession::new(net, MulticastModel::Msw);
 //! let engine = EngineBuilder::new().start(backend);
-//! let server = NetServer::serve(engine, "127.0.0.1:0", NetServerConfig::default()).unwrap();
+//! let server = ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).unwrap();
 //!
 //! let mut client = NetClient::connect(server.local_addr()).unwrap();
 //! let conn = MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(1, 0));
@@ -49,6 +53,7 @@
 //! ));
 //! let report = server.wait();
 //! assert_eq!(report.summary.blocked, 0);
+//! # }
 //! ```
 
 pub mod client;
@@ -59,7 +64,6 @@ pub mod mux;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub mod reactor;
-pub mod server;
 pub mod transport;
 
 pub use client::{ClientConfig, NetClient, NetClientError};
@@ -70,5 +74,4 @@ pub use mux::MuxClient;
 pub use protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
 #[cfg(target_os = "linux")]
 pub use reactor::{ReactorConfig, ReactorServer, ReactorSnapshot};
-pub use server::{NetServer, NetServerConfig};
 pub use transport::{MemDuplex, Transport};

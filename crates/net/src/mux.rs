@@ -118,18 +118,18 @@ impl MuxClient {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::server::{NetServer, NetServerConfig};
+    use crate::reactor::{ReactorConfig, ReactorServer};
     use wdm_core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
     use wdm_fabric::CrossbarSession;
     use wdm_runtime::EngineBuilder;
 
-    fn serve_crossbar(ports: u32, k: u32) -> NetServer<CrossbarSession> {
+    fn serve_crossbar(ports: u32, k: u32) -> ReactorServer<CrossbarSession> {
         let backend = CrossbarSession::new(NetworkConfig::new(ports, k), MulticastModel::Msw);
         let engine = EngineBuilder::new().shards(2).start(backend);
-        NetServer::serve(engine, "127.0.0.1:0", NetServerConfig::default()).unwrap()
+        ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).unwrap()
     }
 
     #[test]

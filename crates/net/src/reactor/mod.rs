@@ -1,9 +1,9 @@
 //! Event-driven serving layer: a sharded epoll reactor with adaptive
 //! batch coalescing.
 //!
-//! The thread-per-connection [`crate::NetServer`] tops out at a few
-//! thousand clients; this reactor serves tens of thousands of
-//! connections from a fixed pool of event-loop threads. Accepted
+//! The one serving layer in front of an [`AdmissionEngine`]: tens of
+//! thousands of connections served from a fixed pool of event-loop
+//! threads rather than a thread (and its stack) per client. Accepted
 //! sockets are distributed round-robin across N shards; each shard owns
 //! an epoll instance and runs the classic readiness loop: wait → read
 //! every ready socket dry → decode frames incrementally → write
@@ -16,18 +16,32 @@
 //! [`AdmissionEngine::submit_batch_tracked`] call, which the engine
 //! splits per backend shard and applies under a single backend-lock
 //! acquisition per shard. Under light load a cycle carries one event
-//! and behaves like the thread server; under heavy load a cycle carries
+//! and costs one submit per request; under heavy load a cycle carries
 //! hundreds, so lock traffic grows with *wakeups*, not with *requests*
 //! — the hotter the socket set, the cheaper each admission gets. No
 //! timer or tuning knob is involved: batch size adapts because epoll
 //! naturally reports more ready sockets per wakeup as load rises.
 //!
-//! Wire semantics match the thread server frame for frame: per-request
-//! wire-version mirroring, in-flight caps answered with
-//! `Backpressure`, malformed frames answered with `ProtocolError` then
-//! close, and `Drain` resolving to a `DrainReport` after the engine
-//! finishes queued work. The differential conformance suite holds the
-//! two servers to identical verdicts on identical traces.
+//! Flow control and lifecycle:
+//!
+//! * **Wire-version mirroring** — every response is encoded in the
+//!   version its request arrived with (strict v1 peers reject any
+//!   other version byte).
+//! * **Backpressure** — each connection has an in-flight cap
+//!   ([`ReactorConfig::max_inflight_per_conn`]); excess requests are
+//!   refused with [`RejectReason::Backpressure`] instead of ballooning
+//!   the shard queues.
+//! * **Graceful drain** — a [`Request::Drain`] frame (the wire-level
+//!   stand-in for SIGINT, which std exposes no portable hook for) flips
+//!   the engine into draining mode, finishes every queued event, and
+//!   answers with a [`Response::DrainReport`]. Later `Connect`s are
+//!   refused with [`RejectReason::Draining`].
+//! * **Protocol errors** — a malformed frame gets a
+//!   [`Response::ProtocolError`] reply and the connection is closed;
+//!   one broken peer cannot wedge the server.
+//!
+//! `tests/reactor_conformance.rs` pins the full verdict transcript of a
+//! scripted v1 + v2 session and of a fault inject/repair cycle.
 
 pub(crate) mod conn;
 mod stats;
@@ -122,14 +136,20 @@ impl Default for ReactorConfig {
 }
 
 /// State shared between the acceptor, the shard loops, and engine-shard
-/// callbacks. Mirrors the thread server's `Shared` so drain and
-/// snapshot semantics stay identical.
+/// callbacks.
 struct Shared<B: Backend> {
+    /// `Some` while serving; taken (and consumed) by the drain.
     engine: RwLock<Option<AdmissionEngine<B>>>,
+    /// Final report, parked here by the drain until [`ReactorServer::wait`].
     report: Mutex<Option<RuntimeReport<B>>>,
+    /// `(is_clean, final summary)` once drained — answers `Snapshot`
+    /// and concurrent `Drain` requests after the engine is gone.
     summary: Mutex<Option<(bool, MetricsSnapshot)>>,
+    /// Tells the acceptor and the shard loops to exit.
     stop: AtomicBool,
+    /// Set once a drain has completed; [`ReactorServer::wait`] returns.
     done: AtomicBool,
+    /// Server epoch: wall-clock arrival times become simulation times.
     started: Instant,
     metrics: Arc<ReactorMetrics>,
     config: ReactorConfig,
@@ -141,10 +161,10 @@ struct ShardHandle {
     thread: JoinHandle<()>,
 }
 
-/// An epoll-based server fronting an [`AdmissionEngine`]. Same public
-/// surface as [`crate::NetServer`]: bind with [`ReactorServer::serve`],
-/// then either [`ReactorServer::wait`] for a client's `Drain` frame or
-/// [`ReactorServer::shutdown`] locally.
+/// An epoll-based server fronting an [`AdmissionEngine`]: bind with
+/// [`ReactorServer::serve`], then either [`ReactorServer::wait`] for a
+/// client's `Drain` frame or [`ReactorServer::shutdown`] locally.
+/// Dropping it does **not** stop the threads.
 pub struct ReactorServer<B: Backend> {
     shared: Arc<Shared<B>>,
     acceptor: JoinHandle<()>,
@@ -293,7 +313,7 @@ fn accept_loop<B: Backend>(
 }
 
 /// Answer `Snapshot`: live engine telemetry while serving, the final
-/// summary after a drain — identical policy to the thread server.
+/// summary after a drain.
 fn snapshot_response<B: Backend>(shared: &Shared<B>) -> Response {
     if let Some(engine) = shared.engine.read().as_ref() {
         return Response::Snapshot(engine.snapshot_now());
@@ -533,8 +553,7 @@ impl<B: Backend> Shard<B> {
                     Err(e) => {
                         // The byte stream is desynchronized; explain at
                         // the protocol's own version (the frame header
-                        // is unreliable), then hang up — same policy as
-                        // the thread server.
+                        // is unreliable), then hang up.
                         self.shared
                             .metrics
                             .protocol_errors
@@ -714,7 +733,8 @@ impl<B: Backend> Shard<B> {
     /// Hand the cycle's coalesced events to the engine as one tracked
     /// batch (split per backend shard inside). With the engine gone —
     /// drained by this or another shard — every callback resolves
-    /// inline with `Draining`, matching the thread server's refusals.
+    /// inline with `Draining`, so the wire refusal is written exactly
+    /// once per request.
     fn flush_batch(&self, batch: &mut CycleBatch) {
         if batch.events.is_empty() {
             return;

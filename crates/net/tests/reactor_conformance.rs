@@ -1,49 +1,20 @@
-//! Differential conformance: the thread-per-connection [`NetServer`]
-//! and the epoll [`ReactorServer`] are two implementations of one wire
-//! contract, so an identical request script must yield **identical
-//! per-index verdicts** through both — for a strict v1 client and a v2
-//! client, through a drain over the wire, and across mid-script fault
-//! injection and repair. Responses are compared by a normalized
-//! fingerprint (verdict + integer counters; free-text details and
-//! wall-clock fields excluded).
+//! Wire conformance: one scripted session through the [`ReactorServer`]
+//! must yield a fixed **per-index verdict transcript** — for a strict
+//! v1 client and a v2 client, through a drain over the wire, and across
+//! mid-script fault injection and repair. The scripts are sequential
+//! round trips on one connection, so every entry (including the drain
+//! counters and the final report) is fully determined and the reference
+//! is a literal. Responses are recorded as a normalized fingerprint
+//! (verdict + integer counters; free-text details and wall-clock fields
+//! excluded).
 
 #![cfg(target_os = "linux")]
 
-use std::net::SocketAddr;
 use wdm_core::{Endpoint, Fault, MulticastConnection, MulticastModel, NetworkConfig};
 use wdm_fabric::CrossbarSession;
 use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
-use wdm_net::{
-    ClientConfig, NetClient, NetServer, NetServerConfig, ReactorConfig, ReactorServer, Request,
-    Response,
-};
-use wdm_runtime::{AdmissionEngine, Backend, EngineBuilder, FaultHandle, RuntimeReport};
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Mode {
-    Threads,
-    Reactor,
-}
-
-/// Start `engine` behind the requested serving layer; returns the bound
-/// address and a deferred teardown that yields the final report.
-fn start<B: Backend>(
-    mode: Mode,
-    engine: AdmissionEngine<B>,
-) -> (SocketAddr, Box<dyn FnOnce() -> RuntimeReport<B>>) {
-    match mode {
-        Mode::Threads => {
-            let s = NetServer::serve(engine, "127.0.0.1:0", NetServerConfig::default())
-                .expect("bind threads");
-            (s.local_addr(), Box::new(move || s.wait()))
-        }
-        Mode::Reactor => {
-            let s = ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default())
-                .expect("bind reactor");
-            (s.local_addr(), Box::new(move || s.wait()))
-        }
-    }
-}
+use wdm_net::{ClientConfig, NetClient, ReactorConfig, ReactorServer, Request, Response};
+use wdm_runtime::{AdmissionEngine, Backend, EngineBuilder, FaultHandle};
 
 /// Normalize a response to its comparable essence: the verdict and any
 /// integer counters, never free text or wall-clock values.
@@ -72,7 +43,7 @@ fn fingerprint(resp: &Response) -> String {
     }
 }
 
-/// One step of a deterministic differential script.
+/// One step of a deterministic conformance script.
 enum Step {
     /// A wire round trip whose fingerprint lands in the transcript.
     Call(Request),
@@ -83,18 +54,18 @@ enum Step {
     Repair(Fault),
 }
 
-/// Run `script` against a fresh engine from `make_engine` behind `mode`,
+/// Run `script` against `engine` behind a [`ReactorServer`],
 /// sequentially on one connection, and return the transcript of
 /// fingerprints plus the final report's comparable counters.
 fn run_script<B: Backend>(
-    mode: Mode,
-    make_engine: impl Fn() -> AdmissionEngine<B>,
+    engine: AdmissionEngine<B>,
     wire_version: u8,
     script: &[Step],
 ) -> Vec<String> {
-    let engine = make_engine();
     let handle: FaultHandle<B> = engine.fault_handle();
-    let (addr, teardown) = start(mode, engine);
+    let server =
+        ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).expect("bind");
+    let addr = server.local_addr();
     let config = ClientConfig {
         wire_version,
         ..ClientConfig::default()
@@ -119,7 +90,7 @@ fn run_script<B: Backend>(
             }
         }
     }
-    let report = teardown();
+    let report = server.wait();
     transcript.push(format!(
         "report:clean={}:offered={}:admitted={}:blocked={}:departed={}:panics={}",
         report.is_clean(),
@@ -136,7 +107,7 @@ fn unicast(sp: u32, sw: u32, dp: u32, dw: u32) -> MulticastConnection {
     MulticastConnection::unicast(Endpoint::new(sp, sw), Endpoint::new(dp, dw))
 }
 
-/// The shared conformance script, written to the engine's trace
+/// The conformance script, written to the engine's trace
 /// semantics: a disconnect for a source the engine never saw is
 /// `Fatal`; a *rejected* connect on source S swallows the next
 /// disconnect on S as a skipped departure (`UnknownSource` on the
@@ -185,71 +156,64 @@ fn conformance_script(wire_version: u8) -> Vec<Step> {
     script
 }
 
-#[test]
-fn threads_and_reactor_agree_on_the_conformance_script() {
-    let make_engine = || {
-        let backend = CrossbarSession::new(NetworkConfig::new(4, 2), MulticastModel::Msw);
-        EngineBuilder::new().shards(2).start(backend)
+/// What [`conformance_script`] must answer, entry for entry. The first
+/// ten entries are common to both wire versions; the `Fatal` disconnect
+/// leaves an engine error behind, so the drain is (deterministically)
+/// not clean.
+fn pinned_transcript(wire_version: u8) -> Vec<&'static str> {
+    let mut want = vec![
+        "pong",
+        "ok",
+        "ok",
+        "rejected:Fatal",
+        "rejected:Busy",
+        "rejected:UnknownSource",
+        "ok",
+        "ok",
+        "ok",
+        "ok",
+    ];
+    let (drain, report) = if wire_version >= 2 {
+        want.extend(["batch:[ok,rejected:Busy]", "rejected:UnknownSource", "ok"]);
+        (
+            "drain:clean=false:offered=6:admitted=4:blocked=0:departed=4:\
+             skipped=2:orphaned=0:component_down=0",
+            "report:clean=false:offered=6:admitted=4:blocked=0:departed=4:panics=0",
+        )
+    } else {
+        (
+            "drain:clean=false:offered=4:admitted=3:blocked=0:departed=3:\
+             skipped=1:orphaned=0:component_down=0",
+            "report:clean=false:offered=4:admitted=3:blocked=0:departed=3:panics=0",
+        )
     };
+    // Post-drain: refused as Draining, drain idempotent, snapshot answers.
+    want.extend([drain, "rejected:Draining", drain, "snapshot", report]);
+    want
+}
+
+#[test]
+fn conformance_script_yields_the_pinned_transcript() {
     for wire_version in [1u8, 2] {
-        let script = conformance_script(wire_version);
-        let threads = run_script(Mode::Threads, make_engine, wire_version, &script);
-        let reactor = run_script(Mode::Reactor, make_engine, wire_version, &script);
-        assert_eq!(
-            threads, reactor,
-            "serve modes disagree at wire v{wire_version}"
-        );
-        // Spot-check the transcript is the one we scripted, not two
-        // servers agreeing on garbage.
-        assert_eq!(threads[0], "pong");
-        assert_eq!(threads[1], "ok");
-        assert_eq!(threads[2], "ok");
-        assert!(threads[3].starts_with("rejected:Fatal"), "{threads:?}");
-        assert!(threads[4].starts_with("rejected:Busy"), "{threads:?}");
-        assert!(
-            threads[5].starts_with("rejected:UnknownSource"),
-            "{threads:?}"
-        );
-        for i in 6..10 {
-            assert_eq!(threads[i], "ok", "step {i}: {threads:?}");
-        }
-        if wire_version >= 2 {
-            assert!(
-                threads[10].starts_with("batch:[ok,rejected:"),
-                "{threads:?}"
-            );
-            assert!(
-                threads[11].starts_with("rejected:UnknownSource"),
-                "{threads:?}"
-            );
-            assert_eq!(threads[12], "ok", "{threads:?}");
-        }
-        let drain_at = if wire_version >= 2 { 13 } else { 10 };
-        assert!(threads[drain_at].starts_with("drain:"), "{threads:?}");
-        assert_eq!(threads[drain_at + 1], "rejected:Draining");
-        assert_eq!(threads[drain_at + 2], threads[drain_at], "drain idempotent");
-        assert_eq!(threads[drain_at + 3], "snapshot");
-        assert!(
-            threads.last().unwrap().starts_with("report:"),
-            "{threads:?}"
-        );
+        let backend = CrossbarSession::new(NetworkConfig::new(4, 2), MulticastModel::Msw);
+        let engine = EngineBuilder::new().shards(2).start(backend);
+        let got = run_script(engine, wire_version, &conformance_script(wire_version));
+        assert_eq!(got, pinned_transcript(wire_version), "wire v{wire_version}");
     }
 }
 
-/// Fault differential: a three-stage fabric with one middle switch of
+/// Fault conformance: a three-stage fabric with one middle switch of
 /// slack loses a middle switch mid-script, serves through the degraded
-/// window, and is repaired — the two serving layers must report the
-/// same heal outcome and the same verdicts before, during, and after.
+/// window, and is repaired — the heal outcome and the verdicts before,
+/// during, and after are pinned.
 #[test]
-fn threads_and_reactor_agree_under_fault_injection() {
+fn fault_injection_script_yields_the_pinned_transcript() {
     let (n, r, k) = (4u32, 4u32, 2u32);
     let m = bounds::theorem1_min_m(n, r).m + 1;
-    let make_engine = move || {
-        let p = ThreeStageParams::new(n, m, r, k);
-        let backend = ThreeStageNetwork::new(p, Construction::MswDominant, MulticastModel::Msw);
-        EngineBuilder::new().shards(2).start(backend)
-    };
-    let script = vec![
+    let p = ThreeStageParams::new(n, m, r, k);
+    let backend = ThreeStageNetwork::new(p, Construction::MswDominant, MulticastModel::Msw);
+    let engine = EngineBuilder::new().shards(2).start(backend);
+    let script = [
         Step::Call(Request::Connect(unicast(0, 0, 4, 0))),
         Step::Call(Request::Connect(unicast(1, 0, 5, 0))),
         // Quiescent point: both responses are in hand, so the backend
@@ -265,13 +229,21 @@ fn threads_and_reactor_agree_under_fault_injection() {
         Step::Call(Request::Disconnect(Endpoint::new(3, 0))),
         Step::Call(Request::Drain),
     ];
-    let threads = run_script(Mode::Threads, make_engine, 2, &script);
-    let reactor = run_script(Mode::Reactor, make_engine, 2, &script);
-    assert_eq!(threads, reactor, "serve modes disagree under faults");
-    assert_eq!(threads[0], "ok");
-    assert_eq!(threads[1], "ok");
-    assert!(threads[2].starts_with("inject:hit="), "{threads:?}");
-    assert_eq!(threads[3], "ok", "degraded fabric above the bound admits");
-    assert_eq!(threads[6], "repair:true", "{threads:?}");
-    assert_eq!(threads[7], "ok", "repaired fabric admits");
+    let got = run_script(engine, 2, &script);
+    let want = [
+        "ok",
+        "ok",
+        "inject:hit=1:healed=1:failed=0",
+        "ok",
+        "ok",
+        "ok",
+        "repair:true",
+        "ok",
+        "ok",
+        "ok",
+        "drain:clean=true:offered=4:admitted=4:blocked=0:departed=4:\
+         skipped=0:orphaned=0:component_down=0",
+        "report:clean=true:offered=4:admitted=4:blocked=0:departed=4:panics=0",
+    ];
+    assert_eq!(got, want);
 }

@@ -1,12 +1,13 @@
-//! Reactor-mode counterpart of `loopback.rs`: the same end-to-end
-//! acceptance contract — a multi-client trace replay at the Theorem-1
-//! bound drains clean with zero blocks and server-counted admissions
-//! equal to client-counted acks — but served by the epoll
-//! [`ReactorServer`] instead of the thread-per-connection server. The
-//! reactor-specific behaviors ride along: coalescing telemetry is live,
-//! the in-flight cap sheds with `Backpressure`, and malformed frames,
-//! drains, v1 clients, and wire batches all match the thread server's
-//! verdicts frame for frame.
+//! End-to-end acceptance tests over loopback TCP: N client threads
+//! stream a `wdm-workload` trace through [`NetClient`]s into a
+//! [`ReactorServer`] fronting a Theorem-1-sized three-stage network with
+//! `m` at the nonblocking bound. The drained report must be clean with
+//! **zero** blocks (the theorem's claim, holding across a real socket
+//! boundary), and the server-observed admission count must equal the
+//! clients' observed acks. The serving-layer behaviours ride along:
+//! coalescing telemetry is live, the in-flight cap sheds with
+//! `Backpressure`, malformed frames close the connection, drains are
+//! idempotent, and v1 clients and wire batches round-trip.
 
 #![cfg(target_os = "linux")]
 
@@ -154,9 +155,10 @@ fn reactor_drain_refuses_new_connects_with_draining() {
     assert!(report.is_clean());
 }
 
-/// Two `Drain` frames on one connection answer with the same completed
-/// summary — the reactor's drain is idempotent like the thread
-/// server's.
+/// Two `Drain` frames on one connection: the first consumes the engine,
+/// the second must answer with the *same* completed summary rather than
+/// hanging, erroring, or re-draining — and the server still tears down
+/// to a single clean report.
 #[test]
 fn reactor_drain_frame_twice_is_idempotent() {
     let server = serve_crossbar(4, 2, ReactorConfig::default());
@@ -190,6 +192,7 @@ fn reactor_drain_frame_twice_is_idempotent() {
     assert_eq!(first.offered, second.offered);
     assert_eq!(first.admitted, second.admitted);
     assert_eq!(first.departed, second.departed);
+    assert_eq!(first.orphaned_departures, second.orphaned_departures);
     assert_eq!(first.admitted, 1);
     assert_eq!(first.departed, 1);
 
@@ -219,9 +222,10 @@ fn reactor_malformed_frame_gets_protocol_error_then_close() {
     assert!(report.is_clean());
 }
 
-/// A strict v1 client round-trips against the v2 reactor unchanged:
-/// the reactor mirrors each request frame's version like the thread
-/// server does.
+/// Version negotiation: a strict v1 client (stamping version 1 on every
+/// frame, and rejecting any other version byte in replies thanks to the
+/// codec's range check) must round-trip ping/connect/disconnect against
+/// the v2 server unchanged — the server mirrors the request's version.
 #[test]
 fn reactor_v1_client_round_trips_against_v2_server() {
     assert_eq!(wdm_net::WIRE_VERSION, 2);

@@ -67,7 +67,7 @@ fn c10k_lanes_zero_blocks_at_theorem1_bound() {
     assert_eq!(stats.coalesced_events, report.requests_sent, "{stats:?}");
     // Ten thousand concurrent lanes must actually coalesce: cycles
     // carry multiple admissions on average, the whole point of the
-    // reactor over the thread server.
+    // reactor.
     assert!(
         stats.coalesced_batch_mean > 1.0,
         "no coalescing under C10k load: {stats:?}"

@@ -1,30 +1,41 @@
 //! Serve a three-stage network over TCP and drive it from client
 //! threads — the wire-protocol equivalent of `examples/runtime_server`.
 //!
-//! A `NetServer` fronts the sharded admission engine on a loopback
+//! A `ReactorServer` fronts the sharded admission engine on a loopback
 //! socket; a closed churn trace is partitioned by source port into one
 //! lane per client, each streamed fully pipelined through its own
 //! `NetClient`. At the Theorem 1 bound the network stays nonblocking
 //! across the socket boundary: the drained report shows zero blocks,
 //! and the server's admission count equals the clients' acks.
 //!
-//! Run with: `cargo run --example net_loopback`
+//! Run with: `cargo run --example net_loopback` (Linux: the server is
+//! an epoll reactor)
+
+#![cfg_attr(not(target_os = "linux"), allow(unused_imports))]
 
 use std::thread;
 
 use wdm_multicast::core::MulticastModel;
 use wdm_multicast::multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
-use wdm_multicast::net::{NetClient, NetServer, NetServerConfig, Request, Response};
+#[cfg(target_os = "linux")]
+use wdm_multicast::net::{NetClient, ReactorConfig, ReactorServer, Request, Response};
 use wdm_multicast::runtime::EngineBuilder;
 use wdm_multicast::workload::{close_trace, partition_by_source, DynamicTraffic};
 
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("net_loopback needs Linux (epoll)");
+}
+
+#[cfg(target_os = "linux")]
 fn main() {
     let (n, r, k) = (4u32, 4u32, 2u32);
     let bound = bounds::theorem1_min_m(n, r);
     let params = ThreeStageParams::new(n, bound.m, r, k);
     let backend = ThreeStageNetwork::new(params, Construction::MswDominant, MulticastModel::Msw);
     let engine = EngineBuilder::new().start(backend);
-    let server = NetServer::serve(engine, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+    let server =
+        ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).expect("bind");
     let addr = server.local_addr();
     println!(
         "serving {params} at the Theorem 1 bound (m={}) on {addr}\n",

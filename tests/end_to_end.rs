@@ -144,3 +144,70 @@ fn fig10_outcome_stable_under_request_order() {
         Err(RouteError::Blocked { .. })
     ));
 }
+
+/// Serving-layer smoke, so tier-1 opens a socket: two clients replay a
+/// source-partitioned closed trace into a `ReactorServer` fronting a
+/// three-stage network at the Theorem-1 bound. No request may come back
+/// `Blocked`, and the server's admissions must equal the clients' acks.
+#[cfg(target_os = "linux")]
+#[test]
+fn reactor_serves_a_closed_trace_at_the_bound_without_blocking() {
+    use wdm_multicast::net::{
+        NetClient, ReactorConfig, ReactorServer, RejectReason, Request, Response,
+    };
+    use wdm_multicast::runtime::EngineBuilder;
+    use wdm_multicast::workload::{close_trace, partition_by_source, DynamicTraffic};
+
+    let (n, r, k) = (4u32, 4u32, 2u32);
+    let p = ThreeStageParams::new(n, bounds::theorem1_min_m(n, r).m, r, k);
+    let backend = ThreeStageNetwork::new(p, Construction::MswDominant, MulticastModel::Msw);
+    let engine = EngineBuilder::new().start(backend);
+    let server =
+        ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).expect("bind");
+    let addr = server.local_addr();
+
+    let horizon = 10.0;
+    let mut events =
+        DynamicTraffic::new(p.network(), MulticastModel::Msw, 5.0, 1.0, 3, 11).generate(horizon);
+    close_trace(&mut events, horizon + 1.0);
+    let clients: Vec<_> = partition_by_source(events, 2)
+        .into_iter()
+        .map(|lane| {
+            std::thread::spawn(move || {
+                let reqs: Vec<Request> = lane.iter().map(|ev| Request::from(&ev.event)).collect();
+                let mut client = NetClient::connect(addr).expect("connect");
+                let resps = client.pipeline(&reqs).expect("pipelined replay");
+                let mut acks = 0u64;
+                for (req, resp) in reqs.iter().zip(&resps) {
+                    assert!(
+                        !matches!(
+                            resp,
+                            Response::Rejected {
+                                reason: RejectReason::Blocked,
+                                ..
+                            }
+                        ),
+                        "{req:?} blocked at the Theorem-1 bound"
+                    );
+                    if matches!(req, Request::Connect(_)) && resp.is_ok() {
+                        acks += 1;
+                    }
+                }
+                acks
+            })
+        })
+        .collect();
+    let acks: u64 = clients.into_iter().map(|c| c.join().expect("client")).sum();
+    assert!(acks > 20, "trace too small to mean anything: {acks} acks");
+
+    let mut control = NetClient::connect(addr).expect("control client");
+    match control.drain().expect("drain round trip") {
+        Response::DrainReport { clean, summary } => {
+            assert!(clean, "drain not clean");
+            assert_eq!(summary.blocked, 0);
+            assert_eq!(summary.admitted, acks);
+        }
+        other => panic!("expected DrainReport, got {other:?}"),
+    }
+    assert!(server.wait().is_clean());
+}
