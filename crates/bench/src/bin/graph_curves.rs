@@ -6,8 +6,7 @@
 //! serially against [`GraphNetwork`]s across topology (ring, torus),
 //! splitter placement (every node MC vs every other node), splitting
 //! discipline, and hotspot skew, then writes the surface to
-//! `experiments/graph_blocking.csv` and `BENCH_graph.json` (override
-//! the JSON path with the first CLI argument).
+//! `experiments/graph_blocking.csv`.
 //!
 //! "Fixed load" is engineered, not assumed: every request fans out to
 //! exactly [`FANOUT`] distinct nodes, and the loop holds the number of
@@ -16,11 +15,12 @@
 //! legality mirror tracks the graph's actually-admitted state, so a
 //! blocked request leaves no phantom occupancy behind.
 //!
-//! The acceptance gate: on the sparse-splitter ring, hotspot skew must
-//! **strictly** raise blocking at fixed load — concentration starves
-//! the two fibers converging on the hot node long before the rest of
-//! the ring fills. Serial replay of seeded draws makes the numbers
-//! exactly reproducible, so the gate cannot flake.
+//! The claim: on the sparse-splitter ring, hotspot skew **strictly**
+//! raises blocking at fixed load — concentration starves the two
+//! fibers converging on the hot node long before the rest of the ring
+//! fills — while the torus absorbs it. Serial replay of seeded draws
+//! makes the counts exactly reproducible, so the tests below pin them
+//! with `==`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,6 +51,8 @@ const STEPS: usize = 600;
 const SEEDS: u64 = 6;
 const HOT_NODE: u32 = 0;
 const SKEWS: [u32; 3] = [0, 60, 90];
+const RING: GraphTopology = GraphTopology::Ring { nodes: 8 };
+const TORUS: GraphTopology = GraphTopology::Torus { rows: 3, cols: 3 };
 
 #[derive(Clone)]
 struct Cell {
@@ -71,23 +73,6 @@ impl Cell {
 
     fn mean_hops(&self) -> f64 {
         self.total_hops as f64 / self.admitted.max(1) as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"topology\":\"{}\",\"mc_every\":{},\"splitting\":\"{}\",\
-             \"skew_pct\":{},\"attempts\":{},\"admitted\":{},\"blocked\":{},\
-             \"p_block\":{:.4},\"mean_hops\":{:.2}}}",
-            self.topology,
-            self.mc_every,
-            self.splitting.label(),
-            self.skew_pct,
-            self.attempts,
-            self.admitted,
-            self.blocked,
-            self.p_block(),
-            self.mean_hops()
-        )
     }
 }
 
@@ -155,14 +140,8 @@ fn run_cell(topology: GraphTopology, mc_every: u32, splitting: Splitting, skew_p
 }
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_graph.json".to_string());
-
-    let ring = GraphTopology::Ring { nodes: 8 };
-    let torus = GraphTopology::Torus { rows: 3, cols: 3 };
     let mut grid: Vec<(GraphTopology, u32, Splitting, u32)> = Vec::new();
-    for &topology in &[ring, torus] {
+    for &topology in &[RING, TORUS] {
         for &mc_every in &[1u32, 2] {
             for &skew in &SKEWS {
                 grid.push((topology, mc_every, Splitting::Hierarchy, skew));
@@ -172,7 +151,7 @@ fn main() {
     // The tree-only column on the sparse ring shows what hierarchies
     // buy back under the same skew.
     for &skew in &SKEWS {
-        grid.push((ring, 2, Splitting::TreeOnly, skew));
+        grid.push((RING, 2, Splitting::TreeOnly, skew));
     }
 
     let cells = parallel_map(grid, |(topology, mc_every, splitting, skew)| {
@@ -221,59 +200,47 @@ fn main() {
         paths.len(),
         experiments_dir().display()
     );
+}
 
-    let body = cells
-        .iter()
-        .map(Cell::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        "{{\n  \"bench\": \"graph_blocking\",\n  \"ports_per_node\": {PORTS_PER_NODE},\n  \
-         \"wavelengths\": {WAVELENGTHS},\n  \"fanout\": {FANOUT},\n  \"steps\": {STEPS},\n  \
-         \"seeds\": {SEEDS},\n  \"hot_node\": {HOT_NODE},\n  \
-         \"results\": [\n    {body}\n  ]\n}}\n"
-    );
-    std::fs::write(&out, json).expect("write report");
-    println!("wrote {out}");
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // The gate: on the sparse-splitter ring (hierarchy column), skew
-    // strictly raises blocking at fixed load, and the top cell actually
-    // blocks — otherwise the surface is vacuous.
-    let sparse_ring: Vec<&Cell> = SKEWS
-        .iter()
-        .map(|&skew| {
-            cells
-                .iter()
-                .find(|c| {
-                    matches!(c.topology, GraphTopology::Ring { .. })
-                        && c.mc_every == 2
-                        && c.splitting == Splitting::Hierarchy
-                        && c.skew_pct == skew
-                })
-                .expect("sparse ring cell present")
+    fn blocked_by_skew(topology: GraphTopology, mc_every: u32, splitting: Splitting) -> [u64; 3] {
+        SKEWS.map(|skew| {
+            let cell = run_cell(topology, mc_every, splitting, skew);
+            assert_eq!(cell.attempts, SEEDS * STEPS as u64);
+            assert_eq!(cell.admitted + cell.blocked, cell.attempts);
+            cell.blocked
         })
-        .collect();
-    for pair in sparse_ring.windows(2) {
-        let (lo, hi) = (pair[0], pair[1]);
-        if hi.blocked <= lo.blocked {
-            eprintln!(
-                "FAIL: skew {}% does not block strictly more than {}% on the sparse ring \
-                 ({} vs {} blocked over {} attempts)",
-                hi.skew_pct, lo.skew_pct, hi.blocked, lo.blocked, hi.attempts
+    }
+
+    #[test]
+    fn sparse_ring_blocking_rises_strictly_with_skew() {
+        let blocked = blocked_by_skew(RING, 2, Splitting::Hierarchy);
+        assert_eq!(blocked, [237, 264, 341]);
+        assert!(blocked[0] < blocked[1] && blocked[1] < blocked[2]);
+    }
+
+    #[test]
+    fn torus_absorbs_the_hotspot() {
+        for mc_every in [1, 2] {
+            assert_eq!(
+                blocked_by_skew(TORUS, mc_every, Splitting::Hierarchy),
+                [0, 0, 0],
+                "mc_every {mc_every}"
             );
-            std::process::exit(1);
         }
     }
-    if sparse_ring.last().unwrap().blocked == 0 {
-        eprintln!("FAIL: even 90% skew never blocked the sparse ring; the gate is vacuous");
-        std::process::exit(1);
+
+    /// Unexplained (ROADMAP, graph item): tree-only routing blocks
+    /// *less* than its hierarchy superset at 90 % skew (266 vs 341) and
+    /// ties it at 60 %. Pinned so whoever explains it has a fixed target.
+    #[test]
+    fn sparse_ring_tree_only_row_is_pinned() {
+        assert_eq!(
+            blocked_by_skew(RING, 2, Splitting::TreeOnly),
+            [282, 264, 266]
+        );
     }
-    println!(
-        "gate passed: sparse-ring blocking rises strictly with skew ({})",
-        sparse_ring
-            .iter()
-            .map(|c| format!("{}%→{}", c.skew_pct, c.blocked))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
 }

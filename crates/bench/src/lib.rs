@@ -12,8 +12,12 @@
 //! | `asymptotics`     | §3.4 — growth of `m` and crosspoints with `N` |
 //!
 //! CSV copies of every table land in `experiments/` at the workspace root.
+//!
+//! Nothing here measures a rate of the served system: throughput and
+//! latency are `BENCHMARK.json`'s (the `benchmark/` package), and the
+//! seeded counts the curve binaries print are pinned by `==` tests next
+//! to the code that produces them.
 
-pub mod batch_drive;
 pub mod repack_drive;
 
 use std::path::PathBuf;

@@ -1,10 +1,11 @@
-//! Serial repack-vs-first-fit replay shared by the payoff experiments.
+//! Serial repack-vs-first-fit replay behind the payoff experiment.
 //!
-//! Both `repack_curves` (the CSV sweep) and `batch_report` (the
-//! `BENCH_runtime.json` gate) offer the *same* Poisson mixed-fanout
-//! trace to a starved three-stage network twice — plain first-fit, then
-//! on-block repacking — so their dominance claims are about identical
-//! offered load, not about two different random draws.
+//! `repack_curves` (the CSV sweep) offers the *same* Poisson
+//! mixed-fanout trace to a starved three-stage network twice — plain
+//! first-fit, then on-block repacking — so its dominance claim is about
+//! identical offered load, not about two different random draws. The
+//! replay is serial and seeded, so its counts are exact: the tests
+//! below pin them with `==`.
 
 use wdm_core::MulticastModel;
 use wdm_multistage::{
@@ -68,4 +69,34 @@ pub fn replay(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The payoff legs at 16 Erlangs on n=2, r=4, k=2 (Theorem-1 bound
+    /// m=6): `(m, first-fit blocked, repack blocked, moves committed)`.
+    /// Starved fabrics lose less with repacking, m=3 loses nothing, and
+    /// one below the bound neither column blocks or moves at all.
+    #[test]
+    fn repack_payoff_counts_are_pinned() {
+        for (m, firstfit_blocked, repack_blocked, moves) in
+            [(2, 856, 507, 424), (3, 65, 0, 68), (5, 0, 0, 0)]
+        {
+            let p = ThreeStageParams::new(2, m, 4, 2);
+            let firstfit = replay(p, 16.0, 400.0, false, 0x4EAC);
+            let repack = replay(p, 16.0, 400.0, true, 0x4EAC);
+            for (name, out, blocked) in [
+                ("first-fit", firstfit, firstfit_blocked),
+                ("repack", repack, repack_blocked),
+            ] {
+                assert_eq!(out.attempts, 4309, "{name} attempts at m={m}");
+                assert_eq!(out.blocked, blocked, "{name} blocked at m={m}");
+                assert_eq!(out.admitted, 4309 - blocked, "{name} admitted at m={m}");
+            }
+            assert_eq!(firstfit.moves, 0, "first-fit never moves (m={m})");
+            assert_eq!(repack.moves, moves, "repack moves at m={m}");
+        }
+    }
 }

@@ -121,13 +121,8 @@ COMMANDS:
                                                    and report admissions/sec plus latency
                                                    percentiles; --drain true (default) drains the
                                                    server at the end and asserts a clean report
-              without --connect the command instead runs the self-hosted concurrency sweep
-              (Linux only): a `wdmcast serve` child per rung of a 64, ×8, …, --connections
-              ladder (default 10000), driven by the epoll load generator ([--lanes L] total
-              logical lanes, [--pipeline D], [--rounds R], [--shards S]); writes per-cell
-              throughput and latency percentiles to --out (default BENCH_net.json) and
-              enforces two gates: largest-cell p99 ≤ --p99-gate-ms (default 750), and mean
-              coalesced batch size growing with connection count
+              (a smoke client, not a measurement: rates and latencies of the served
+              system are BENCHMARK.json's — run the benchmark/ package)
   sim         --n <n> --r <r> [-k <λ>] [--m M]
               [--backend crossbar|three-stage|three-stage-cas|awg-clos|graph]
               [--steps S] [--shards S] [--seed X | --seeds COUNT] [--faulted] [--repack]
@@ -954,7 +949,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         ));
     }
     if kill_middles.len() as u32 >= m_like {
-        return Err(format!("--kill-middle would fail every one of the {kill_unit}").to_string());
+        return Err(format!(
+            "--kill-middle would fail every one of the {kill_unit}"
+        ));
     }
     let fault_rate = match opts.0.get("fault-rate") {
         Some(_) => Some(opts.f64("fault-rate", 1.0)?),
@@ -974,22 +971,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         );
     }
 
-    // Close the trace: `generate` truncates departures past the horizon,
-    // and a connection that never departs would pin its endpoints forever,
-    // expiring every later rival. Appending the missing disconnects makes
-    // the run end with an empty network.
     let mut events = DynamicTraffic::new(flat, model, rate, 1.0, 3, seed).generate(horizon);
-    let mut live = std::collections::BTreeSet::new();
-    for e in &events {
-        match &e.event {
-            wdm_workload::TraceEvent::Connect(c) => live.insert(c.source()),
-            wdm_workload::TraceEvent::Disconnect(s) => live.remove(s),
-        };
-    }
-    events.extend(live.into_iter().map(|src| wdm_workload::TimedEvent {
-        time: horizon + 1.0,
-        event: wdm_workload::TraceEvent::Disconnect(src),
-    }));
+    wdm_workload::close_trace(&mut events, horizon + 1.0);
     let offered_load = events.len();
     println!(
         "offered load: {offered_load} events (arrival rate {rate}/t over {horizon}t, seed {seed}) on {flat}, model {model}"
@@ -1348,8 +1331,8 @@ fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
         stats.protocol_errors,
     );
     // `--stats-file` publishes the reactor counters as one JSON line,
-    // so a parent process (the `bench-net` sweep runs servers as
-    // children to double its fd budget) can read them back.
+    // so a parent process that runs the server as a child can read
+    // them back.
     if let Some(path) = opts.0.get("stats-file") {
         let json = format!(
             "{{\"accepted\":{},\"frames\":{},\"wakeups\":{},\
@@ -1408,7 +1391,12 @@ fn cmd_bench_net(opts: &Opts) -> Result<(), String> {
 
     opts.reject_removed_flag()?;
     let Some(addr) = opts.0.get("connect").cloned() else {
-        return cmd_bench_net_sweep(opts);
+        return Err(
+            "bench-net needs --connect ADDR (a running `wdmcast serve --listen`); \
+             to measure the served system run the benchmark/ package \
+             (cargo run --release --manifest-path benchmark/Cargo.toml)"
+                .into(),
+        );
     };
     let n = opts.u32("n", None)?;
     let r = opts.u32("r", None)?;
@@ -1604,351 +1592,6 @@ fn cmd_bench_net(opts: &Opts) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Extract a bare numeric field from one line of hand-rolled JSON —
-/// the sweep reads the server child's `--stats-file` without a JSON
-/// dependency.
-#[cfg(target_os = "linux")]
-fn json_number_field(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// `bench-net` without `--connect`: self-hosted concurrency sweep.
-/// Serves a three-stage network from a `wdmcast serve` child at each
-/// rung of a connection-count ladder (64, ×8, …, `--connections`),
-/// drives every rung with the epoll load generator, and writes
-/// `BENCH_net.json`. Two gates make the sweep CI-enforceable: the
-/// largest cell's p99 stays under `--p99-gate-ms`, and the mean
-/// coalesced batch grows with connection count — the
-/// adaptive-coalescing claim, measured. (Throughput against the parent
-/// commit is `BENCHMARK.json`'s job, not this sweep's.)
-#[cfg(target_os = "linux")]
-fn cmd_bench_net_sweep(opts: &Opts) -> Result<(), String> {
-    use wdm_net::reactor::raise_nofile_limit;
-    use wdm_net::{ClientConfig, LoadConfig, LoadReport, NetClient, Response};
-
-    opts.model()?; // validate; forwarded verbatim to the server child
-    let connections = opts.u32("connections", Some(10_000))?.max(1) as usize;
-    let lanes_total = opts.u32("lanes", Some(connections as u32))?.max(1) as usize;
-    let lanes_per_conn = (lanes_total / connections).max(1);
-    let pipeline = opts.u32("pipeline", Some(4))?.max(1) as usize;
-    // Shards default to the core count (capped at 4): on a small box,
-    // extra event loops just split the event stream into batches too
-    // thin to coalesce.
-    let default_shards = std::thread::available_parallelism()
-        .map(|p| p.get().min(4) as u32)
-        .unwrap_or(4);
-    let shards = opts.u32("shards", Some(default_shards))?.max(1) as usize;
-    let rounds_override = match opts.0.get("rounds") {
-        Some(_) => Some(opts.u64("rounds", 2)?.max(1) as usize),
-        None => None,
-    };
-    let p99_gate_ms = opts.f64("p99-gate-ms", 750.0)?;
-    let out_path = opts
-        .0
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_net.json".into());
-
-    // Three-stage geometry sized to the largest cell: every lane gets a
-    // dedicated source endpoint, and `m` defaults to the Theorem-1
-    // nonblocking bound, so a zero-reject run is the only acceptable
-    // outcome at every rung. (A flat crossbar of C10k-scale ports is
-    // not used because building its physical netlist is superlinear in
-    // ports; the decomposed fabric constructs in milliseconds.) Dense
-    // wavelengths keep the fabric small — C10k is a statement about
-    // sockets, not about switch ports.
-    let wavelengths = 64u32;
-    let module = 32u32;
-    let max_lanes = (connections * lanes_per_conn) as u32;
-    let modules = max_lanes.div_ceil(wavelengths).div_ceil(module).max(2);
-    let ports = module * modules;
-    // The server runs as a child process, so client and server each get
-    // a full RLIMIT_NOFILE budget — C10k needs ~10k fds *per side*, and
-    // containers without CAP_SYS_RESOURCE can't raise the hard limit.
-    let fd_limit = raise_nofile_limit(connections as u64 + 1024);
-    if fd_limit < connections as u64 + 64 {
-        return Err(format!(
-            "--connections {connections} needs ~{} fds but the limit is {fd_limit}; \
-             lower --connections or raise `ulimit -n`",
-            connections + 64
-        ));
-    }
-    println!(
-        "bench-net sweep: up to {connections} connections × {lanes_per_conn} \
-         lanes (three-stage {module}×{modules} of {wavelengths} wavelengths at the Theorem-1 \
-         bound, pipeline {pipeline}, fd limit {fd_limit}, server per cell in a child process)"
-    );
-
-    // Ladder: 64, ×8 …, capped by --connections (always the last rung).
-    let mut ladder = Vec::new();
-    let mut rung = 64usize.min(connections);
-    while rung < connections {
-        ladder.push(rung);
-        rung = rung.saturating_mul(8);
-    }
-    ladder.push(connections);
-
-    struct Cell {
-        connections: usize,
-        lanes: usize,
-        rounds: usize,
-        report: LoadReport,
-        batch_mean: f64,
-    }
-
-    // Each rung offers roughly the same request volume so cells compare
-    // rates, not durations; ~120k requests keeps the serving window
-    // over a second even at 100k/s, long enough to average out
-    // scheduler noise on a shared box.
-    let rounds_for = |lanes: usize| -> usize {
-        rounds_override.unwrap_or_else(|| (120_000 / (lanes * 2)).clamp(1, 1024))
-    };
-
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let model_flag = opts.0.get("model").cloned();
-    let run_cell = |conns: usize| -> Result<Cell, String> {
-        use std::time::{Duration, Instant};
-        let lanes = conns * lanes_per_conn;
-        let rounds = rounds_for(lanes);
-        let config = LoadConfig {
-            connections: conns,
-            lanes_per_conn,
-            pipeline,
-            rounds,
-            ports,
-            wavelengths,
-            ..LoadConfig::default()
-        };
-
-        // Serve from a child process: a `wdmcast serve` with the sweep's
-        // three-stage geometry (m defaulting to the Theorem-1 bound)
-        // writes its bound address to `addr_file` at startup and its
-        // serving-layer counters to `stats_file` after the drain stops
-        // it.
-        let tag = format!("wdmcast-bench-{}-{conns}", std::process::id());
-        let addr_file = std::env::temp_dir().join(format!("{tag}.addr"));
-        let stats_file = std::env::temp_dir().join(format!("{tag}.stats"));
-        let _ = std::fs::remove_file(&addr_file);
-        let _ = std::fs::remove_file(&stats_file);
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("serve")
-            .args(["--n", &module.to_string()])
-            .args(["--r", &modules.to_string()])
-            .args(["--k", &wavelengths.to_string()])
-            .args(["--workers", &shards.to_string()])
-            .args(["--listen", "127.0.0.1:0"])
-            .arg("--addr-file")
-            .arg(&addr_file)
-            .arg("--stats-file")
-            .arg(&stats_file)
-            .stdout(std::process::Stdio::null());
-        if let Some(m) = &model_flag {
-            cmd.args(["--model", m]);
-        }
-        let mut child = cmd.spawn().map_err(|e| format!("spawn server: {e}"))?;
-
-        // The body runs in a closure so every early error still reaps
-        // the child instead of leaking a listening server.
-        let body = |child: &mut std::process::Child| -> Result<(LoadReport, f64), String> {
-            let addr: std::net::SocketAddr = {
-                let deadline = Instant::now() + Duration::from_secs(20);
-                loop {
-                    if let Some(addr) = std::fs::read_to_string(&addr_file)
-                        .ok()
-                        .and_then(|s| s.trim().parse().ok())
-                    {
-                        break addr;
-                    }
-                    if let Some(status) = child.try_wait().ok().flatten() {
-                        return Err(format!("server exited during startup: {status}"));
-                    }
-                    if Instant::now() >= deadline {
-                        return Err("server did not report its address within 20s".into());
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            };
-            let report =
-                wdm_net::loadgen::run(addr, config).map_err(|e| format!("load run: {e}"))?;
-            if !report.completed {
-                return Err(format!("{conns}-connection cell timed out: {report:?}"));
-            }
-            if report.rejects() > 0 {
-                return Err(format!(
-                    "{conns}-connection cell saw {} rejects on a dedicated-lane crossbar: \
-                     {report:?}",
-                    report.rejects()
-                ));
-            }
-            // Drain over the wire stops the server; at C10k the engine
-            // retires thousands of live connections first, so the
-            // control client waits well past the default timeout.
-            let control_config = ClientConfig {
-                timeout: Duration::from_secs(120),
-                ..ClientConfig::default()
-            };
-            let mut control = NetClient::connect_with(addr, control_config)
-                .map_err(|e| format!("control connect: {e}"))?;
-            match control.drain().map_err(|e| format!("drain: {e}"))? {
-                Response::DrainReport { clean, summary } => {
-                    if !clean {
-                        return Err(format!("{conns}-connection cell drained dirty"));
-                    }
-                    if summary.admitted != report.connect_acks {
-                        return Err(format!(
-                            "server admitted {} but the load generator counted {} acks",
-                            summary.admitted, report.connect_acks
-                        ));
-                    }
-                }
-                other => return Err(format!("expected DrainReport, got {other:?}")),
-            }
-            drop(control);
-            let status = child.wait().map_err(|e| format!("reap server: {e}"))?;
-            if !status.success() {
-                return Err(format!("{conns}-connection server exited with {status}"));
-            }
-            let stats = std::fs::read_to_string(&stats_file)
-                .map_err(|e| format!("read server stats: {e}"))?;
-            let frames = json_number_field(&stats, "frames").unwrap_or(0.0);
-            let wakeups = json_number_field(&stats, "wakeups").unwrap_or(0.0);
-            let shed = json_number_field(&stats, "shed").unwrap_or(0.0);
-            println!("    server: {frames:.0} frames over {wakeups:.0} wakeups ({shed:.0} shed)");
-            let batch_mean = json_number_field(&stats, "coalesced_batch_mean")
-                .ok_or_else(|| format!("no coalesced_batch_mean in {stats:?}"))?;
-            Ok((report, batch_mean))
-        };
-        let result = body(&mut child);
-        if result.is_err() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        let _ = std::fs::remove_file(&addr_file);
-        let _ = std::fs::remove_file(&stats_file);
-        let (report, batch_mean) = result?;
-        println!(
-            "  {conns}: {:.0} admissions/s over {} requests (mean batch {batch_mean:.1})",
-            report.admissions_per_sec(),
-            report.requests_sent,
-        );
-        Ok(Cell {
-            connections: conns,
-            lanes,
-            rounds,
-            report,
-            batch_mean,
-        })
-    };
-
-    let cells = ladder
-        .iter()
-        .map(|&conns| run_cell(conns))
-        .collect::<Result<Vec<Cell>, String>>()?;
-
-    let mut t = TextTable::new([
-        "conns", "lanes", "requests", "acks", "adm/s", "p50", "p95", "p99", "batch",
-    ]);
-    let mut cell_json = Vec::new();
-    for cell in &cells {
-        let q = cell.report.latency_quantiles_ms(&[0.50, 0.95, 0.99]);
-        t.row([
-            cell.connections.to_string(),
-            cell.lanes.to_string(),
-            cell.report.requests_sent.to_string(),
-            cell.report.acks().to_string(),
-            format!("{:.0}", cell.report.admissions_per_sec()),
-            format!("{:.2}ms", q[0]),
-            format!("{:.2}ms", q[1]),
-            format!("{:.2}ms", q[2]),
-            format!("{:.1}", cell.batch_mean),
-        ]);
-        cell_json.push(format!(
-            "{{\"connections\":{},\"lanes\":{},\"pipeline\":{},\"rounds\":{},\
-             \"requests\":{},\"connect_acks\":{},\"rejects\":{},\"admissions_per_sec\":{:.1},\
-             \"p50_ms\":{:.3},\"p95_ms\":{:.3},\"p99_ms\":{:.3},\"mean_coalesced_batch\":{:.3}}}",
-            cell.connections,
-            cell.lanes,
-            pipeline,
-            cell.rounds,
-            cell.report.requests_sent,
-            cell.report.connect_acks,
-            cell.report.rejects(),
-            cell.report.admissions_per_sec(),
-            q[0],
-            q[1],
-            q[2],
-            cell.batch_mean,
-        ));
-    }
-    println!("{t}");
-
-    // Gates.
-    let top = cells.last().expect("ladder is never empty");
-    let top_p99 = top.report.latency_quantiles_ms(&[0.99])[0];
-    let top_rate = top.report.admissions_per_sec();
-    let mut failures = Vec::new();
-    if top_p99 > p99_gate_ms {
-        failures.push(format!(
-            "p99 gate: {top_p99:.2}ms at {} connections exceeds {p99_gate_ms:.0}ms",
-            top.connections
-        ));
-    }
-    let batch_growth = if cells.len() >= 2 && top.batch_mean > 0.0 {
-        let first = &cells[0];
-        if top.batch_mean <= first.batch_mean {
-            failures.push(format!(
-                "coalescing gate: mean batch {:.2} at {} connections did not grow over {:.2} \
-                 at {} connections",
-                top.batch_mean, top.connections, first.batch_mean, first.connections
-            ));
-        }
-        Some((first.batch_mean, top.batch_mean))
-    } else {
-        None
-    };
-
-    let gates_json = format!(
-        "{{\"p99_gate_ms\":{p99_gate_ms:.1},\"top_p99_ms\":{top_p99:.3},\
-         \"top_admissions_per_sec\":{top_rate:.1},\
-         \"batch_mean_first\":{},\"batch_mean_top\":{},\"passed\":{}}}",
-        batch_growth.map_or("null".into(), |(f, _)| format!("{f:.3}")),
-        batch_growth.map_or("null".into(), |(_, l)| format!("{l:.3}")),
-        failures.is_empty(),
-    );
-    let json = format!(
-        "{{\"bench\":\"net\",\"ports\":{ports},\
-         \"wavelengths\":{wavelengths},\"pipeline\":{pipeline},\"lanes_per_conn\":{lanes_per_conn},\
-         \"cells\":[{}],\"gates\":{gates_json}}}\n",
-        cell_json.join(","),
-    );
-    std::fs::write(&out_path, json).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        return Err(format!(
-            "bench-net gates failed:\n  {}",
-            failures.join("\n  ")
-        ));
-    }
-    println!(
-        "gates passed: p99 {top_p99:.2}ms ≤ {p99_gate_ms:.0}ms at {top_rate:.0} adm/s{}",
-        match batch_growth {
-            Some((f, l)) => format!("; mean batch {f:.1} → {l:.1}"),
-            None => String::new(),
-        }
-    );
-    Ok(())
-}
-
-#[cfg(not(target_os = "linux"))]
-fn cmd_bench_net_sweep(_opts: &Opts) -> Result<(), String> {
-    Err("bench-net without --connect runs the self-hosted sweep, which needs Linux (epoll)".into())
 }
 
 /// `sim`: deterministic simulation of the sharded admission engine.

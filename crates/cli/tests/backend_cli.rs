@@ -1,14 +1,46 @@
 //! End-to-end CLI tests for backend selection: the `--backend` flag
 //! must reject unknown names with the full menu and a nonzero exit, and
 //! the AWG-Clos backend must work through `serve --listen` (real TCP,
-//! wire protocol, drain) and `sim` exactly like the other fabrics.
+//! wire protocol, drain) and `sim` exactly like the other fabrics. The
+//! `#[ignore]`d C10k test holds ten thousand real sockets open against
+//! a served child process.
 
-use std::process::Command;
+use std::net::SocketAddr;
+use std::process::{Child, Command};
 use wdm_core::{Endpoint, MulticastConnection};
 use wdm_net::{NetClient, Request, Response};
 
 fn wdmcast() -> Command {
     Command::new(env!("CARGO_BIN_EXE_wdmcast"))
+}
+
+/// Start `wdmcast serve --listen 127.0.0.1:0 <fabric>` as a child and
+/// wait for the address it binds.
+fn spawn_server(tag: &str, fabric: &[&str]) -> (Child, SocketAddr) {
+    let addr_file = std::env::temp_dir().join(format!("wdmcast-{tag}-{}.addr", std::process::id()));
+    let _ = std::fs::remove_file(&addr_file);
+    let server = wdmcast()
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .args(fabric)
+        .arg("--addr-file")
+        .arg(&addr_file)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn server");
+
+    // The server writes its bound address once the socket is live.
+    let mut waited = 0;
+    let addr = loop {
+        let written = std::fs::read_to_string(&addr_file).ok();
+        if let Some(addr) = written.and_then(|s| s.trim().parse().ok()) {
+            break addr;
+        }
+        waited += 1;
+        assert!(waited < 200, "server never wrote {addr_file:?}");
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    };
+    let _ = std::fs::remove_file(&addr_file);
+    (server, addr)
 }
 
 #[test]
@@ -222,45 +254,12 @@ fn awg_clos_sim_sweep_exits_clean() {
 
 #[test]
 fn serve_listen_runs_the_awg_backend_over_tcp() {
-    let dir = std::env::temp_dir().join(format!("wdmcast-awg-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let addr_file = dir.join("addr");
-    let mut server = wdmcast()
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--backend",
-            "awg-clos",
-            "--n",
-            "2",
-            "--r",
-            "4",
-            "-k",
-            "4",
-        ])
-        .arg("--addr-file")
-        .arg(&addr_file)
-        .stdout(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn server");
+    let (mut server, addr) = spawn_server(
+        "awg",
+        &["--backend", "awg-clos", "--n", "2", "--r", "4", "-k", "4"],
+    );
 
-    // The server writes its bound address once the socket is live.
-    let addr = {
-        let mut waited = 0;
-        loop {
-            match std::fs::read_to_string(&addr_file) {
-                Ok(s) if !s.is_empty() => break s,
-                _ => {
-                    waited += 1;
-                    assert!(waited < 200, "server never wrote {addr_file:?}");
-                    std::thread::sleep(std::time::Duration::from_millis(25));
-                }
-            }
-        }
-    };
-
-    let mut client = NetClient::connect(addr.as_str()).expect("connect");
+    let mut client = NetClient::connect(addr).expect("connect");
     // Port 0 (module 0) λ0 → modules 1 and 2: the module-2 leg rides
     // channel class 2 ≠ λ0, so the full AWG path (ingress conversion,
     // grating hop, egress conversion) is exercised over the wire.
@@ -289,7 +288,6 @@ fn serve_listen_runs_the_awg_backend_over_tcp() {
     }
     let status = server.wait().expect("server exit");
     assert!(status.success(), "server exited {status:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -334,7 +332,7 @@ fn serve_listen_on_an_occupied_port_fails_with_context() {
 fn removed_serving_layer_flag_is_rejected_loudly() {
     for args in [
         &["serve", "--listen", "127.0.0.1:0", "--n", "2", "--r", "4"][..],
-        &["bench-net", "--connections", "8"][..],
+        &["bench-net", "--connect", "127.0.0.1:1"][..],
     ] {
         let out = wdmcast()
             .args(args)
@@ -351,26 +349,71 @@ fn removed_serving_layer_flag_is_rejected_loudly() {
     }
 }
 
-/// `bench-net` with no `--connect` runs the self-hosted sweep: one
-/// reactor cell here, written without any `mode` field.
-#[cfg(target_os = "linux")]
+/// `bench-net` is only the socket smoke's client; without `--connect`
+/// it refuses and says where the measurement lives.
 #[test]
-fn bench_net_without_connect_runs_the_self_hosted_sweep() {
-    let out_file = std::env::temp_dir().join(format!("wdmcast-sweep-{}.json", std::process::id()));
+fn bench_net_without_connect_points_at_the_benchmark() {
     let out = wdmcast()
-        .args(["bench-net", "--connections", "8", "--rounds", "2", "--out"])
-        .arg(&out_file)
+        .args(["bench-net", "--n", "4", "--r", "4"])
         .output()
         .expect("spawn wdmcast");
+    assert!(!out.status.success(), "bench-net ran without --connect");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        out.status.success(),
-        "sweep failed:\n{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("--connect") && stderr.contains("benchmark/"),
+        "{stderr}"
     );
-    let json = std::fs::read_to_string(&out_file).expect("sweep wrote its JSON");
-    assert!(json.contains("\"cells\":[{\"connections\":8,"), "{json}");
-    assert!(json.contains("\"passed\":true"), "{json}");
-    assert!(!json.contains("mode"), "{json}");
-    let _ = std::fs::remove_file(&out_file);
+}
+
+/// C10k proper: ten thousand sockets held open at once against a
+/// three-stage fabric at the Theorem-1 bound (32×5 modules of 64
+/// wavelengths, one dedicated endpoint per socket) see zero rejects of
+/// any class, and the server drains clean. The server is a child
+/// process so each side gets its own `RLIMIT_NOFILE` budget.
+#[cfg(target_os = "linux")]
+#[test]
+#[ignore = "needs ~10k fds per side: cargo test --release -p wdmcast --test backend_cli -- --ignored c10k_sockets"]
+fn c10k_sockets_zero_rejects_at_the_bound() {
+    use wdm_net::{ClientConfig, LoadConfig};
+
+    let connections = 10_000u64;
+    let fd_limit = wdm_net::reactor::raise_nofile_limit(connections + 1024);
+    assert!(
+        fd_limit >= connections + 64,
+        "fd limit {fd_limit} cannot hold {connections} sockets; raise `ulimit -n`"
+    );
+    let (mut server, addr) = spawn_server("c10k", &["--n", "32", "--r", "5", "-k", "64"]);
+
+    let config = LoadConfig {
+        connections: connections as usize,
+        lanes_per_conn: 1,
+        pipeline: 4,
+        rounds: 2,
+        ports: 32 * 5,
+        wavelengths: 64,
+        ..LoadConfig::default()
+    };
+    let report = wdm_net::loadgen::run(addr, config).expect("load run");
+    assert!(report.completed, "timed out: {report:?}");
+    assert_eq!(report.rejects(), 0, "{report:?}");
+    assert_eq!(report.connect_acks, connections * 2);
+    assert_eq!(report.disconnect_acks, connections * 2);
+
+    // The server reaps ten thousand closed sockets before it answers
+    // the drain, so the control client waits past the default timeout.
+    let patient = ClientConfig {
+        timeout: std::time::Duration::from_secs(120),
+        ..ClientConfig::default()
+    };
+    let mut control = NetClient::connect_with(addr, patient).expect("control client");
+    match control.drain().expect("drain rpc") {
+        Response::DrainReport { clean, summary } => {
+            assert!(clean, "drain not clean");
+            assert_eq!(summary.blocked, 0);
+            assert_eq!(summary.admitted, report.connect_acks);
+        }
+        other => panic!("expected DrainReport, got {other:?}"),
+    }
+    let status = server.wait().expect("server exit");
+    assert!(status.success(), "server exited {status:?}");
 }

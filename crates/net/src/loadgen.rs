@@ -14,6 +14,10 @@
 //! k)` — all sources and all destinations distinct — so a fabric at the
 //! Theorem-1 bound must admit every request, and the soak tests assert
 //! exactly that (zero rejects).
+//!
+//! This is a conformance client: it counts verdicts by class and takes
+//! no latency or rate. Measuring the served system is the `benchmark/`
+//! package's job (`BENCHMARK.json`).
 
 use crate::codec::{decode_response, encode_request_v};
 use crate::protocol::{RejectReason, Request, Response, WIRE_VERSION};
@@ -86,8 +90,6 @@ pub struct LoadReport {
     pub draining: u64,
     /// Any other non-`Ok` response.
     pub other: u64,
-    /// Per-response round-trip latencies in milliseconds.
-    pub latencies_ms: Vec<f64>,
     /// Wall-clock of the whole run.
     pub elapsed: Duration,
     /// Every lane finished all its rounds before
@@ -104,26 +106,6 @@ impl LoadReport {
     /// Total rejects of any flavor.
     pub fn rejects(&self) -> u64 {
         self.busy + self.blocked + self.backpressure + self.draining + self.other
-    }
-
-    /// Acknowledged admissions (connect acks) per second.
-    pub fn admissions_per_sec(&self) -> f64 {
-        self.connect_acks as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Latency quantiles (nearest-rank) for the given `q`s in one sort.
-    pub fn latency_quantiles_ms(&self, qs: &[f64]) -> Vec<f64> {
-        if self.latencies_ms.is_empty() {
-            return qs.iter().map(|_| 0.0).collect();
-        }
-        let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        qs.iter()
-            .map(|q| {
-                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-                sorted[rank - 1]
-            })
-            .collect()
     }
 }
 
@@ -146,7 +128,6 @@ struct Client {
 struct Pending {
     lane: usize,
     is_connect: bool,
-    sent: Instant,
 }
 
 struct Driver {
@@ -196,7 +177,7 @@ pub fn run(addr: SocketAddr, config: LoadConfig) -> std::io::Result<LoadReport> 
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
         // RST on close: a C10k run must not leave 10k TIME_WAIT
-        // sockets poisoning the next cell's kernel lookup tables.
+        // sockets poisoning the next run's kernel lookup tables.
         set_abortive_close(stream.as_raw_fd());
         let interest = EPOLLIN | EPOLLRDHUP;
         epoll.add(stream.as_raw_fd(), interest, c as u64)?;
@@ -308,7 +289,6 @@ impl Driver {
                 Pending {
                     lane: lane_idx,
                     is_connect,
-                    sent: Instant::now(),
                 },
             );
             let bytes = encode_request_v(self.config.wire_version, id, &req);
@@ -364,9 +344,6 @@ impl Driver {
             let Some(pending) = self.pending.remove(&frame.id) else {
                 continue;
             };
-            self.report
-                .latencies_ms
-                .push(pending.sent.elapsed().as_secs_f64() * 1e3);
             match decode_response(&frame) {
                 Ok(Response::Ok) => {
                     if pending.is_connect {
@@ -481,17 +458,5 @@ mod tests {
             assert!(dests.insert(dst), "duplicate destination at lane {g}");
             assert_ne!(src.port, dst.port, "unicast must cross ports");
         }
-    }
-
-    #[test]
-    fn quantiles_are_nearest_rank() {
-        let report = LoadReport {
-            latencies_ms: vec![4.0, 1.0, 3.0, 2.0],
-            ..LoadReport::default()
-        };
-        let qs = report.latency_quantiles_ms(&[0.25, 0.5, 1.0]);
-        assert_eq!(qs, vec![1.0, 2.0, 4.0]);
-        let empty = LoadReport::default();
-        assert_eq!(empty.latency_quantiles_ms(&[0.5]), vec![0.0]);
     }
 }

@@ -103,13 +103,12 @@ extern "C" {
 
 /// `SO_LINGER { on, 0 }`: close sends RST and skips TIME_WAIT.
 ///
-/// For benchmark/load-generator sockets only. A graceful close leaves
-/// the *active* closer in TIME_WAIT for 60 s; a C10k sweep that opens
-/// and closes tens of thousands of loopback connections per run would
-/// bloat the kernel's socket tables and measurably slow every
-/// subsequent cell (and the next run). An abortive close is safe here
-/// because the load generator only closes after the last response has
-/// been received — there is no in-flight data to lose.
+/// For load-generator sockets only. A graceful close leaves the
+/// *active* closer in TIME_WAIT for 60 s; a C10k soak that opens and
+/// closes ten thousand loopback connections per run would bloat the
+/// kernel's socket tables and slow the next run. An abortive close is
+/// safe here because the load generator only closes after the last
+/// response has been received — there is no in-flight data to lose.
 pub fn set_abortive_close(fd: RawFd) {
     let linger = Linger {
         l_onoff: 1,

@@ -1,14 +1,17 @@
-//! C10k loopback soak: the epoll reactor serves ten thousand concurrent
-//! logical lanes (1024 real sockets × 10 lanes each) hammering a
-//! Theorem-1-sized three-stage fabric from a single-threaded epoll load
-//! generator. The lane geometry is conflict-free by construction, so at
-//! `m` = the Theorem-1 bound **every** request must be admitted: the
-//! soak passes only with zero rejects of any flavor, client-counted
-//! acks equal to server-counted admissions, and a clean drain.
+//! Lane soaks: the epoll reactor serves `connections × lanes_per_conn`
+//! concurrent logical lanes hammering a Theorem-1-sized three-stage
+//! fabric from a single-threaded epoll load generator. The lane
+//! geometry is conflict-free by construction, so at `m` = the Theorem-1
+//! bound **every** request must be admitted: a soak passes only with
+//! zero rejects of any flavor, client-counted acks equal to
+//! server-counted admissions, coalescing actually happening, and a
+//! clean drain.
 //!
-//! This is the in-tree smoke tier; the `bench-net` CLI sweep drives the
-//! same machinery at 10k+ real sockets (C10k proper) and the nightly
-//! workflow at C100k lanes.
+//! C10k lanes (1024 sockets × 10) runs with the workspace tests; C100k
+//! lanes (1024 × 100) is `#[ignore]`d for the nightly workflow. Ten
+//! thousand real *sockets* need a second process for the fd budget:
+//! that is `c10k_sockets_zero_rejects_at_the_bound` in the CLI's
+//! `backend_cli.rs`.
 
 #![cfg(target_os = "linux")]
 
@@ -17,11 +20,10 @@ use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
 use wdm_net::{LoadConfig, NetClient, ReactorConfig, ReactorServer, Response};
 use wdm_runtime::EngineBuilder;
 
-#[test]
-fn c10k_lanes_zero_blocks_at_theorem1_bound() {
-    // 32×32 modules of 16 wavelengths: 1024 ports, 16384 endpoints —
-    // room for 10240 dedicated lane sources.
-    let (n, r, k) = (32u32, 32u32, 16u32);
+/// Serve an `n × r` three-stage fabric of `k` wavelengths at the
+/// Theorem-1 bound and drive it with `connections × lanes_per_conn`
+/// dedicated lanes.
+fn soak(n: u32, r: u32, k: u32, connections: usize, lanes_per_conn: usize) {
     let m = bounds::theorem1_min_m(n, r).m;
     let p = ThreeStageParams::new(n, m, r, k);
     let backend = ThreeStageNetwork::new(p, Construction::MswDominant, MulticastModel::Msw);
@@ -31,8 +33,8 @@ fn c10k_lanes_zero_blocks_at_theorem1_bound() {
     let addr = server.local_addr();
 
     let config = LoadConfig {
-        connections: 1024,
-        lanes_per_conn: 10,
+        connections,
+        lanes_per_conn,
         pipeline: 4,
         rounds: 2,
         ports: p.network().ports,
@@ -61,16 +63,15 @@ fn c10k_lanes_zero_blocks_at_theorem1_bound() {
     assert_eq!(report.disconnect_acks, lanes * rounds);
 
     let stats = server.stats();
-    assert!(stats.accepted >= 1024, "{stats:?}");
+    assert!(stats.accepted >= connections as u64, "{stats:?}");
     assert_eq!(stats.frames, report.requests_sent, "{stats:?}");
     assert!(stats.coalesced_batches > 0, "{stats:?}");
     assert_eq!(stats.coalesced_events, report.requests_sent, "{stats:?}");
-    // Ten thousand concurrent lanes must actually coalesce: cycles
-    // carry multiple admissions on average, the whole point of the
-    // reactor.
+    // This many concurrent lanes must actually coalesce: cycles carry
+    // multiple admissions on average, the whole point of the reactor.
     assert!(
         stats.coalesced_batch_mean > 1.0,
-        "no coalescing under C10k load: {stats:?}"
+        "no coalescing under load: {stats:?}"
     );
     assert_eq!(stats.protocol_errors, 0, "{stats:?}");
 
@@ -89,4 +90,19 @@ fn c10k_lanes_zero_blocks_at_theorem1_bound() {
     let report = server.wait();
     assert!(report.is_clean(), "{:?}", report.consistency);
     assert_eq!(report.worker_panics, 0);
+}
+
+#[test]
+fn c10k_lanes_zero_blocks_at_theorem1_bound() {
+    // 32×32 modules of 16 wavelengths: 1024 ports, 16384 endpoints —
+    // room for 10240 dedicated lane sources.
+    soak(32, 32, 16, 1024, 10);
+}
+
+#[test]
+#[ignore = "C100k lanes: nightly (cargo test --release -p wdm-net --test reactor_soak -- --ignored)"]
+fn c100k_lanes_zero_blocks_at_theorem1_bound() {
+    // 32×50 modules of 64 wavelengths: 1600 ports, 102400 endpoints —
+    // exactly one per lane. Dense wavelengths keep the fabric small.
+    soak(32, 50, 64, 1024, 100);
 }
