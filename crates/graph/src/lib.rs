@@ -20,11 +20,14 @@
 //!   cross-pair trick that rescues multicasts a pure tree cannot route
 //!   past MI nodes), and [`validate_structure`] re-checks any link set
 //!   against the sparse-splitting rules.
-//! * [`GraphNetwork`] — the stateful backend: per-link wavelength
-//!   occupancy in packed-u64 [`wdm_core::bitset::BitRows`], first-fit
-//!   wavelength selection, node/link kill faults with victim eviction,
-//!   and a deep [`GraphNetwork::check_consistency`] that re-derives the
-//!   occupancy matrix from the live routes.
+//! * [`GraphNetwork`] — the stateful backend: wavelength-major link
+//!   occupancy (one packed-u64 [`wdm_core::bitset::BitRows`] row per
+//!   wavelength, one bit per directed link) ANDed with a live-link mask
+//!   that fault injection and repair refresh, first-fit wavelength
+//!   selection behind a cut pre-check, node/link kill faults with victim
+//!   eviction, and a deep [`GraphNetwork::check_consistency`] that
+//!   re-derives occupancy from the live routes and the mask from the
+//!   faults.
 //!
 //! Splitting model (documented assumptions): an MC node may replicate
 //! one incoming signal onto any number of outgoing fibers; an MI node

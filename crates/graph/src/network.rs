@@ -1,11 +1,14 @@
-//! The graph backend: per-link wavelength occupancy, first-fit
-//! wavelength selection over light structures, node/link kill faults.
+//! The graph backend: wavelength-major link occupancy (one packed row
+//! of link bits per wavelength) ANDed with a cached live-link mask,
+//! first-fit wavelength selection over light structures behind a cut
+//! pre-check, node/link kill faults.
 
-use crate::light::{build_structure, validate_structure, Splitting};
+use crate::light::{validate_structure, Search, Splitting};
 use crate::topology::Topology;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use wdm_core::bitset::BitRows;
+use wdm_core::bitset::{clear_bit, filled_words, BitRows};
 use wdm_core::{
     AssignmentError, Endpoint, Fault, FaultSet, MulticastAssignment, MulticastConnection,
     MulticastModel, NetworkConfig, Reject,
@@ -20,7 +23,8 @@ pub enum GraphError {
     /// No wavelength carries a feasible light structure — the graph
     /// analog of middle-stage exhaustion.
     Blocked {
-        /// Wavelengths the first-fit search tried.
+        /// Wavelengths the first-fit search considered — always `k`: one
+        /// the cut pre-check ruled out without a search counts too.
         wavelengths_tried: u32,
     },
     /// An endpoint sits on a failed component.
@@ -80,10 +84,12 @@ impl GraphRoute {
 ///
 /// Nodes host `ports_per_node` external ports each (port `p` lives on
 /// node `p / ports_per_node`), links carry `k` wavelengths whose
-/// occupancy lives in one packed-u64 [`BitRows`] row per directed link.
-/// Admission picks the first wavelength (source's own first, then
-/// ascending) on which [`build_structure`] finds a light tree/hierarchy
-/// to every destination node.
+/// occupancy lives in one packed-u64 [`BitRows`] row per wavelength, one
+/// bit per directed link, ANDed with a live-link mask that fault
+/// injection and repair refresh. Admission picks the first wavelength
+/// (source's own first, then ascending) that passes the cut pre-check
+/// and on which [`crate::build_structure`]'s search finds a light
+/// tree/hierarchy to every destination node.
 ///
 /// The fault vocabulary is reused from the switch backends:
 /// [`Fault::MiddleSwitch`]`(v)` kills node `v` outright,
@@ -98,10 +104,16 @@ pub struct GraphNetwork {
     ports_per_node: u32,
     splitting: Splitting,
     assignment: MulticastAssignment,
+    /// Row λ, bit `l`: directed link `l` carries a session on λ.
     link_busy: BitRows,
     faults: FaultSet,
+    /// Bit `l`: no fault on record touches link `l`. Derived from
+    /// `faults`; re-derived by `check_consistency`.
+    live_links: Vec<u64>,
     routes: BTreeMap<Endpoint, GraphRoute>,
     node_load: Vec<u64>,
+    search: Search,
+    dest_nodes: Vec<u32>,
 }
 
 impl GraphNetwork {
@@ -122,8 +134,11 @@ impl GraphNetwork {
         let ports = topo.nodes() * ports_per_node;
         let node_load = vec![0; topo.nodes() as usize];
         GraphNetwork {
-            link_busy: BitRows::new(topo.num_links().max(1), k),
+            link_busy: BitRows::new(k, topo.num_links()),
             assignment: MulticastAssignment::new(NetworkConfig::new(ports, k), model),
+            live_links: filled_words(topo.num_links()),
+            search: Search::new(&topo, splitting),
+            dest_nodes: Vec::new(),
             topo,
             ports_per_node,
             splitting,
@@ -199,6 +214,15 @@ impl GraphNetwork {
             || self.node_down(v)
     }
 
+    /// The live-link mask the fault set implies.
+    fn derive_live_links(&self) -> Vec<u64> {
+        let mut live = filled_words(self.topo.num_links());
+        for l in (0..self.topo.num_links()).filter(|&l| self.link_down(l)) {
+            clear_bit(&mut live, l);
+        }
+        live
+    }
+
     fn endpoint_fault(&self, ep: Endpoint) -> Option<Fault> {
         if self.faults.port_down(ep.port.0) {
             return Some(Fault::Port(ep.port.0));
@@ -224,11 +248,10 @@ impl GraphNetwork {
         }
 
         let src_node = self.node_of(conn.source().port.0);
-        let dest_nodes: BTreeSet<u32> = conn
-            .destinations()
-            .iter()
-            .map(|d| self.node_of(d.port.0))
-            .collect();
+        self.dest_nodes.clear();
+        for d in conn.destinations() {
+            self.dest_nodes.push(d.port.0 / self.ports_per_node);
+        }
 
         // First fit over wavelengths, the source's own first — edge
         // converters retune add/drop, transit is continuity-bound.
@@ -236,29 +259,33 @@ impl GraphNetwork {
         let src_wl = conn.source().wavelength.0;
         let candidates = std::iter::once(src_wl).chain((0..k).filter(|&w| w != src_wl));
         for wl in candidates {
-            let feasible =
-                build_structure(&self.topo, src_node, &dest_nodes, self.splitting, |l| {
-                    !self.link_busy.get(l, wl) && !self.link_down(l)
-                });
+            // Free on λ for the whole fabric, in one pass over words.
+            let free = self.link_busy.row(wl).iter().zip(&self.live_links);
+            let free = free.map(|(busy, live)| !busy & live);
+            let feasible = self
+                .search
+                .grow(&self.topo, src_node, &self.dest_nodes, free);
             if let Some(links) = feasible {
                 self.assignment
                     .add(conn.clone())
                     .expect("assignment was pre-checked");
-                for &l in &links {
-                    self.link_busy.set(l, wl);
+                for &l in links {
+                    self.link_busy.set(wl, l);
                     let (_, to) = self.topo.link(l);
                     self.node_load[to as usize] += 1;
                 }
                 self.node_load[src_node as usize] += 1;
                 let route = GraphRoute {
                     wavelength: wl,
-                    links,
+                    links: links.to_vec(),
                 };
-                return Ok(self
-                    .routes
-                    .entry(conn.source())
-                    .and_modify(|r| *r = route.clone())
-                    .or_insert(route));
+                return Ok(match self.routes.entry(conn.source()) {
+                    Entry::Vacant(slot) => slot.insert(route),
+                    Entry::Occupied(mut slot) => {
+                        slot.insert(route);
+                        slot.into_mut()
+                    }
+                });
             }
         }
         Err(GraphError::Blocked {
@@ -275,7 +302,7 @@ impl GraphNetwork {
             .remove(src)
             .expect("route table and assignment agree");
         for &l in &route.links {
-            self.link_busy.clear(l, route.wavelength);
+            self.link_busy.clear(route.wavelength, l);
             let (_, to) = self.topo.link(l);
             self.node_load[to as usize] -= 1;
         }
@@ -288,12 +315,16 @@ impl GraphNetwork {
     /// caller (the runtime's `Backend` impl) evicts the victims
     /// reported by [`GraphNetwork::connections_through`].
     pub fn inject_fault(&mut self, fault: Fault) -> bool {
-        self.faults.fail(fault)
+        let newly = self.faults.fail(fault);
+        self.live_links = self.derive_live_links();
+        newly
     }
 
     /// Record `fault` repaired; `true` if it was failed before.
     pub fn repair_fault(&mut self, fault: Fault) -> bool {
-        self.faults.repair(fault)
+        let was_failed = self.faults.repair(fault);
+        self.live_links = self.derive_live_links();
+        was_failed
     }
 
     /// The currently failed components.
@@ -354,7 +385,7 @@ impl GraphNetwork {
     /// consistent).
     pub fn check_consistency(&self) -> Vec<String> {
         let mut findings = Vec::new();
-        let mut rebuilt = BitRows::new(self.topo.num_links().max(1), self.wavelengths());
+        let mut rebuilt = BitRows::new(self.wavelengths(), self.topo.num_links());
         let mut load = vec![0u64; self.topo.nodes() as usize];
         for (src, route) in &self.routes {
             let conn = match self.assignment.connection_at(*src) {
@@ -369,13 +400,13 @@ impl GraphNetwork {
                 if !seen.insert(l) {
                     findings.push(format!("route at {src} reuses link {l}"));
                 }
-                if rebuilt.get(l, route.wavelength) {
+                if rebuilt.get(route.wavelength, l) {
                     findings.push(format!(
                         "link {l} λ{} double-booked (second owner {src})",
                         route.wavelength
                     ));
                 }
-                rebuilt.set(l, route.wavelength);
+                rebuilt.set(route.wavelength, l);
                 let (_, to) = self.topo.link(l);
                 load[to as usize] += 1;
             }
@@ -394,14 +425,21 @@ impl GraphNetwork {
         }
         for l in 0..self.topo.num_links() {
             for wl in 0..self.wavelengths() {
-                if self.link_busy.get(l, wl) != rebuilt.get(l, wl) {
+                if self.link_busy.get(wl, l) != rebuilt.get(wl, l) {
                     findings.push(format!(
                         "link {l} λ{wl}: occupancy {} but routes say {}",
-                        self.link_busy.get(l, wl),
-                        rebuilt.get(l, wl)
+                        self.link_busy.get(wl, l),
+                        rebuilt.get(wl, l)
                     ));
                 }
             }
+        }
+        let live = self.derive_live_links();
+        if live != self.live_links {
+            findings.push(format!(
+                "live-link mask {:x?} but the fault set says {live:x?}",
+                self.live_links
+            ));
         }
         if load != self.node_load {
             findings.push(format!(
@@ -423,7 +461,11 @@ impl GraphNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::light::reference_build_structure;
     use crate::topology::GraphTopology;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use wdm_core::bitset::test_bit;
 
     fn conn(src: (u32, u32), dsts: &[(u32, u32)]) -> MulticastConnection {
         MulticastConnection::new(
@@ -584,5 +626,178 @@ mod tests {
         let route = hier.connect(&req).unwrap();
         assert_eq!(route.hops(), 4);
         assert!(hier.check_consistency().is_empty());
+    }
+
+    /// What `connect` routed before the mask-driven search, on `net`'s
+    /// current state: first fit over wavelengths through the reference,
+    /// no pre-check, one bit test and four set look-ups per probed link.
+    fn reference_route(net: &GraphNetwork, conn: &MulticastConnection) -> Option<GraphRoute> {
+        let src_node = net.node_of(conn.source().port.0);
+        let dest_nodes: BTreeSet<u32> = conn
+            .destinations()
+            .iter()
+            .map(|d| net.node_of(d.port.0))
+            .collect();
+        let src_wl = conn.source().wavelength.0;
+        std::iter::once(src_wl)
+            .chain((0..net.wavelengths()).filter(|&w| w != src_wl))
+            .find_map(|wavelength| {
+                reference_build_structure(&net.topo, src_node, &dest_nodes, net.splitting, |l| {
+                    !net.link_busy.get(wavelength, l) && !net.link_down(l)
+                })
+                .map(|links| GraphRoute { wavelength, links })
+            })
+    }
+
+    /// A fanout-3 MSW request with 60 % of its destinations on node 0.
+    fn hotspot_request(rng: &mut StdRng, net: &GraphNetwork) -> MulticastConnection {
+        let ports = net.topo.nodes() * net.ports_per_node;
+        let wl = rng.gen_range(0..net.wavelengths());
+        let mut dests = BTreeSet::new();
+        while dests.len() < 3 {
+            let hot = rng.gen_bool(0.6);
+            dests.insert(rng.gen_range(0..if hot { net.ports_per_node } else { ports }));
+        }
+        conn(
+            (rng.gen_range(0..ports), wl),
+            &dests.into_iter().map(|p| (p, wl)).collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn hotspot_churn_routes_exactly_as_the_reference_router() {
+        // ring(16), a splitter on every other node, k = 4: the benchmark's
+        // graph shape, plus a fault that comes and goes every 500 steps.
+        for splitting in [Splitting::Hierarchy, Splitting::TreeOnly] {
+            let topo = GraphTopology::Ring { nodes: 16 }.build().with_mc_every(2);
+            let mut net = GraphNetwork::new(topo, 4, 4, splitting, MulticastModel::Msw);
+            let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+            let mut live: Vec<Endpoint> = Vec::new();
+            let (mut admitted, mut blocked) = (0u32, 0u32);
+            for step in 0..5_000u32 {
+                if live.len() >= 7 {
+                    let src = live.swap_remove(rng.gen_range(0..live.len()));
+                    net.disconnect(src).unwrap();
+                }
+                let fault = Fault::MiddleSwitch(1 + step / 500);
+                match step % 500 {
+                    100 => assert!(net.inject_fault(fault)),
+                    300 => assert!(net.repair_fault(fault)),
+                    _ => {}
+                }
+                let req = hotspot_request(&mut rng, &net);
+                let expected = reference_route(&net, &req);
+                match net.connect(&req) {
+                    Ok(route) => {
+                        assert_eq!(Some(route), expected.as_ref(), "step {step}: {req}");
+                        assert_eq!(net.route_of(req.source()), expected.as_ref());
+                        live.push(req.source());
+                        admitted += 1;
+                    }
+                    Err(GraphError::Blocked { wavelengths_tried }) => {
+                        assert_eq!(expected, None, "step {step}: {req} blocked");
+                        assert_eq!(wavelengths_tried, 4, "considered, not searched");
+                        blocked += 1;
+                    }
+                    // Busy endpoints and dead components never reach the router.
+                    Err(_) => {}
+                }
+                if step % 250 == 0 {
+                    assert_eq!(net.check_consistency(), Vec::<String>::new());
+                }
+            }
+            assert!(admitted > 1_000 && blocked > 100, "{admitted} / {blocked}");
+            assert_eq!(net.check_consistency(), Vec::<String>::new());
+        }
+    }
+
+    fn random_fault(rng: &mut StdRng, net: &GraphNetwork) -> Fault {
+        // Ids run past the topology on purpose: a fault naming a
+        // component the graph lacks is recorded and severs nothing.
+        let kind = rng.gen_range(0..7u32);
+        let mut id = || rng.gen_range(0..net.topo.nodes() + 2);
+        match kind {
+            0 => Fault::MiddleSwitch(id()),
+            1 => Fault::MiddleLink {
+                middle: id(),
+                module: id(),
+            },
+            2 => Fault::InputLink {
+                module: id(),
+                middle: id(),
+            },
+            3 => Fault::Port(id()),
+            4 => Fault::InputConverters(id()),
+            5 => Fault::MiddleConverters(id()),
+            _ => Fault::OutputConverters(id()),
+        }
+    }
+
+    #[test]
+    fn live_link_mask_tracks_the_fault_set_through_inject_and_repair() {
+        let fresh = GraphNetwork::new(
+            GraphTopology::Torus { rows: 3, cols: 3 }
+                .build()
+                .with_mc_every(2),
+            4,
+            2,
+            Splitting::Hierarchy,
+            MulticastModel::Msw,
+        );
+        let mut net = fresh.clone();
+        let mut rng = StdRng::seed_from_u64(0xFA17);
+        for step in 0..1_000 {
+            // Duplicates and repairs of never-failed components included.
+            let fault = random_fault(&mut rng, &net);
+            let before = net.live_links.clone();
+            let was_failed = net.faults.contains(&fault);
+            if rng.gen_bool(0.5) {
+                assert_eq!(net.inject_fault(fault), !was_failed);
+            } else {
+                assert_eq!(net.repair_fault(fault), was_failed);
+            }
+            let severs_links = matches!(
+                fault,
+                Fault::MiddleSwitch(_) | Fault::MiddleLink { .. } | Fault::InputLink { .. }
+            );
+            assert!(severs_links || net.live_links == before, "{fault} moved it");
+            for l in 0..net.topo.num_links() {
+                let live = test_bit(&net.live_links, l);
+                assert_eq!(live, !net.link_down(l), "step {step}: link {l}");
+            }
+            assert_eq!(net.check_consistency(), Vec::<String>::new());
+        }
+        assert!(
+            net.live_links != fresh.live_links,
+            "the storm severed nothing"
+        );
+
+        // A cache that goes stale is a finding.
+        let mut stale = net.clone();
+        stale.live_links = fresh.live_links.clone();
+        assert!(stale.check_consistency()[0].starts_with("live-link mask"));
+
+        // Fully repaired, the network routes like one never faulted.
+        for fault in net.faults.iter().copied().collect::<Vec<_>>() {
+            assert!(net.repair_fault(fault));
+        }
+        assert!(net.faults.is_empty());
+        let mut fresh = fresh;
+        let mut live: Vec<Endpoint> = Vec::new();
+        let mut admitted = 0;
+        for _ in 0..300 {
+            if live.len() >= 5 {
+                let src = live.remove(0);
+                assert_eq!(net.disconnect(src), fresh.disconnect(src));
+            }
+            let req = hotspot_request(&mut rng, &fresh);
+            let routed = fresh.connect(&req).cloned();
+            assert_eq!(net.connect(&req).cloned(), routed);
+            if routed.is_ok() {
+                live.push(req.source());
+                admitted += 1;
+            }
+        }
+        assert!(admitted > 30, "{admitted} admissions compare too little");
     }
 }

@@ -211,3 +211,66 @@ fn reactor_serves_a_closed_trace_at_the_bound_without_blocking() {
     }
     assert!(server.wait().is_clean());
 }
+
+/// Tier-1 smoke of the graph layer: a seeded `HotspotGen` closed loop on
+/// the sparse ring in `graph_curves`' shape (ring(8), a splitter on every
+/// other node, hierarchy routing, 4 ports per node, k = 2, fanout 2, four
+/// live sessions, 60 % of destinations on node 0). Serial replay of
+/// seeded draws repeats exactly, so a router that decides anything
+/// differently moves these counts.
+#[test]
+fn graph_hotspot_churn_counts_are_pinned() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use wdm_multicast::core::{Endpoint, MulticastAssignment};
+    use wdm_multicast::graph::{GraphNetwork, GraphTopology, Splitting};
+    use wdm_multicast::runtime::Backend;
+    use wdm_multicast::workload::adversarial::Geometry;
+    use wdm_multicast::workload::HotspotGen;
+
+    let geo = Geometry { n: 4, r: 8, k: 2 };
+    let model = MulticastModel::Msw;
+    let (mut attempts, mut admitted, mut blocked, mut hops) = (0u64, 0u64, 0u64, 0u64);
+    for seed in 0..3u64 {
+        let mut gen = HotspotGen::new(geo, model, 0, 60, seed).with_fanout(2);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9a4b_5eed);
+        let mut mirror = MulticastAssignment::new(NetworkConfig::new(geo.ports(), geo.k), model);
+        let mut net = GraphNetwork::new(
+            GraphTopology::Ring { nodes: geo.r }
+                .build()
+                .with_mc_every(2),
+            geo.n,
+            geo.k,
+            Splitting::Hierarchy,
+            model,
+        );
+        let mut live: Vec<Endpoint> = Vec::new();
+        for _ in 0..600 {
+            if live.len() >= 4 {
+                let src = live.swap_remove(rng.gen_range(0..live.len()));
+                mirror.remove(src).expect("mirror tracked this source");
+                net.disconnect(src).expect("admitted source departs");
+            }
+            let Some(req) = gen.next_request(&mirror) else {
+                continue;
+            };
+            attempts += 1;
+            match net.connect(&req) {
+                Ok(route) => {
+                    admitted += 1;
+                    hops += route.hops() as u64;
+                    live.push(req.source());
+                    mirror.add(req).expect("mirror admits what the graph did");
+                }
+                Err(_) => blocked += 1,
+            }
+        }
+        for src in live {
+            net.disconnect(src).expect("admitted source departs");
+        }
+        assert_eq!(Backend::active_connections(&net), 0);
+        assert_eq!(net.link_utilization().0, 0, "a departed session left light");
+        assert_eq!(Backend::check(&net), Vec::<String>::new());
+    }
+    assert_eq!((attempts, admitted, blocked, hops), (1800, 1649, 151, 7164));
+}
