@@ -3,7 +3,7 @@
 //! The experiment grids here are small-to-medium (tens to thousands of
 //! points) with per-point work ranging from microseconds (cost formulas)
 //! to seconds (routing soaks), so a simple chunk-per-thread split over
-//! `crossbeam::scope` is the right tool — no work stealing needed, no
+//! `std::thread::scope` is the right tool — no work stealing needed, no
 //! unsafe, results returned in input order.
 
 /// Parallel, order-preserving map over `items` using up to
@@ -47,21 +47,26 @@ where
     let chunk = n.div_ceil(threads);
     let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
     let f = &f;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Pair each chunk of inputs with its chunk of output slots; the
         // disjoint `chunks_mut` windows make this data-race-free without
         // locks.
         let mut item_iter = items.into_iter();
-        for slot_chunk in slots.chunks_mut(chunk) {
-            let inputs: Vec<T> = item_iter.by_ref().take(slot_chunk.len()).collect();
-            scope.spawn(move |_| {
-                for (slot, item) in slot_chunk.iter_mut().zip(inputs) {
-                    *slot = Some(f(item));
-                }
-            });
+        let workers: Vec<_> = slots
+            .chunks_mut(chunk)
+            .map(|slot_chunk| {
+                let inputs: Vec<T> = item_iter.by_ref().take(slot_chunk.len()).collect();
+                scope.spawn(move || {
+                    for (slot, item) in slot_chunk.iter_mut().zip(inputs) {
+                        *slot = Some(f(item));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("sweep worker panicked");
         }
-    })
-    .expect("sweep worker panicked");
+    });
     slots
         .into_iter()
         .map(|s| s.expect("all slots filled"))

@@ -6,27 +6,25 @@
 //! schedule-space coverage per minute.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wdm_sim::SimSetup;
+use wdm_sim::{BackendKind, Scenario};
 
 fn bench_check_seed(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_check_seed");
+    let base = |kind| Scenario::new(kind).geometry(2, 4, 1).schedule(40, 4);
+    let three_stage = base(BackendKind::ThreeStage);
+    let spare = three_stage.middle_count().expect("valid scenario") + 1;
     for (label, setup) in [
-        ("crossbar", SimSetup::crossbar(2, 4, 1, 40, 4)),
+        ("crossbar", base(BackendKind::Crossbar)),
+        ("three-stage", three_stage),
         (
-            "three-stage",
-            SimSetup::three_stage_at_bound(2, 4, 1, 40, 4),
+            "three-stage-faulted",
+            three_stage.middles(spare).faulted(true),
         ),
-        ("three-stage-faulted", {
-            let mut s = SimSetup::three_stage_at_bound(2, 4, 1, 40, 4);
-            s.m += 1;
-            s.faulted = true;
-            s
-        }),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &setup, |b, setup| {
             let mut seed = 0u64;
             b.iter(|| {
-                let verdict = setup.check_seed(seed);
+                let verdict = setup.check_seed(seed).expect("valid scenario");
                 assert!(verdict.violations.is_empty(), "seed {seed} diverged");
                 seed = seed.wrapping_add(1);
                 verdict.fingerprint
@@ -40,12 +38,17 @@ fn bench_shrink(c: &mut Criterion) {
     // The starved regime: every seed fails, so this measures the full
     // artifact pipeline — check, ddmin over connect/disconnect units,
     // and the final re-validation of the shrunk trace.
-    let mut setup = SimSetup::three_stage_underprovisioned(4, 4, 1, 60, 4);
-    setup.m = 3;
+    let setup = Scenario::new(BackendKind::ThreeStage)
+        .geometry(4, 4, 1)
+        .schedule(60, 4)
+        .middles(3);
     c.bench_function("sim_failing_seed_shrink", |b| {
         let mut seed = 0u64;
         b.iter(|| {
-            let failure = setup.failing_seed(seed).expect("starved network must fail");
+            let failure = setup
+                .failing_seed(seed)
+                .expect("valid scenario")
+                .expect("starved network must fail");
             seed = seed.wrapping_add(1);
             failure.trace.len()
         });

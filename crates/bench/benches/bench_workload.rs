@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wdm_core::{MulticastModel, NetworkConfig};
-use wdm_workload::{scenario::Scenario, AssignmentGen, RequestTrace};
+use wdm_workload::{app_mix::AppMix, AssignmentGen, RequestTrace};
 
 fn bench_full_assignment(c: &mut Criterion) {
     let mut g = c.benchmark_group("workload/full_assignment");
@@ -35,9 +35,9 @@ fn bench_scenarios(c: &mut Criterion) {
     let net = NetworkConfig::new(64, 4);
     let mut g = c.benchmark_group("workload/scenarios");
     for s in [
-        Scenario::VideoConference { group_size: 5 },
-        Scenario::VideoOnDemand { servers: 4 },
-        Scenario::ECommerce { multicast_pct: 20 },
+        AppMix::VideoConference { group_size: 5 },
+        AppMix::VideoOnDemand { servers: 4 },
+        AppMix::ECommerce { multicast_pct: 20 },
     ] {
         g.bench_function(s.label(), |b| {
             b.iter(|| s.generate(net, MulticastModel::Maw, 3))

@@ -18,8 +18,8 @@ use wdm_core::{capacity, MulticastModel, NetworkConfig};
 use wdm_fabric::{PowerParams, WdmCrossbar};
 use wdm_graph::{GraphTopology, Splitting};
 use wdm_multistage::{
-    awg, bounds, cost, scenarios, AwgClosNetwork, ConcurrentThreeStage, Construction,
-    ConverterPlacement, RouteError, ThreeStageNetwork, ThreeStageParams,
+    bounds, cost, scenarios, Construction, ConverterPlacement, RouteError, ThreeStageNetwork,
+    ThreeStageParams,
 };
 use wdm_sim::{parse_backend_arg, BackendKind, Scenario, WorkloadSpec};
 use wdm_workload::AssignmentGen;
@@ -251,19 +251,6 @@ impl Opts {
         }
     }
 
-    /// Parse `--backend` against the full backend registry (one parser
-    /// for every command — an unknown name lists every valid choice so
-    /// the caller can self-correct), then refine graph kinds with the
-    /// topology flags. The `bool` is the concurrent flag the
-    /// `three-stage-cas` spelling implies.
-    fn backend(&self, default: BackendKind) -> Result<(BackendKind, bool), String> {
-        let (kind, concurrent) = match self.0.get("backend") {
-            None => (default, false),
-            Some(s) => parse_backend_arg(s)?,
-        };
-        Ok((self.topology(kind)?, concurrent))
-    }
-
     /// Refine a graph backend with `--topology ring|grid|torus` plus its
     /// dimension flags (`--nodes`, `--rows`/`--cols`); reject the flags
     /// when the backend is not a graph.
@@ -312,16 +299,44 @@ impl Opts {
         Ok(BackendKind::Graph { topology })
     }
 
-    /// Graph-backend knobs shared by `sim` and `serve`: sparse splitter
-    /// placement and the splitting discipline.
-    fn graph_knobs(&self) -> Result<(u32, Splitting), String> {
-        let mc_every = self.u32("mc-every", Some(1))?;
+    /// The experiment `sim`, `serve` and `serve --listen` share: backend
+    /// (default three-stage) with its topology flags, `--n/--r/-k`,
+    /// `--m`, `--model`, `--construction` and the graph knobs
+    /// (`--mc-every`, `--splitting`). Only flag syntax is checked here;
+    /// which geometry is legal and which bound applies is
+    /// [`Scenario`]'s to say. An unknown `--backend` lists every valid
+    /// choice so the caller can self-correct.
+    fn scenario(&self) -> Result<Scenario, String> {
+        let (kind, cas) = match self.0.get("backend") {
+            None => (BackendKind::ThreeStage, false),
+            Some(s) => parse_backend_arg(s)?,
+        };
+        let kind = self.topology(kind)?;
+        // Graph geometry comes from the topology; --r may restate it.
+        let r = match kind {
+            BackendKind::Graph { topology } => Some(topology.nodes()),
+            _ => None,
+        };
         let splitting = match self.0.get("splitting") {
             None => Splitting::Hierarchy,
             Some(s) => Splitting::parse(s)
                 .ok_or_else(|| format!("unknown splitting {s:?} (tree|hierarchy)"))?,
         };
-        Ok((mc_every, splitting))
+        let mut sc = Scenario::new(kind)
+            .geometry(
+                self.u32("n", None)?,
+                self.u32("r", r)?,
+                self.u32("k", Some(1))?,
+            )
+            .model(self.model()?)
+            .construction(self.construction()?)
+            .concurrent(cas)
+            .mc_every(self.u32("mc-every", Some(1))?)
+            .splitting(splitting);
+        if self.0.contains_key("m") {
+            sc = sc.middles(self.u32("m", None)?);
+        }
+        Ok(sc)
     }
 
     /// The hotspot workload flags: `--hotspot <skew%>` with an optional
@@ -349,21 +364,6 @@ impl Opts {
     }
 }
 
-/// The AWG-Clos strictly nonblocking bound for a geometry, as a CLI
-/// error when the geometry is structurally infeasible (`k < r` leaves
-/// some module pairs without a usable channel class).
-fn awg_bound(n: u32, r: u32, k: u32) -> Result<(u32, u32), String> {
-    let fsr_orders = k.div_ceil(r).max(1);
-    awg::min_middles(n, r, k, fsr_orders)
-        .map(|m| (m, fsr_orders))
-        .ok_or_else(|| {
-            format!(
-                "awg-clos needs k ≥ r (got k={k}, r={r}): with fewer usable channels \
-                 than AWG ports some module pairs have no channel class at all"
-            )
-        })
-}
-
 /// Validated flat network frame: the constructors panic on degenerate
 /// geometry, so flag values are checked here and reported as errors.
 fn frame(opts: &Opts) -> Result<NetworkConfig, String> {
@@ -378,8 +378,19 @@ fn frame(opts: &Opts) -> Result<NetworkConfig, String> {
     Ok(NetworkConfig::new(ports, k))
 }
 
+/// The theorem the construction is judged by: Theorem 1 for
+/// MSW-dominant, Theorem 2 for MAW-dominant.
+fn theorem_bound(construction: Construction, n: u32, r: u32, k: u32) -> bounds::MiddleBound {
+    match construction {
+        Construction::MswDominant => bounds::theorem1_min_m(n, r),
+        Construction::MawDominant => bounds::theorem2_min_m(n, r, k),
+    }
+}
+
 /// Validated three-stage geometry from `--n/--m/--r/-k` flags.
-/// `m` defaults to `default_m` (usually the theorem bound).
+/// `m` defaults to `default_m` (usually the theorem bound). The
+/// constructors panic on degenerate geometry; [`Scenario`]'s validator
+/// reports it as an error first.
 fn three_stage(
     opts: &Opts,
     n: u32,
@@ -388,15 +399,10 @@ fn three_stage(
     default_m: u32,
 ) -> Result<ThreeStageParams, String> {
     let m = opts.u32("m", Some(default_m))?;
-    if n == 0 || m == 0 || r == 0 || k == 0 {
-        return Err("--n, --m, --r and -k must all be at least 1".into());
-    }
-    if k > 64 {
-        return Err(format!("-k is limited to 64 wavelengths (got {k})"));
-    }
-    if n.checked_mul(r).is_none() {
-        return Err(format!("n·r overflows: n={n}, r={r}"));
-    }
+    Scenario::new(BackendKind::ThreeStage)
+        .geometry(n, r, k)
+        .middles(m)
+        .middle_count()?;
     Ok(ThreeStageParams::new(n, m, r, k))
 }
 
@@ -450,7 +456,8 @@ fn cmd_cost(opts: &Opts) -> Result<(), String> {
     // (passive gratings route every model the same way), so it is one
     // row, not one per model.
     let awg_note = if square {
-        match awg_bound(side, side, net.wavelengths) {
+        let awg = Scenario::new(BackendKind::AwgClos).geometry(side, side, net.wavelengths);
+        match awg.bound() {
             Ok((m, _)) => {
                 let p = ThreeStageParams::new(side, m, side, net.wavelengths);
                 let c = cost::awg_clos_cost(p, ConverterPlacement::IngressEgress);
@@ -544,10 +551,7 @@ fn cmd_multistage(opts: &Opts) -> Result<(), String> {
     let k = opts.u32("k", Some(1))?;
     let construction = opts.construction()?;
     let model = opts.model()?;
-    let bound = match construction {
-        Construction::MswDominant => bounds::theorem1_min_m(n, r),
-        Construction::MawDominant => bounds::theorem2_min_m(n, r, k),
-    };
+    let bound = theorem_bound(construction, n, r, k);
     let p = three_stage(opts, n, r, k, bound.m)?;
     let m = p.m;
     let steps = opts.u64("steps", 200)? as usize;
@@ -592,10 +596,7 @@ fn cmd_photonic(opts: &Opts) -> Result<(), String> {
     let k = opts.u32("k", Some(1))?;
     let construction = opts.construction()?;
     let model = opts.model()?;
-    let bound = match construction {
-        Construction::MswDominant => bounds::theorem1_min_m(n, r),
-        Construction::MawDominant => bounds::theorem2_min_m(n, r, k),
-    };
+    let bound = theorem_bound(construction, n, r, k);
     let p = three_stage(opts, n, r, k, bound.m)?;
     let mut photonic = PhotonicThreeStage::build(p, construction, model);
     let census = photonic.census();
@@ -695,10 +696,7 @@ fn cmd_witness(opts: &Opts) -> Result<(), String> {
     if x == 0 {
         return Err("--x must be at least 1".into());
     }
-    let bound = match construction {
-        Construction::MswDominant => bounds::theorem1_min_m(n, r),
-        Construction::MawDominant => bounds::theorem2_min_m(n, r, k),
-    };
+    let bound = theorem_bound(construction, n, r, k);
     let p = three_stage(opts, n, r, k, m)?;
     println!(
         "searching blocking witness for {p} (bound would be m ≥ {})…",
@@ -725,13 +723,13 @@ fn cmd_witness(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_scenario(opts: &Opts) -> Result<(), String> {
-    use wdm_workload::scenario::Scenario;
+    use wdm_workload::app_mix::AppMix;
     let net = frame(opts)?;
     let model = opts.model()?;
     let scenario = match opts.0.get("name").map(String::as_str) {
-        Some("video-conference") | None => Scenario::VideoConference { group_size: 4 },
-        Some("video-on-demand") => Scenario::VideoOnDemand { servers: 2 },
-        Some("e-commerce") => Scenario::ECommerce { multicast_pct: 20 },
+        Some("video-conference") | None => AppMix::VideoConference { group_size: 4 },
+        Some("video-on-demand") => AppMix::VideoOnDemand { servers: 2 },
+        Some("e-commerce") => AppMix::ECommerce { multicast_pct: 20 },
         Some(other) => return Err(format!("unknown scenario {other:?}")),
     };
     let asg = scenario.generate(net, model, opts.u64("seed", 42)?);
@@ -778,10 +776,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
             ));
         }
         let construction = opts.construction()?;
-        let bound = match construction {
-            Construction::MswDominant => bounds::theorem1_min_m(n, r),
-            Construction::MawDominant => bounds::theorem2_min_m(n, r, trace.net.wavelengths),
-        };
+        let bound = theorem_bound(construction, n, r, trace.net.wavelengths);
         let p = three_stage(opts, n, r, trace.net.wavelengths, bound.m)?;
         let mut net = ThreeStageNetwork::new(p, construction, trace.model);
         let (mut routed, mut blocked) = (0usize, 0usize);
@@ -846,71 +841,28 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     };
     use wdm_workload::{ChaosSchedule, DynamicTraffic, FaultAction, TimedFault};
 
-    let (kind, cas) = opts.backend(BackendKind::ThreeStage)?;
-    if kind == BackendKind::Crossbar {
+    let sc = opts.scenario()?;
+    if sc.backend == BackendKind::Crossbar {
         return Err(
             "serve (without --listen) always runs the crossbar as the baseline; \
              pass --backend three-stage, three-stage-cas, awg-clos or graph to pick its rival"
                 .into(),
         );
     }
-    let n = opts.u32("n", None)?;
-    // Graph geometry comes from the topology; --r may restate it.
-    let r = match kind {
-        BackendKind::Graph { topology } => opts.u32("r", Some(topology.nodes()))?,
-        _ => opts.u32("r", None)?,
-    };
-    let k = opts.u32("k", Some(1))?;
-    let construction = opts.construction()?;
-    let model = opts.model()?;
-    let (bound_m, bound_name) = match kind {
-        BackendKind::AwgClos => (awg_bound(n, r, k)?.0, "AWG pool bound"),
-        BackendKind::Graph { .. } => (0, "no nonblocking bound"),
-        _ => (
-            match construction {
-                Construction::MswDominant => bounds::theorem1_min_m(n, r),
-                Construction::MawDominant => bounds::theorem2_min_m(n, r, k),
-            }
-            .m,
-            "theorem bound",
-        ),
-    };
-    // The graph rival has no middle stage, so there is no m to
-    // provision; `--kill-middle` indexes its nodes instead.
-    let p = match kind {
-        BackendKind::Graph { .. } => {
-            if opts.0.contains_key("m") {
-                return Err("--m has no meaning for the graph backend (no middle stage)".into());
-            }
-            None
-        }
-        _ => Some(three_stage(opts, n, r, k, bound_m)?),
-    };
-    let flat = match p {
-        Some(p) => p.network(),
-        // The same flat frame the graph's ports live in: r nodes × n
-        // external ports each, k wavelengths.
-        None => {
-            if n == 0 || r == 0 || k == 0 {
-                return Err("--n, --r and -k must all be at least 1".into());
-            }
-            if k > 64 {
-                return Err(format!("-k is limited to 64 wavelengths (got {k})"));
-            }
-            let ports = n
-                .checked_mul(r)
-                .ok_or_else(|| format!("n·r overflows: n={n}, r={r}"))?;
-            NetworkConfig::new(ports, k)
-        }
-    };
-    let kill_unit = if p.is_some() {
-        "middle switches"
+    let (bound_m, bound_name) = sc.bound()?;
+    let m = sc.middle_count()?;
+    let model = sc.model;
+    // The flat frame both legs' ports live in: r modules (graph nodes)
+    // × n external ports each, k wavelengths.
+    let flat = NetworkConfig::new(sc.n * sc.r, sc.k);
+    // The graph rival has no middle stage: the fault domain
+    // `--kill-middle`/chaos draws from is the node set itself.
+    let is_graph = matches!(sc.backend, BackendKind::Graph { .. });
+    let (m_like, kill_unit) = if is_graph {
+        (sc.r, "graph nodes")
     } else {
-        "graph nodes"
+        (m, "middle switches")
     };
-    // For the graph rival the fault domain `--kill-middle`/chaos draws
-    // from is the node set itself.
-    let m_like = p.map_or(r, |p| p.m);
 
     let rate = opts.f64("rate", 4.0)?;
     let horizon = opts.f64("horizon", 30.0)?;
@@ -967,7 +919,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         .collect();
     if let Some(rate) = fault_rate {
         fault_schedule.extend(
-            ChaosSchedule::new(m_like, r, rate, mttr).generate(horizon, seed.rotate_left(17)),
+            ChaosSchedule::new(m_like, sc.r, rate, mttr).generate(horizon, seed.rotate_left(17)),
         );
     }
 
@@ -1000,33 +952,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // than an empty one.
     let mut injector = FaultInjector::scripted(fault_schedule);
     let chaos = injector.pending() > 0;
-    let rival: Box<dyn Backend> = match kind {
-        BackendKind::Graph { .. } => {
-            let (mc_every, splitting) = opts.graph_knobs()?;
-            Scenario::new(kind)
-                .geometry(n, r, k)
-                .model(model)
-                .mc_every(mc_every)
-                .splitting(splitting)
-                .build()?
-        }
-        BackendKind::AwgClos => Box::new(AwgClosNetwork::new(
-            p.expect("awg-clos parses three-stage params"),
-            awg_bound(n, r, k)?.1,
-            ConverterPlacement::IngressEgress,
-            model,
-        )),
-        _ if cas => Box::new(ConcurrentThreeStage::new(
-            p.expect("cas parses three-stage params"),
-            construction,
-            model,
-        )),
-        _ => Box::new(ThreeStageNetwork::new(
-            p.expect("three-stage parses its params"),
-            construction,
-            model,
-        )),
-    };
+    let rival = sc.build()?;
+    let wire_label = rival.label();
     let engine = EngineBuilder::from_config(config.clone()).start(rival);
     let handle = engine.fault_handle();
     let mut fired: Vec<InjectionRecord> = Vec::new();
@@ -1067,11 +994,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             format!("{:.0}", s.throughput()),
         ]);
     };
-    let rival_label = match (p, kind) {
-        (_, BackendKind::Graph { topology }) => format!("graph {topology}"),
-        (Some(p), _) if cas => format!("three-stage-cas m={}", p.m),
-        (Some(p), _) => format!("{} m={}", kind.label(), p.m),
-        (None, _) => unreachable!("only the graph rival has no three-stage params"),
+    let rival_label = match sc.backend {
+        BackendKind::Graph { topology } => format!("graph {topology}"),
+        _ => format!("{wire_label} m={m}"),
     };
     row("crossbar", &xbar.summary);
     row(&rival_label, &three.summary);
@@ -1083,16 +1008,17 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         .iter()
         .map(|&l| l as f64)
         .collect();
-    match kind {
-        BackendKind::Graph { .. } => println!(
+    if is_graph {
+        println!(
             "graph per-node route load at drain: {} ({bound_name})",
             wdm_analysis::sparkline(&loads),
-        ),
-        _ => println!(
+        );
+    } else {
+        println!(
             "{} middle-stage occupancy at drain: {} ({bound_name} m ≥ {bound_m})",
-            kind.label(),
+            sc.backend.label(),
             wdm_analysis::sparkline(&loads),
-        ),
+        );
     }
     if chaos {
         println!();
@@ -1133,7 +1059,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     }
 
     if let Some(path) = opts.0.get("json") {
-        let wire_label = if cas { "three-stage-cas" } else { kind.label() };
         let mut lines: Vec<String> = Vec::new();
         for (label, rep) in [
             ("crossbar", &xbar.snapshots),
@@ -1174,7 +1099,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // topologies have no nonblocking theorem at all, so blocks there are
     // never an error.
     let live_m = m_like - kill_middles.len() as u32;
-    let enforce = p.is_some() && fault_rate.is_none() && live_m >= bound_m;
+    let enforce = !is_graph && fault_rate.is_none() && live_m >= bound_m;
     if enforce && three.summary.blocked > 0 {
         return Err(format!(
             "{} hard blocks with {live_m} live middles ≥ bound {bound_m} — nonblocking \
@@ -1182,23 +1107,22 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             three.summary.blocked
         ));
     }
-    if !enforce {
-        match kind {
-            BackendKind::Graph { .. } => println!(
-                "(graph backend: no nonblocking bound applies; {} blocks observed is honest \
-                 behaviour)",
-                three.summary.blocked
-            ),
-            _ => println!(
-                "(degraded regime: {live_m} live middles vs bound {bound_m}{}; {} blocks observed is honest behaviour)",
-                if fault_rate.is_some() {
-                    ", randomized chaos on"
-                } else {
-                    ""
-                },
-                three.summary.blocked
-            ),
-        }
+    if is_graph {
+        println!(
+            "(graph backend: no nonblocking bound applies; {} blocks observed is honest \
+             behaviour)",
+            three.summary.blocked
+        );
+    } else if !enforce {
+        println!(
+            "(degraded regime: {live_m} live middles vs bound {bound_m}{}; {} blocks observed is honest behaviour)",
+            if fault_rate.is_some() {
+                ", randomized chaos on"
+            } else {
+                ""
+            },
+            three.summary.blocked
+        );
     }
     Ok(())
 }
@@ -1210,40 +1134,15 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 #[cfg(target_os = "linux")]
 fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
     use std::time::Duration;
-    use wdm_fabric::CrossbarSession;
     use wdm_net::{ReactorConfig, ReactorServer};
     use wdm_runtime::{Backend, EngineBuilder, RuntimeConfig};
 
-    let (kind, cas) = opts.backend(BackendKind::ThreeStage)?;
-    let n = opts.u32("n", None)?;
-    // Graph geometry comes from the topology; --r may restate it.
-    let r = match kind {
-        BackendKind::Graph { topology } => opts.u32("r", Some(topology.nodes()))?,
-        _ => opts.u32("r", None)?,
-    };
-    let k = opts.u32("k", Some(1))?;
-    let construction = opts.construction()?;
-    let model = opts.model()?;
     // Each architecture has its own nonblocking bound — the theorem
     // bound for switched middles, the private-pool bound for gratings,
-    // none for arbitrary graph topologies.
-    let bound_m = match kind {
-        BackendKind::AwgClos => awg_bound(n, r, k)?.0,
-        BackendKind::Graph { .. } => 0,
-        _ => match construction {
-            Construction::MswDominant => bounds::theorem1_min_m(n, r).m,
-            Construction::MawDominant => bounds::theorem2_min_m(n, r, k).m,
-        },
-    };
-    let p = match kind {
-        BackendKind::Graph { .. } => {
-            if opts.0.contains_key("m") {
-                return Err("--m has no meaning for the graph backend (no middle stage)".into());
-            }
-            None
-        }
-        _ => Some(three_stage(opts, n, r, k, bound_m)?),
-    };
+    // none for arbitrary graph topologies — and `Scenario` picks it.
+    let sc = opts.scenario()?;
+    let (bound_m, _) = sc.bound()?;
+    let m = sc.middle_count()?;
     let workers = opts.u32("workers", Some(4))? as usize;
     if workers == 0 {
         return Err("--workers must be at least 1".into());
@@ -1260,49 +1159,22 @@ fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
         .clone();
     // The backend is picked at runtime behind `dyn Backend`: the engine,
     // server, and wire path are identical for every fabric.
-    let backend: Box<dyn Backend> = match kind {
-        BackendKind::Graph { .. } => {
-            let (mc_every, splitting) = opts.graph_knobs()?;
-            Scenario::new(kind)
-                .geometry(n, r, k)
-                .model(model)
-                .mc_every(mc_every)
-                .splitting(splitting)
-                .build()?
-        }
-        BackendKind::ThreeStage if cas => Box::new(ConcurrentThreeStage::new(
-            p.expect("cas parses three-stage params"),
-            construction,
-            model,
-        )),
-        BackendKind::ThreeStage => Box::new(ThreeStageNetwork::new(
-            p.expect("three-stage parses its params"),
-            construction,
-            model,
-        )),
-        BackendKind::Crossbar => Box::new(CrossbarSession::new(
-            p.expect("crossbar parses the flat frame via three-stage params")
-                .network(),
-            model,
-        )),
-        BackendKind::AwgClos => Box::new(AwgClosNetwork::new(
-            p.expect("awg-clos parses three-stage params"),
-            awg_bound(n, r, k)?.1,
-            ConverterPlacement::IngressEgress,
-            model,
-        )),
-    };
+    let backend = sc.build()?;
+    let wire_label = backend.label();
     let engine = EngineBuilder::from_config(config).start(backend);
-    let desc = match (p, kind) {
-        (_, BackendKind::Graph { topology }) => format!("{topology} n={n} k={k} [{model}]"),
-        (Some(p), _) => format!("{p} [{construction}, {model}]"),
-        (None, _) => unreachable!("only the graph backend has no three-stage params"),
+    let Scenario { n, r, k, model, .. } = sc;
+    let desc = match sc.backend {
+        BackendKind::Graph { topology } => format!("{topology} n={n} k={k} [{model}]"),
+        _ => format!(
+            "{} [{}, {model}]",
+            ThreeStageParams::new(n, m, r, k),
+            sc.construction
+        ),
     };
-    let bound_str = match kind {
+    let bound_str = match sc.backend {
         BackendKind::Graph { .. } => "no nonblocking bound".to_string(),
         _ => format!("nonblocking bound m ≥ {bound_m}"),
     };
-    let wire_label = if cas { "three-stage-cas" } else { kind.label() };
     // Best-effort headroom for C10k-scale accept storms; the kernel
     // caps unprivileged raises at the hard limit.
     wdm_net::reactor::raise_nofile_limit(65_536);
@@ -1362,13 +1234,12 @@ fn cmd_serve_net(opts: &Opts) -> Result<(), String> {
     }
     // Graph topologies have no nonblocking theorem; blocks there are
     // honest behaviour, never an error.
-    if let Some(p) = p {
-        if p.m >= bound_m && s.blocked > 0 {
-            return Err(format!(
-                "{} hard blocks with m={} at or above the bound {bound_m} — nonblocking theorem violated",
-                s.blocked, p.m
-            ));
-        }
+    let is_graph = matches!(sc.backend, BackendKind::Graph { .. });
+    if !is_graph && m >= bound_m && s.blocked > 0 {
+        return Err(format!(
+            "{} hard blocks with m={m} at or above the bound {bound_m} — nonblocking theorem violated",
+            s.blocked
+        ));
     }
     Ok(())
 }
@@ -1601,50 +1472,42 @@ fn cmd_bench_net(opts: &Opts) -> Result<(), String> {
 /// failure is delta-debugged to a minimal trace and reported with its
 /// seed — and the process exits nonzero so CI sweeps fail loudly.
 fn cmd_sim(opts: &Opts) -> Result<(), String> {
-    let (kind, cas) = opts.backend(BackendKind::ThreeStage)?;
-    let n = opts.u32("n", None)?;
-    // Graph geometry comes from the topology; --r may restate it but
-    // defaults to agreeing.
-    let r = match kind {
-        BackendKind::Graph { topology } => opts.u32("r", Some(topology.nodes()))?,
-        _ => opts.u32("r", None)?,
-    };
-    let k = opts.u32("k", Some(1))?;
-    let steps = opts.u64("steps", 40)? as usize;
-    let shards = opts.u32("shards", Some(4))?.max(1) as usize;
-    let faulted = opts.boolean("faulted")?;
-    let repack = opts.boolean("repack")?;
-    let concurrent = cas || opts.boolean("concurrent")?;
-    let (mc_every, splitting) = opts.graph_knobs()?;
-    let workload = opts.workload()?;
-
     // All cross-cutting policy — which knobs are contradictory, when
     // selection spreads, when the nonblocking oracle applies — lives in
     // Scenario, shared with the benches and the conformance tests.
-    let mut sc = Scenario::new(kind)
-        .geometry(n, r, k)
-        .model(opts.model()?)
-        .schedule(steps, shards)
-        .faulted(faulted)
-        .repack(repack)
-        .concurrent(concurrent)
-        .workload(workload)
-        .mc_every(mc_every)
-        .splitting(splitting);
-    if opts.0.contains_key("m") {
-        sc = sc.middles(opts.u32("m", None)?);
-    }
+    let sc = opts.scenario()?;
+    let sc = sc
+        .schedule(
+            opts.u64("steps", 40)? as usize,
+            opts.u32("shards", Some(4))? as usize,
+        )
+        .faulted(opts.boolean("faulted")?)
+        .repack(opts.boolean("repack")?)
+        .concurrent(sc.concurrent || opts.boolean("concurrent")?)
+        .workload(opts.workload()?);
     let (bound, bound_name) = sc.bound()?;
-    let setup = sc.sim_setup()?;
-    let hotspot = match workload {
+    let m = sc.middle_count()?;
+    let Scenario {
+        backend: kind,
+        n,
+        r,
+        k,
+        steps,
+        shards,
+        faulted,
+        repack,
+        ..
+    } = sc;
+    let hotspot = match sc.workload {
         WorkloadSpec::Adversarial => String::new(),
         WorkloadSpec::Hotspot { hot, skew_pct } => format!(" hotspot={skew_pct}%→{hot}"),
     };
     match kind {
         BackendKind::Graph { topology } => println!(
-            "sim: graph {topology} n={n} k={k} mc-every={mc_every} splitting={} \
+            "sim: graph {topology} n={n} k={k} mc-every={} splitting={} \
              steps={steps} shards={shards}{}{hotspot} ({bound_name})",
-            splitting.label(),
+            sc.graph.mc_every,
+            sc.graph.splitting.label(),
             if faulted { " faulted" } else { "" },
         ),
         _ => println!(
@@ -1654,11 +1517,11 @@ fn cmd_sim(opts: &Opts) -> Result<(), String> {
             if kind == BackendKind::Crossbar {
                 String::new()
             } else {
-                format!(" m={}", setup.m)
+                format!(" m={m}")
             },
             if faulted { " faulted" } else { "" },
             if repack { " repack" } else { "" },
-            if concurrent { " concurrent" } else { "" },
+            if sc.concurrent { " concurrent" } else { "" },
         ),
     }
 
@@ -1667,7 +1530,7 @@ fn cmd_sim(opts: &Opts) -> Result<(), String> {
         let count: u64 = count
             .parse()
             .map_err(|_| format!("--seeds must be a count, got {count:?}"))?;
-        let report = setup.sweep(base..base + count);
+        let report = sc.sweep(base..base + count)?;
         println!(
             "swept {} seeds [{base}..{}): {} distinct schedules, {} failing",
             report.checked,
@@ -1689,7 +1552,7 @@ fn cmd_sim(opts: &Opts) -> Result<(), String> {
         return Ok(());
     }
 
-    let verdict = setup.check_seed(base);
+    let verdict = sc.check_seed(base)?;
     if verdict.violations.is_empty() {
         println!(
             "seed {base}: OK ({} events, schedule fingerprint {:016x})",
@@ -1698,7 +1561,7 @@ fn cmd_sim(opts: &Opts) -> Result<(), String> {
         return Ok(());
     }
     // Shrink before reporting so the artifact is minimal and replayable.
-    match setup.failing_seed(base) {
+    match sc.failing_seed(base)? {
         Some(failure) => println!("{failure}"),
         None => {
             for v in &verdict.violations {

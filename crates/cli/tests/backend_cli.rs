@@ -200,6 +200,65 @@ fn topology_flags_without_graph_backend_are_rejected() {
     assert!(stderr.contains("--backend graph"), "{stderr}");
 }
 
+/// Geometry no constructor accepts is an `error:` line and exit 1 from
+/// every command that builds a backend — never a panic (exit 101) —
+/// and all three commands give the same message, because `Scenario`
+/// validates for all of them. `--backend graph -k 65` is legal: its
+/// occupancy is not u64-masked.
+#[test]
+fn illegal_geometry_is_an_error_not_a_panic_on_every_backend_command() {
+    const GEO: [&str; 4] = ["--n", "2", "--r", "4"];
+    let rows: [(&[&str], &[&str], &str); 7] = [
+        (&GEO, &["-k", "65"], "limited to 64 wavelengths"),
+        (
+            &GEO,
+            &["--backend", "three-stage-cas", "-k", "65"],
+            "limited to 64 wavelengths",
+        ),
+        (
+            &GEO,
+            &["--backend", "awg-clos", "-k", "65"],
+            "limited to 64 wavelengths",
+        ),
+        (&[], &["--n", "70000", "--r", "70000"], "n·r overflows"),
+        (&GEO, &["--m", "0"], "--m must be a positive integer"),
+        (&GEO, &["--construction", "bogus"], "unknown construction"),
+        (
+            &["--n", "2"],
+            &["--backend", "graph", "--m", "3"],
+            "no middle stage",
+        ),
+    ];
+    let commands: [&[&str]; 3] = [&["sim"], &["serve"], &["serve", "--listen", "127.0.0.1:0"]];
+    for command in commands {
+        for (geo, flags, needle) in rows {
+            let out = wdmcast()
+                .args(command)
+                .args(geo)
+                .args(flags)
+                .output()
+                .expect("spawn wdmcast");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{command:?} {flags:?}: {stderr}"
+            );
+            let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+            assert_eq!(errors.len(), 1, "{command:?} {flags:?}: {stderr}");
+            assert!(
+                errors[0].contains(needle),
+                "{command:?} {flags:?}: {stderr}"
+            );
+        }
+    }
+    let out = wdmcast()
+        .args(["sim", "--backend", "graph", "--n", "2", "-k", "65"])
+        .output()
+        .expect("spawn wdmcast");
+    assert!(out.status.success(), "graph -k 65 must keep working");
+}
+
 #[test]
 fn awg_clos_infeasible_geometry_is_a_helpful_error() {
     // k=1 < r=4: no channel class reaches most module pairs.

@@ -16,7 +16,7 @@
 use wdm_core::{Endpoint, Fault, MulticastConnection, Reject};
 use wdm_fabric::CrossbarSession;
 use wdm_graph::GraphNetwork;
-use wdm_multistage::{AwgClosNetwork, ConcurrentThreeStage, ThreeStageNetwork};
+use wdm_multistage::{AwgClosNetwork, ConcurrentThreeStage, RepackReport, ThreeStageNetwork};
 
 /// Whether a backend can rearrange existing routes to admit a blocked
 /// request.
@@ -41,6 +41,41 @@ pub struct RepackStats {
     pub moves_committed: u32,
     /// Moves refused at make or aborted at commit.
     pub moves_aborted: u32,
+}
+
+impl From<RepackReport> for RepackStats {
+    fn from(report: RepackReport) -> RepackStats {
+        RepackStats {
+            support: RepackSupport::Supported,
+            moves_attempted: report.moves_attempted,
+            moves_committed: report.moves_committed,
+            moves_aborted: report.moves_aborted,
+        }
+    }
+}
+
+/// The body of every backend's [`Backend::inject_fault`]: when `mark`
+/// newly fails the component, snapshot each live connection `through`
+/// it (`lookup` by source) and `disconnect` it, returning the victims
+/// for the caller to re-admit.
+fn evict_victims<B, T, E: std::fmt::Debug>(
+    backend: &mut B,
+    mark: impl FnOnce(&mut B) -> bool,
+    through: impl FnOnce(&B) -> Vec<Endpoint>,
+    lookup: impl Fn(&B, Endpoint) -> Option<MulticastConnection>,
+    disconnect: impl Fn(&mut B, Endpoint) -> Result<T, E>,
+) -> Vec<MulticastConnection> {
+    if !mark(backend) {
+        return Vec::new();
+    }
+    let victims: Vec<MulticastConnection> = through(backend)
+        .into_iter()
+        .filter_map(|src| lookup(backend, src))
+        .collect();
+    for c in &victims {
+        disconnect(backend, c.source()).expect("victim is live");
+    }
+    victims
 }
 
 /// A switch implementation the admission engine can drive.
@@ -203,18 +238,13 @@ impl Backend for CrossbarSession {
     }
 
     fn inject_fault(&mut self, fault: Fault) -> Vec<MulticastConnection> {
-        if !CrossbarSession::inject_fault(self, fault) {
-            return Vec::new();
-        }
-        let victims: Vec<MulticastConnection> = self
-            .connections_through(&fault)
-            .into_iter()
-            .filter_map(|src| self.assignment().connection_at(src).cloned())
-            .collect();
-        for c in &victims {
-            CrossbarSession::disconnect(self, c.source()).expect("victim is live");
-        }
-        victims
+        evict_victims(
+            self,
+            |b| CrossbarSession::inject_fault(b, fault),
+            |b| b.connections_through(&fault),
+            |b, src| b.assignment().connection_at(src).cloned(),
+            CrossbarSession::disconnect,
+        )
     }
 
     fn repair_fault(&mut self, fault: Fault) -> bool {
@@ -270,40 +300,21 @@ impl Backend for ThreeStageNetwork {
         budget: u32,
     ) -> (Result<(), Reject>, RepackStats) {
         let (res, report) = ThreeStageNetwork::connect_with_repack(self, conn, budget);
-        (
-            res.map_err(Reject::from),
-            RepackStats {
-                support: RepackSupport::Supported,
-                moves_attempted: report.moves_attempted,
-                moves_committed: report.moves_committed,
-                moves_aborted: report.moves_aborted,
-            },
-        )
+        (res.map_err(Reject::from), report.into())
     }
 
     fn defragment(&mut self, budget: u32) -> RepackStats {
-        let report = ThreeStageNetwork::defragment(self, budget);
-        RepackStats {
-            support: RepackSupport::Supported,
-            moves_attempted: report.moves_attempted,
-            moves_committed: report.moves_committed,
-            moves_aborted: report.moves_aborted,
-        }
+        ThreeStageNetwork::defragment(self, budget).into()
     }
 
     fn inject_fault(&mut self, fault: Fault) -> Vec<MulticastConnection> {
-        if !ThreeStageNetwork::inject_fault(self, fault) {
-            return Vec::new();
-        }
-        let victims: Vec<MulticastConnection> = self
-            .connections_through(&fault)
-            .into_iter()
-            .filter_map(|src| self.assignment().connection_at(src).cloned())
-            .collect();
-        for c in &victims {
-            ThreeStageNetwork::disconnect(self, c.source()).expect("victim is live");
-        }
-        victims
+        evict_victims(
+            self,
+            |b| ThreeStageNetwork::inject_fault(b, fault),
+            |b| b.connections_through(&fault),
+            |b, src| b.assignment().connection_at(src).cloned(),
+            ThreeStageNetwork::disconnect,
+        )
     }
 
     fn repair_fault(&mut self, fault: Fault) -> bool {
@@ -347,18 +358,13 @@ impl Backend for ConcurrentThreeStage {
     }
 
     fn inject_fault(&mut self, fault: Fault) -> Vec<MulticastConnection> {
-        if !ConcurrentThreeStage::inject_fault(self, fault) {
-            return Vec::new();
-        }
-        let victims: Vec<MulticastConnection> = self
-            .connections_through(&fault)
-            .into_iter()
-            .filter_map(|src| self.connection_at(src))
-            .collect();
-        for c in &victims {
-            ConcurrentThreeStage::disconnect_shared(self, c.source()).expect("victim is live");
-        }
-        victims
+        evict_victims(
+            self,
+            |b| ConcurrentThreeStage::inject_fault(b, fault),
+            |b| b.connections_through(&fault),
+            |b, src| b.connection_at(src),
+            |b, src| b.disconnect_shared(src),
+        )
     }
 
     fn repair_fault(&mut self, fault: Fault) -> bool {
@@ -435,18 +441,13 @@ impl Backend for AwgClosNetwork {
     }
 
     fn inject_fault(&mut self, fault: Fault) -> Vec<MulticastConnection> {
-        if !AwgClosNetwork::inject_fault(self, fault) {
-            return Vec::new();
-        }
-        let victims: Vec<MulticastConnection> = self
-            .connections_through(&fault)
-            .into_iter()
-            .filter_map(|src| self.assignment().connection_at(src).cloned())
-            .collect();
-        for c in &victims {
-            AwgClosNetwork::disconnect(self, c.source()).expect("victim is live");
-        }
-        victims
+        evict_victims(
+            self,
+            |b| AwgClosNetwork::inject_fault(b, fault),
+            |b| b.connections_through(&fault),
+            |b, src| b.assignment().connection_at(src).cloned(),
+            AwgClosNetwork::disconnect,
+        )
     }
 
     fn repair_fault(&mut self, fault: Fault) -> bool {
@@ -494,18 +495,13 @@ impl Backend for GraphNetwork {
     }
 
     fn inject_fault(&mut self, fault: Fault) -> Vec<MulticastConnection> {
-        if !GraphNetwork::inject_fault(self, fault) {
-            return Vec::new();
-        }
-        let victims: Vec<MulticastConnection> = self
-            .connections_through(&fault)
-            .into_iter()
-            .filter_map(|src| self.assignment().connection_at(src).cloned())
-            .collect();
-        for c in &victims {
-            GraphNetwork::disconnect(self, c.source()).expect("victim is live");
-        }
-        victims
+        evict_victims(
+            self,
+            |b| GraphNetwork::inject_fault(b, fault),
+            |b| b.connections_through(&fault),
+            |b, src| b.assignment().connection_at(src).cloned(),
+            GraphNetwork::disconnect,
+        )
     }
 
     fn repair_fault(&mut self, fault: Fault) -> bool {

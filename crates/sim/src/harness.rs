@@ -1,27 +1,25 @@
 //! Seed sweeps and failing-seed artifacts.
 //!
-//! A [`SimSetup`] fixes everything about a simulated experiment except
+//! A [`Scenario`] fixes everything about a simulated experiment except
 //! the seed: geometry, backend, trace length, shard count, fault plan.
 //! One seed then determines the whole run — the adversarial churn trace,
 //! the fault script, and every scheduling decision — so
-//! [`SimSetup::check_seed`] is a pure function from `u64` to verdict.
-//! When a seed fails, [`SimSetup::failing_seed`] shrinks its trace with
+//! [`Scenario::check_seed`] is a pure function from `u64` to verdict.
+//! When a seed fails, [`Scenario::failing_seed`] shrinks its trace with
 //! delta debugging and packages seed + minimal trace + reproduction
 //! command line into a [`FailingSeed`] artifact a human (or CI) can
-//! replay with `wdmcast sim --seed N`.
+//! replay with `wdmcast sim --seed N`. Every method here validates the
+//! scenario first and returns its one-line error instead of running.
 
 use crate::executor::{simulate, Scheduler, SimParams, SimRun};
 use crate::oracle::{conformance_violations, invariant_violations, Violation};
+use crate::scenario::{Resolved, Scenario};
 use crate::schedule::ChoiceStream;
 use crate::shrink::shrink_trace;
 use std::fmt;
-use wdm_core::{Fault, MulticastModel, NetworkConfig};
-use wdm_fabric::CrossbarSession;
-use wdm_graph::{GraphNetwork, GraphTopology, Splitting};
-use wdm_multistage::{
-    awg, bounds, AwgClosNetwork, ConcurrentThreeStage, Construction, ConverterPlacement,
-    SelectionStrategy, ThreeStageNetwork, ThreeStageParams,
-};
+use wdm_core::Fault;
+use wdm_graph::{GraphTopology, Splitting};
+use wdm_multistage::Construction;
 use wdm_runtime::{Backend, RepackPolicy, RuntimeConfig};
 use wdm_workload::adversarial::{AdversarialGen, Geometry};
 use wdm_workload::hotspot::HotspotGen;
@@ -61,17 +59,6 @@ impl BackendKind {
         }
     }
 
-    /// Parse a `--backend` value.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "crossbar" => Some(BackendKind::Crossbar),
-            "three-stage" | "threestage" | "3stage" => Some(BackendKind::ThreeStage),
-            "awg-clos" | "awgclos" | "awg" => Some(BackendKind::AwgClos),
-            "graph" | "mesh" | "ring" => Some(BackendKind::DEFAULT_GRAPH),
-            _ => None,
-        }
-    }
-
     /// Every selectable backend, in CLI-help order.
     pub const ALL: [BackendKind; 4] = [
         BackendKind::Crossbar,
@@ -92,22 +79,12 @@ pub struct GraphSpec {
     pub splitting: Splitting,
 }
 
-impl Default for GraphSpec {
-    fn default() -> Self {
-        GraphSpec {
-            mc_every: 1,
-            splitting: Splitting::Hierarchy,
-        }
-    }
-}
-
 /// Which traffic generator drives the churn trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadSpec {
     /// Middle-stage-hostile churn
     /// ([`wdm_workload::adversarial::AdversarialGen`]): busiest-module
     /// sources, maximum module spread.
-    #[default]
     Adversarial,
     /// Hotspot churn ([`HotspotGen`]): uniform sources, destination
     /// picks skewed toward one module.
@@ -119,214 +96,151 @@ pub enum WorkloadSpec {
     },
 }
 
-/// Everything about a simulated experiment except the seed.
-#[derive(Debug, Clone)]
-pub struct SimSetup {
-    /// Three-stage geometry; the crossbar uses `geo.ports()` ports and
-    /// `geo.k` wavelengths.
-    pub geo: Geometry,
-    /// Multicast model requests are legal under.
-    pub model: MulticastModel,
-    /// Middle switches (three-stage only).
-    pub m: u32,
-    /// Which backend to drive.
-    pub backend: BackendKind,
-    /// Churn-trace length before closing departures are appended.
-    pub steps: usize,
-    /// Cooperatively scheduled shards.
-    pub shards: usize,
-    /// Inject a seed-derived fail/repair pair mid-trace.
-    pub faulted: bool,
-    /// Assert `blocked == 0` (the fabric is provisioned at or above the
-    /// relevant nonblocking bound for the whole run, faults included).
-    pub expect_nonblocking: bool,
-    /// Middle-switch ordering strategy (three-stage only). `Spread`
-    /// maximizes middle-stage dispersal, which is what makes hard blocks
-    /// reachable on an under-provisioned fabric.
-    pub strategy: SelectionStrategy,
-    /// Rearrange existing routes on a hard block (make-before-break
-    /// repacking, [`SimSetup::REPACK_BUDGET`] moves per blocked
-    /// connect). Repack outcomes depend on which routes exist when the
+impl Scenario {
+    /// Physical moves an on-block repack may spend per blocked connect
+    /// when [`Scenario::repack`] is on (mirrored by the CLI's `--repack`
+    /// flag). Repack outcomes depend on which routes exist when the
     /// block happens — i.e. on the interleaving — so repack runs are
     /// judged by the conservation-law oracle, never by per-index
     /// equality with a serial reference.
-    pub repack: bool,
-    /// Drive the CAS-committed [`ConcurrentThreeStage`] backend instead
-    /// of the serial `ThreeStageNetwork` (three-stage only). The engine
-    /// detects the [`wdm_runtime::ConcurrentAdmission`] capability and
-    /// shards admit under the read side of the backend lock; the judge
-    /// is unchanged — fault-free runs must still conform per-index to
-    /// the serial first-fit oracle, faulted runs to the conservation
-    /// laws.
-    pub concurrent: bool,
-    /// Which traffic generator produces the churn trace.
-    pub workload: WorkloadSpec,
-    /// Graph-backend knobs (splitter density, splitting discipline);
-    /// ignored by the switch-box backends.
-    pub graph: GraphSpec,
-}
-
-impl SimSetup {
-    /// Physical moves an on-block repack may spend per blocked connect
-    /// when [`SimSetup::repack`] is on (mirrored by the CLI's
-    /// `--repack` flag).
     pub const REPACK_BUDGET: u32 = 4;
 
-    /// Enable on-block repacking. Hard blocks are no longer forbidden
-    /// by the oracle (`expect_nonblocking` drops to `false`): below the
-    /// bound repacking reduces blocks, it cannot erase them, and the
-    /// run is judged by the conservation laws instead.
-    pub fn with_repack(mut self) -> SimSetup {
-        self.repack = true;
-        self.expect_nonblocking = false;
-        self
-    }
-
-    /// Switch a three-stage setup onto the fine-grained CAS admission
-    /// path ([`ConcurrentThreeStage`]). Selection is forced back to
-    /// `FirstFit` — that is the order the optimistic probe commits in,
-    /// and the order the serial oracle must replay to conform. Repack
-    /// and concurrent mode are mutually exclusive (repack moves need
-    /// the exclusive lock, which would demote every admission back to
-    /// the coarse path).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the backend is not [`BackendKind::ThreeStage`] or
-    /// repacking is already enabled.
-    pub fn with_concurrent(mut self) -> SimSetup {
-        assert_eq!(
-            self.backend,
-            BackendKind::ThreeStage,
-            "concurrent admission is a three-stage capability"
-        );
-        assert!(!self.repack, "concurrent mode requires RepackPolicy::Off");
-        self.concurrent = true;
-        self.strategy = SelectionStrategy::FirstFit;
-        self
-    }
-
-    /// A three-stage setup provisioned exactly at the Theorem 1 bound,
-    /// fault-free, expecting zero hard blocks under every schedule.
-    pub fn three_stage_at_bound(n: u32, r: u32, k: u32, steps: usize, shards: usize) -> SimSetup {
-        let m = bounds::theorem1_min_m(n, r).m;
-        SimSetup {
-            geo: Geometry { n, r, k },
-            model: MulticastModel::Msw,
-            m,
-            backend: BackendKind::ThreeStage,
-            steps,
-            shards,
-            faulted: false,
-            expect_nonblocking: true,
-            strategy: SelectionStrategy::FirstFit,
-            repack: false,
-            concurrent: false,
-            workload: WorkloadSpec::Adversarial,
-            graph: GraphSpec::default(),
-        }
-    }
-
-    /// A three-stage setup one middle switch *below* the Theorem 1
-    /// bound, with load-spreading selection. The oracle still expects
-    /// `blocked == 0`, so a reachable hard block becomes a
-    /// [`FailingSeed`] artifact — this is the harness's own smoke test.
-    pub fn three_stage_underprovisioned(
-        n: u32,
-        r: u32,
-        k: u32,
-        steps: usize,
-        shards: usize,
-    ) -> SimSetup {
-        let mut setup = SimSetup::three_stage_at_bound(n, r, k, steps, shards);
-        setup.m = setup.m.saturating_sub(1).max(1);
-        setup.strategy = SelectionStrategy::Spread;
-        setup
-    }
-
-    /// An AWG-based Clos provisioned exactly at its strictly
-    /// nonblocking bound, fault-free, expecting zero hard blocks.
-    ///
-    /// Panics when `k < r` — fewer than `r` usable channels leave some
-    /// module pairs unreachable by wavelength routing, so there is no
-    /// nonblocking provisioning at all.
-    pub fn awg_clos(n: u32, r: u32, k: u32, steps: usize, shards: usize) -> SimSetup {
-        let fsr_orders = k.div_ceil(r).max(1);
-        let m = awg::min_middles(n, r, k, fsr_orders)
-            .expect("AWG-Clos needs k ≥ r so every module pair is reachable");
-        SimSetup {
-            geo: Geometry { n, r, k },
-            model: MulticastModel::Msw,
-            m,
-            backend: BackendKind::AwgClos,
-            steps,
-            shards,
-            faulted: false,
-            expect_nonblocking: true,
-            strategy: SelectionStrategy::FirstFit,
-            repack: false,
-            concurrent: false,
-            workload: WorkloadSpec::Adversarial,
-            graph: GraphSpec::default(),
-        }
-    }
-
-    /// A crossbar setup over the same geometry (always nonblocking).
-    pub fn crossbar(n: u32, r: u32, k: u32, steps: usize, shards: usize) -> SimSetup {
-        SimSetup {
-            geo: Geometry { n, r, k },
-            model: MulticastModel::Msw,
-            m: 0,
-            backend: BackendKind::Crossbar,
-            steps,
-            shards,
-            faulted: false,
-            expect_nonblocking: true,
-            strategy: SelectionStrategy::FirstFit,
-            repack: false,
-            concurrent: false,
-            workload: WorkloadSpec::Adversarial,
-            graph: GraphSpec::default(),
-        }
-    }
-
-    /// A graph-topology setup: `n` external ports per node, `k`
-    /// wavelengths per fiber. The workload geometry maps one module per
-    /// node (`r = topology.nodes()`). Graphs have no nonblocking
-    /// theorem, so blocking is legal and runs are judged by serial
-    /// conformance (fault-free) or the conservation laws (faulted) —
-    /// never by `expect_nonblocking`.
-    pub fn graph(topology: GraphTopology, n: u32, k: u32, steps: usize, shards: usize) -> SimSetup {
-        SimSetup {
-            geo: Geometry {
-                n,
-                r: topology.nodes(),
-                k,
-            },
-            model: MulticastModel::Msw,
-            m: 0,
-            backend: BackendKind::Graph { topology },
-            steps,
-            shards,
-            faulted: false,
-            expect_nonblocking: false,
-            strategy: SelectionStrategy::FirstFit,
-            repack: false,
-            concurrent: false,
-            workload: WorkloadSpec::Adversarial,
-            graph: GraphSpec::default(),
-        }
-    }
-
     /// The seed's closed churn trace, from the generator
-    /// [`SimSetup::workload`] names.
-    pub fn trace(&self, seed: u64) -> Vec<TimedEvent> {
-        let mut trace = match self.workload {
+    /// [`Scenario::workload`] names.
+    pub fn trace(&self, seed: u64) -> Result<Vec<TimedEvent>, String> {
+        Ok(self.resolve()?.trace(seed))
+    }
+
+    /// The seed's fault script: one mid-trace component failure and its
+    /// repair two-thirds in. Empty when the scenario is fault-free.
+    pub fn faults(&self, seed: u64, trace: &[TimedEvent]) -> Result<Vec<TimedFault>, String> {
+        Ok(self.resolve()?.faults(seed, trace))
+    }
+
+    /// Run one (trace, faults) input under the scheduler and return the
+    /// violations the oracle finds. Fault-free non-repack runs are
+    /// checked for full serial conformance (a concurrent three-stage
+    /// against the locked first-fit network, the order the CAS probe
+    /// commits in); faulted or repacking runs (whose victim sets /
+    /// rearrangements are schedule-dependent) against the conservation
+    /// invariants.
+    pub fn violations_for(
+        &self,
+        trace: &[TimedEvent],
+        faults: &[TimedFault],
+        choices: &mut ChoiceStream,
+    ) -> Result<Vec<Violation>, String> {
+        Ok(self.resolve()?.violations_for(trace, faults, choices))
+    }
+
+    /// Check one seed end to end: derive trace + faults, run under the
+    /// seeded scheduler, judge against the oracle.
+    pub fn check_seed(&self, seed: u64) -> Result<SeedVerdict, String> {
+        Ok(self.resolve()?.check_seed(seed))
+    }
+
+    /// Check a seed and, on failure, shrink its trace to a minimal
+    /// reproducer (same violation class, fresh scheduler from the same
+    /// seed on every candidate, fault script carried over unchanged).
+    pub fn failing_seed(&self, seed: u64) -> Result<Option<FailingSeed>, String> {
+        Ok(self.resolve()?.failing_seed(seed))
+    }
+
+    /// [`Scenario::failing_seed`] judged by the caller's
+    /// `expect_nonblocking` instead of the policy's — for asserting
+    /// more than the policy promises (a repacking run that must still
+    /// never hard-block) and getting the counterexample shrunk.
+    pub fn failing_seed_expecting(
+        &self,
+        seed: u64,
+        expect_nonblocking: bool,
+    ) -> Result<Option<FailingSeed>, String> {
+        let mut resolved = self.resolve()?;
+        resolved.expect_nonblocking = expect_nonblocking;
+        Ok(resolved.failing_seed(seed))
+    }
+
+    /// Sweep a seed range, collecting distinct schedule fingerprints and
+    /// every failure (shrunk).
+    pub fn sweep(&self, seeds: std::ops::Range<u64>) -> Result<SweepReport, String> {
+        let resolved = self.resolve()?;
+        let mut fingerprints = std::collections::HashSet::new();
+        let mut failures = Vec::new();
+        let mut checked = 0usize;
+        for seed in seeds {
+            let verdict = resolved.check_seed(seed);
+            checked += 1;
+            fingerprints.insert(verdict.fingerprint);
+            if !verdict.violations.is_empty() {
+                failures.extend(resolved.failing_seed(seed));
+            }
+        }
+        Ok(SweepReport {
+            checked,
+            distinct_schedules: fingerprints.len(),
+            failures,
+        })
+    }
+
+    /// The `wdmcast sim` invocation that replays `seed` under this
+    /// scenario.
+    pub fn repro_command(&self, seed: u64) -> Result<String, String> {
+        let m = self.middle_count()?;
+        let mut cmd = format!(
+            "wdmcast sim --backend {} --n {} --r {} --k {} --steps {} --shards {} --seed {seed}",
+            self.backend.label(),
+            self.n,
+            self.r,
+            self.k,
+            self.steps,
+            self.shards,
+        );
+        if self.has_middle_stage() {
+            cmd.push_str(&format!(" --m {m}"));
+        }
+        if self.construction == Construction::MawDominant {
+            cmd.push_str(" --construction maw");
+        }
+        if let BackendKind::Graph { topology } = self.backend {
+            let shape = match topology {
+                GraphTopology::Ring { nodes } => format!("ring --nodes {nodes}"),
+                GraphTopology::Grid { rows, cols } => format!("grid --rows {rows} --cols {cols}"),
+                GraphTopology::Torus { rows, cols } => {
+                    format!("torus --rows {rows} --cols {cols}")
+                }
+            };
+            cmd.push_str(&format!(
+                " --topology {shape} --mc-every {} --splitting {}",
+                self.graph.mc_every,
+                self.graph.splitting.label()
+            ));
+        }
+        if let WorkloadSpec::Hotspot { hot, skew_pct } = self.workload {
+            cmd.push_str(&format!(" --hotspot {skew_pct} --hot {hot}"));
+        }
+        if self.faulted {
+            cmd.push_str(" --faulted");
+        }
+        if self.repack {
+            cmd.push_str(" --repack");
+        }
+        if self.concurrent {
+            cmd.push_str(" --concurrent");
+        }
+        Ok(cmd)
+    }
+}
+
+impl Resolved {
+    fn trace(&self, seed: u64) -> Vec<TimedEvent> {
+        let Scenario { n, r, k, model, .. } = self.sc;
+        let geo = Geometry { n, r, k };
+        let mut trace = match self.sc.workload {
             WorkloadSpec::Adversarial => {
-                AdversarialGen::new(self.geo, self.model, seed).churn_trace(self.steps)
+                AdversarialGen::new(geo, model, seed).churn_trace(self.sc.steps)
             }
             WorkloadSpec::Hotspot { hot, skew_pct } => {
-                HotspotGen::new(self.geo, self.model, hot, skew_pct, seed).churn_trace(self.steps)
+                HotspotGen::new(geo, model, hot, skew_pct, seed).churn_trace(self.sc.steps)
             }
         };
         let horizon = trace.last().map_or(0.0, |e| e.time) + 1.0;
@@ -334,17 +248,15 @@ impl SimSetup {
         trace
     }
 
-    /// The seed's fault script: one mid-trace component failure and its
-    /// repair two-thirds in. Empty when the setup is fault-free.
-    pub fn faults(&self, seed: u64, trace: &[TimedEvent]) -> Vec<TimedFault> {
-        if !self.faulted || trace.is_empty() {
+    fn faults(&self, seed: u64, trace: &[TimedEvent]) -> Vec<TimedFault> {
+        if !self.sc.faulted || trace.is_empty() {
             return Vec::new();
         }
-        let fault = match self.backend {
+        let fault = match self.sc.backend {
             BackendKind::ThreeStage | BackendKind::AwgClos => {
-                Fault::MiddleSwitch((seed % self.m.max(1) as u64) as u32)
+                Fault::MiddleSwitch((seed % u64::from(self.m)) as u32)
             }
-            BackendKind::Crossbar => Fault::Port((seed % self.geo.ports() as u64) as u32),
+            BackendKind::Crossbar => Fault::Port((seed % u64::from(self.sc.n * self.sc.r)) as u32),
             BackendKind::Graph { topology } => {
                 // Alternate between node kills and single-fiber cuts so
                 // both eviction paths stay under sweep pressure.
@@ -360,15 +272,13 @@ impl SimSetup {
                 }
             }
         };
-        let fail_at = trace[trace.len() / 3].time;
-        let repair_at = trace[trace.len() * 2 / 3].time;
         vec![
             TimedFault {
-                time: fail_at,
+                time: trace[trace.len() / 3].time,
                 action: FaultAction::Fail(fault),
             },
             TimedFault {
-                time: repair_at,
+                time: trace[trace.len() * 2 / 3].time,
                 action: FaultAction::Repair(fault),
             },
         ]
@@ -376,130 +286,53 @@ impl SimSetup {
 
     fn params(&self) -> SimParams {
         let mut runtime = RuntimeConfig::default();
-        if self.repack {
+        if self.sc.repack {
             runtime.repack = RepackPolicy::OnBlock {
-                budget: SimSetup::REPACK_BUDGET,
+                budget: Scenario::REPACK_BUDGET,
             };
         }
         SimParams {
-            shards: self.shards,
+            shards: self.sc.shards.max(1),
             batch: 1,
             runtime,
         }
     }
 
-    /// Run one (trace, faults) input under the scheduler and return the
-    /// violations the oracle finds. Fault-free non-repack runs are
-    /// checked for full serial conformance; faulted or repacking runs
-    /// (whose victim sets / rearrangements are schedule-dependent)
-    /// against the conservation invariants.
-    pub fn violations_for(
+    fn violations_for(
         &self,
         trace: &[TimedEvent],
         faults: &[TimedFault],
         choices: &mut ChoiceStream,
     ) -> Vec<Violation> {
-        let params = self.params();
         let run = simulate(
-            self.build_backend(),
+            self.backend(self.sc.concurrent),
             trace,
             faults,
-            &params,
+            &self.params(),
             Scheduler::Random(choices),
         );
         self.judge(trace, run)
     }
 
     fn judge(&self, trace: &[TimedEvent], run: SimRun<Box<dyn Backend>>) -> Vec<Violation> {
-        if !self.faulted && !self.repack {
-            let serial_params = SimParams {
-                shards: 1,
-                batch: 1,
-                runtime: RuntimeConfig::default(),
-            };
-            let serial = simulate(
-                self.build_oracle_backend(),
-                trace,
-                &[],
-                &serial_params,
-                Scheduler::Serial,
-            );
-            conformance_violations(&run, &serial, self.expect_nonblocking)
-        } else {
-            invariant_violations(&run, self.expect_nonblocking)
+        if self.sc.faulted || self.sc.repack {
+            return invariant_violations(&run, self.expect_nonblocking);
         }
-    }
-
-    /// Construct the backend this setup drives, boxed for the engine.
-    /// This is the single spot that maps a [`BackendKind`] (plus the
-    /// concurrent flag and graph knobs) to a live implementation —
-    /// sweeps, the CLI, and [`crate::Scenario`] all route through it.
-    pub fn build_backend(&self) -> Box<dyn Backend> {
-        match self.backend {
-            BackendKind::Crossbar => Box::new(self.make_crossbar()),
-            BackendKind::ThreeStage if self.concurrent => Box::new(self.make_concurrent()),
-            BackendKind::ThreeStage => Box::new(self.make_three_stage()),
-            BackendKind::AwgClos => Box::new(self.make_awg_clos()),
-            BackendKind::Graph { topology } => Box::new(self.make_graph(topology)),
-        }
-    }
-
-    /// The serial-oracle twin of [`SimSetup::build_backend`]: identical
-    /// except that concurrent three-stage runs are judged against the
-    /// serial first-fit network (the order the CAS probe commits in).
-    fn build_oracle_backend(&self) -> Box<dyn Backend> {
-        match self.backend {
-            BackendKind::ThreeStage => Box::new(self.make_three_stage()),
-            _ => self.build_backend(),
-        }
-    }
-
-    fn make_crossbar(&self) -> CrossbarSession {
-        CrossbarSession::new(NetworkConfig::new(self.geo.ports(), self.geo.k), self.model)
-    }
-
-    fn make_three_stage(&self) -> ThreeStageNetwork {
-        let mut net = ThreeStageNetwork::new(
-            ThreeStageParams::new(self.geo.n, self.m, self.geo.r, self.geo.k),
-            Construction::MswDominant,
-            self.model,
+        let serial_params = SimParams {
+            shards: 1,
+            ..SimParams::default()
+        };
+        let serial = simulate(
+            self.backend(false),
+            trace,
+            &[],
+            &serial_params,
+            Scheduler::Serial,
         );
-        net.set_strategy(self.strategy);
-        net
+        conformance_violations(&run, &serial, self.expect_nonblocking)
     }
 
-    fn make_concurrent(&self) -> ConcurrentThreeStage {
-        ConcurrentThreeStage::new(
-            ThreeStageParams::new(self.geo.n, self.m, self.geo.r, self.geo.k),
-            Construction::MswDominant,
-            self.model,
-        )
-    }
-
-    fn make_awg_clos(&self) -> AwgClosNetwork {
-        let fsr_orders = self.geo.k.div_ceil(self.geo.r).max(1);
-        AwgClosNetwork::new(
-            ThreeStageParams::new(self.geo.n, self.m, self.geo.r, self.geo.k),
-            fsr_orders,
-            ConverterPlacement::IngressEgress,
-            self.model,
-        )
-    }
-
-    fn make_graph(&self, topology: GraphTopology) -> GraphNetwork {
-        let topo = topology.build().with_mc_every(self.graph.mc_every);
-        GraphNetwork::new(
-            topo,
-            self.geo.n,
-            self.geo.k,
-            self.graph.splitting,
-            self.model,
-        )
-    }
-
-    /// Check one seed end to end: derive trace + faults, run under the
-    /// seeded scheduler, judge against the oracle.
-    pub fn check_seed(&self, seed: u64) -> SeedVerdict {
+    fn check_seed(&self, seed: u64) -> SeedVerdict {
         let trace = self.trace(seed);
         let faults = self.faults(seed, &trace);
         let mut choices = ChoiceStream::new(seed);
@@ -512,10 +345,7 @@ impl SimSetup {
         }
     }
 
-    /// Check a seed and, on failure, shrink its trace to a minimal
-    /// reproducer (same violation class, fresh scheduler from the same
-    /// seed on every candidate, fault script carried over unchanged).
-    pub fn failing_seed(&self, seed: u64) -> Option<FailingSeed> {
+    fn failing_seed(&self, seed: u64) -> Option<FailingSeed> {
         let verdict = self.check_seed(seed);
         if verdict.violations.is_empty() {
             return None;
@@ -533,81 +363,10 @@ impl SimSetup {
         let violations = self.violations_for(&shrunk, &faults, &mut choices);
         Some(FailingSeed {
             seed,
-            setup: self.clone(),
+            scenario: self.sc,
             violations,
             trace: shrunk,
         })
-    }
-
-    /// Sweep a seed range, collecting distinct schedule fingerprints and
-    /// every failure (shrunk).
-    pub fn sweep(&self, seeds: std::ops::Range<u64>) -> SweepReport {
-        let mut fingerprints = std::collections::HashSet::new();
-        let mut failures = Vec::new();
-        let mut checked = 0usize;
-        for seed in seeds {
-            let verdict = self.check_seed(seed);
-            checked += 1;
-            fingerprints.insert(verdict.fingerprint);
-            if !verdict.violations.is_empty() {
-                if let Some(failure) = self.failing_seed(seed) {
-                    failures.push(failure);
-                }
-            }
-        }
-        SweepReport {
-            checked,
-            distinct_schedules: fingerprints.len(),
-            failures,
-        }
-    }
-
-    /// The `wdmcast sim` invocation that replays `seed` under this
-    /// setup.
-    pub fn repro_command(&self, seed: u64) -> String {
-        let mut cmd = format!(
-            "wdmcast sim --backend {} --n {} --r {} --k {} --steps {} --shards {} --seed {seed}",
-            self.backend.label(),
-            self.geo.n,
-            self.geo.r,
-            self.geo.k,
-            self.steps,
-            self.shards,
-        );
-        if matches!(self.backend, BackendKind::ThreeStage | BackendKind::AwgClos) {
-            cmd.push_str(&format!(" --m {}", self.m));
-        }
-        if let BackendKind::Graph { topology } = self.backend {
-            match topology {
-                GraphTopology::Ring { nodes } => {
-                    cmd.push_str(&format!(" --topology ring --nodes {nodes}"));
-                }
-                GraphTopology::Grid { rows, cols } => {
-                    cmd.push_str(&format!(" --topology grid --rows {rows} --cols {cols}"));
-                }
-                GraphTopology::Torus { rows, cols } => {
-                    cmd.push_str(&format!(" --topology torus --rows {rows} --cols {cols}"));
-                }
-            }
-            cmd.push_str(&format!(
-                " --mc-every {} --splitting {}",
-                self.graph.mc_every,
-                self.graph.splitting.label()
-            ));
-        }
-        if let WorkloadSpec::Hotspot { hot, skew_pct } = self.workload {
-            cmd.push_str(&format!(" --hotspot {skew_pct} --hot {hot}"));
-        }
-        if self.faulted {
-            cmd.push_str(" --faulted");
-        }
-        if self.repack {
-            cmd.push_str(" --repack");
-        }
-        if self.concurrent {
-            cmd.push_str(" --concurrent");
-        }
-        cmd
     }
 }
 
@@ -630,8 +389,8 @@ pub struct SeedVerdict {
 pub struct FailingSeed {
     /// The offending seed.
     pub seed: u64,
-    /// Setup the failure occurred under.
-    pub setup: SimSetup,
+    /// Scenario the failure occurred under.
+    pub scenario: Scenario,
     /// Violations on the *shrunk* trace.
     pub violations: Vec<Violation>,
     /// Delta-debugged minimal trace still exhibiting the failure.
@@ -641,7 +400,9 @@ pub struct FailingSeed {
 impl FailingSeed {
     /// The `wdmcast sim` invocation that replays this failure.
     pub fn repro(&self) -> String {
-        self.setup.repro_command(self.seed)
+        self.scenario
+            .repro_command(self.seed)
+            .expect("a scenario that ran to a failure is valid")
     }
 }
 
@@ -651,7 +412,7 @@ impl fmt::Display for FailingSeed {
             f,
             "seed {} failed on {} ({} violation(s), trace shrunk to {} event(s))",
             self.seed,
-            self.setup.backend.label(),
+            self.scenario.backend.label(),
             self.violations.len(),
             self.trace.len(),
         )?;

@@ -28,12 +28,12 @@
 //!   schedules schedulable.
 //! * [`shrink`] — delta-debugging minimization at connect/disconnect
 //!   unit granularity.
-//! * [`harness`] — seed sweeps ([`SimSetup`]) and replayable
+//! * [`scenario`] — the [`Scenario`] builder: the one experiment
+//!   description (geometry, backend kind, construction, fault plan,
+//!   workload, repack/concurrency), its validator, its bound table and
+//!   the only constructor of a live backend from a [`BackendKind`].
+//! * [`harness`] — seed sweeps over a [`Scenario`] and replayable
 //!   [`FailingSeed`] artifacts (`wdmcast sim --seed N`).
-//! * [`scenario`] — the [`Scenario`] builder: the single validated
-//!   entry point mapping an experiment description (geometry, backend
-//!   kind, fault plan, workload, repack/concurrency) to a runnable
-//!   [`SimSetup`] or live backend.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,9 +49,7 @@ pub mod shrink;
 
 pub use diff::{diff_runs, DiffEntry};
 pub use executor::{simulate, Scheduler, SimParams, SimRun};
-pub use harness::{
-    BackendKind, FailingSeed, GraphSpec, SeedVerdict, SimSetup, SweepReport, WorkloadSpec,
-};
+pub use harness::{BackendKind, FailingSeed, GraphSpec, SeedVerdict, SweepReport, WorkloadSpec};
 pub use netsim::NetSim;
 pub use oracle::{conformance_violations, invariant_violations, Violation};
 pub use scenario::{parse_backend_arg, Scenario};

@@ -1,35 +1,45 @@
-//! The [`Scenario`] builder: one validated entry point from "what
-//! experiment do I want" to a runnable [`SimSetup`] / live backend.
+//! The [`Scenario`] builder: the one description of an experiment —
+//! geometry, backend kind, construction, provisioning, fault plan,
+//! workload, repack/concurrency — and the one place it is validated,
+//! judged against a bound and turned into a live backend.
 //!
-//! Before this existed, every driver (the CLI's `sim`, the benches, the
-//! conformance tests) re-derived the same policy by hand: which bound
-//! applies, when selection should spread, when `expect_nonblocking`
-//! must drop, which flag combinations are contradictory. [`Scenario`]
-//! owns that policy in one place. Construct one with
-//! [`Scenario::new`], refine it with the builder setters, then either
-//! [`Scenario::sim_setup`] (for seed sweeps) or [`Scenario::build`]
-//! (for a live boxed backend).
+//! The CLI (`sim`, `serve`, `serve --listen`), the benchmark, the
+//! benches and the conformance tests all construct a [`Scenario`] with
+//! [`Scenario::new`] and the builder setters, then call
+//! [`Scenario::bound`], [`Scenario::build`] or the seed-sweep methods in
+//! [`crate::harness`]. Which bound applies, when selection spreads, when
+//! the nonblocking oracle must drop and which flag combinations are
+//! contradictory is decided in the private resolver below and nowhere
+//! else.
 
-use crate::harness::{BackendKind, GraphSpec, SimSetup, WorkloadSpec};
-use wdm_graph::{GraphTopology, Splitting};
-use wdm_multistage::{awg, bounds, SelectionStrategy};
+use crate::harness::{BackendKind, GraphSpec, WorkloadSpec};
+use wdm_core::{MulticastModel, NetworkConfig};
+use wdm_fabric::CrossbarSession;
+use wdm_graph::{GraphNetwork, GraphTopology, Splitting};
+use wdm_multistage::{
+    awg, bounds, AwgClosNetwork, ConcurrentThreeStage, Construction, ConverterPlacement,
+    SelectionStrategy, ThreeStageNetwork, ThreeStageParams,
+};
 use wdm_runtime::Backend;
 
 /// Parse a `--backend` argument into a kind plus the implied concurrent
-/// flag. Accepts everything [`BackendKind::parse`] does, plus the
-/// `three-stage-cas` / `cas` spellings the CAS backend reports as its
-/// own label; unknown names list every valid choice.
+/// flag (the `three-stage-cas` / `cas` spellings are the CAS backend's
+/// own label); unknown names list every valid choice.
 pub fn parse_backend_arg(s: &str) -> Result<(BackendKind, bool), String> {
-    match s {
-        "three-stage-cas" | "threestage-cas" | "cas" => Ok((BackendKind::ThreeStage, true)),
-        _ => BackendKind::parse(s).map(|b| (b, false)).ok_or_else(|| {
+    Ok(match s {
+        "crossbar" => (BackendKind::Crossbar, false),
+        "three-stage" | "threestage" | "3stage" => (BackendKind::ThreeStage, false),
+        "three-stage-cas" | "threestage-cas" | "cas" => (BackendKind::ThreeStage, true),
+        "awg-clos" | "awgclos" | "awg" => (BackendKind::AwgClos, false),
+        "graph" | "mesh" | "ring" => (BackendKind::DEFAULT_GRAPH, false),
+        _ => {
             let menu: Vec<&str> = BackendKind::ALL.iter().map(|b| b.label()).collect();
-            format!(
+            return Err(format!(
                 "unknown backend {s:?}; valid backends: {}, three-stage-cas",
                 menu.join(", ")
-            )
-        }),
-    }
+            ));
+        }
+    })
 }
 
 /// A declarative experiment description: geometry, backend kind, fault
@@ -51,7 +61,10 @@ pub struct Scenario {
     /// backend's nonblocking bound".
     pub m: Option<u32>,
     /// Multicast model requests are legal under.
-    pub model: wdm_core::MulticastModel,
+    pub model: MulticastModel,
+    /// MSW- or MAW-dominant first two stages (three-stage only): picks
+    /// Theorem 1 or Theorem 2 as the bound.
+    pub construction: Construction,
     /// Churn-trace length.
     pub steps: usize,
     /// Cooperatively scheduled shards.
@@ -68,9 +81,22 @@ pub struct Scenario {
     pub graph: GraphSpec,
 }
 
+/// A valid [`Scenario`] with what the policy derives from it: the
+/// middle-stage size actually built, the middle-selection order, and
+/// whether the oracle may demand zero hard blocks. Everything that runs
+/// or builds goes through this one private type.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Resolved {
+    pub(crate) sc: Scenario,
+    pub(crate) m: u32,
+    pub(crate) strategy: SelectionStrategy,
+    pub(crate) expect_nonblocking: bool,
+}
+
 impl Scenario {
-    /// A scenario with the repo-wide defaults: `n=2, r=4, k=2`, 40
-    /// steps, 4 shards, adversarial workload, fault-free, serial.
+    /// A scenario with the repo-wide defaults: `n=2, r=4, k=2`,
+    /// MSW-dominant, 40 steps, 4 shards, adversarial workload,
+    /// fault-free, serial.
     pub fn new(backend: BackendKind) -> Scenario {
         let r = match backend {
             BackendKind::Graph { topology } => topology.nodes(),
@@ -82,20 +108,24 @@ impl Scenario {
             r,
             k: 2,
             m: None,
-            model: wdm_core::MulticastModel::Msw,
+            model: MulticastModel::Msw,
+            construction: Construction::MswDominant,
             steps: 40,
             shards: 4,
             faulted: false,
             repack: false,
             concurrent: false,
             workload: WorkloadSpec::Adversarial,
-            graph: GraphSpec::default(),
+            graph: GraphSpec {
+                mc_every: 1,
+                splitting: Splitting::Hierarchy,
+            },
         }
     }
 
     /// Set the geometry (`n` ports per module, `r` modules, `k`
     /// wavelengths). For graph backends `r` is checked against the
-    /// topology at [`Scenario::sim_setup`] time.
+    /// topology when the scenario is resolved.
     pub fn geometry(mut self, n: u32, r: u32, k: u32) -> Scenario {
         self.n = n;
         self.r = r;
@@ -110,8 +140,15 @@ impl Scenario {
     }
 
     /// Set the multicast model.
-    pub fn model(mut self, model: wdm_core::MulticastModel) -> Scenario {
+    pub fn model(mut self, model: MulticastModel) -> Scenario {
         self.model = model;
+        self
+    }
+
+    /// Set the three-stage construction (and with it the theorem the
+    /// scenario is judged by).
+    pub fn construction(mut self, construction: Construction) -> Scenario {
+        self.construction = construction;
         self
     }
 
@@ -166,33 +203,68 @@ impl Scenario {
         self
     }
 
+    pub(crate) fn has_middle_stage(&self) -> bool {
+        matches!(self.backend, BackendKind::ThreeStage | BackendKind::AwgClos)
+    }
+
+    /// The geometry every constructor would otherwise panic on: zero
+    /// sizes, an `n·r` port count past `u32`, and more than 64
+    /// wavelengths on the fabrics whose wavelength masks are one `u64`.
+    fn check_geometry(&self) -> Result<(), String> {
+        let Scenario { n, r, k, .. } = *self;
+        if n == 0 || r == 0 || k == 0 {
+            return Err("--n, --r and -k must all be at least 1".into());
+        }
+        if n.checked_mul(r).is_none() {
+            return Err(format!("n·r overflows: n={n}, r={r}"));
+        }
+        if self.has_middle_stage() && k > 64 {
+            return Err(format!("-k is limited to 64 wavelengths (got {k})"));
+        }
+        Ok(())
+    }
+
     /// The provisioning bound this scenario is judged against, with its
-    /// name for reports: Theorem 1 for the switch fabrics, the AWG pool
-    /// bound for the wavelength-routed Clos (an error when `k < r`),
-    /// and none for graphs — arbitrary topologies have no nonblocking
-    /// theorem.
+    /// name for reports: Theorem 1 for the MSW-dominant switch fabrics,
+    /// Theorem 2 for the MAW-dominant ones, the AWG pool bound for the
+    /// wavelength-routed Clos (an error when `k < r`), and none for
+    /// graphs — arbitrary topologies have no nonblocking theorem.
     pub fn bound(&self) -> Result<(u32, &'static str), String> {
-        match self.backend {
-            BackendKind::AwgClos => {
-                let fsr_orders = self.k.div_ceil(self.r).max(1);
-                awg::min_middles(self.n, self.r, self.k, fsr_orders)
-                    .map(|m| (m, "AWG pool bound"))
-                    .ok_or_else(|| {
-                        format!(
-                            "awg-clos needs k ≥ r (got k={}, r={}): with fewer usable channels \
-                             than AWG ports some module pairs have no channel class at all",
-                            self.k, self.r
-                        )
-                    })
+        self.check_geometry()?;
+        let Scenario { n, r, k, .. } = *self;
+        match (self.backend, self.construction) {
+            (BackendKind::AwgClos, _) => awg::min_middles(n, r, k, self.fsr_orders())
+                .map(|m| (m, "AWG pool bound"))
+                .ok_or_else(|| {
+                    format!(
+                        "awg-clos needs k ≥ r (got k={k}, r={r}): with fewer usable channels \
+                         than AWG ports some module pairs have no channel class at all"
+                    )
+                }),
+            (BackendKind::Graph { .. }, _) => Ok((0, "no nonblocking bound")),
+            (_, Construction::MswDominant) => {
+                Ok((bounds::theorem1_min_m(n, r).m, "Theorem 1 bound"))
             }
-            BackendKind::Graph { .. } => Ok((0, "no nonblocking bound")),
-            _ => Ok((bounds::theorem1_min_m(self.n, self.r).m, "Theorem 1 bound")),
+            (_, Construction::MawDominant) => {
+                Ok((bounds::theorem2_min_m(n, r, k).m, "Theorem 2 bound"))
+            }
         }
     }
 
-    /// Validate every knob combination and produce the runnable
-    /// [`SimSetup`]. This is the one place the cross-cutting policy
-    /// lives:
+    /// The middle-stage size this scenario builds: the
+    /// [`Scenario::middles`] override, else exactly the bound.
+    pub fn middle_count(&self) -> Result<u32, String> {
+        Ok(self.resolve()?.m)
+    }
+
+    /// Free spectral ranges an AWG grating must span so `k` channels
+    /// reach all `r` of its ports.
+    fn fsr_orders(&self) -> u32 {
+        self.k.div_ceil(self.r).max(1)
+    }
+
+    /// Validate every knob combination and derive what the policy
+    /// fixes. This is the one place the cross-cutting rules live:
     ///
     /// * `repack` and `concurrent` are three-stage capabilities and are
     ///   mutually exclusive;
@@ -203,11 +275,10 @@ impl Scenario {
     ///   margin (`m > bound`) under faults, and never applies to
     ///   graphs or repacking runs;
     /// * hotspot workloads must name a module that exists;
-    /// * a graph scenario's `r` must agree with its topology.
-    pub fn sim_setup(&self) -> Result<SimSetup, String> {
-        if self.n == 0 || self.r == 0 || self.k == 0 {
-            return Err("--n, --r and -k must all be at least 1".into());
-        }
+    /// * a graph scenario's `r` must agree with its topology, and it
+    ///   has no middle stage to provision.
+    pub(crate) fn resolve(&self) -> Result<Resolved, String> {
+        let (bound, _) = self.bound()?;
         if self.repack && self.backend != BackendKind::ThreeStage {
             return Err(
                 "--repack needs rearrangeable routes; only the three-stage backend moves branches"
@@ -235,6 +306,9 @@ impl Scenario {
                     topology.nodes()
                 ));
             }
+            if self.m.is_some() {
+                return Err("--m has no meaning for the graph backend (no middle stage)".into());
+            }
         }
         if let WorkloadSpec::Hotspot { hot, skew_pct } = self.workload {
             if hot >= self.r {
@@ -247,11 +321,10 @@ impl Scenario {
                 return Err(format!("--hotspot {skew_pct} is a percentage (0–100)"));
             }
         }
-        let (bound, _) = self.bound()?;
-        let m = self.m.unwrap_or(bound);
-        if matches!(self.backend, BackendKind::ThreeStage | BackendKind::AwgClos) && m == 0 {
+        if self.m == Some(0) {
             return Err("--m must be a positive integer".into());
         }
+        let m = self.m.unwrap_or(bound);
         let strategy = if self.backend == BackendKind::ThreeStage && m < bound && !self.concurrent {
             // Under-provisioned: spread load across middles so reachable
             // hard blocks actually surface (and become artifacts).
@@ -259,48 +332,66 @@ impl Scenario {
         } else {
             SelectionStrategy::FirstFit
         };
-        let expect_nonblocking = if self.repack {
-            false
-        } else {
-            match self.backend {
-                BackendKind::Crossbar => true,
-                BackendKind::Graph { .. } => false,
-                BackendKind::ThreeStage | BackendKind::AwgClos => {
-                    if self.faulted {
-                        // A mid-trace kill shrinks the live middle stage
-                        // by one until its repair; only a spare margin
-                        // keeps the guarantee.
-                        m > bound
-                    } else {
-                        true
-                    }
-                }
-            }
+        let expect_nonblocking = match self.backend {
+            _ if self.repack => false,
+            BackendKind::Crossbar => true,
+            BackendKind::Graph { .. } => false,
+            // A mid-trace kill shrinks the live middle stage by one
+            // until its repair; only a spare margin keeps the guarantee.
+            BackendKind::ThreeStage | BackendKind::AwgClos => !self.faulted || m > bound,
         };
-        Ok(SimSetup {
-            geo: wdm_workload::adversarial::Geometry {
-                n: self.n,
-                r: self.r,
-                k: self.k,
-            },
-            model: self.model,
+        Ok(Resolved {
+            sc: *self,
             m,
-            backend: self.backend,
-            steps: self.steps,
-            shards: self.shards.max(1),
-            faulted: self.faulted,
-            expect_nonblocking,
             strategy,
-            repack: self.repack,
-            concurrent: self.concurrent,
-            workload: self.workload,
-            graph: self.graph,
+            expect_nonblocking,
         })
     }
 
     /// Validate and construct the live backend this scenario drives.
     pub fn build(&self) -> Result<Box<dyn Backend>, String> {
-        Ok(self.sim_setup()?.build_backend())
+        Ok(self.resolve()?.backend(self.concurrent))
+    }
+}
+
+impl Resolved {
+    /// The single spot that maps a [`BackendKind`] (plus the concurrent
+    /// flag and graph knobs) to a live implementation. `concurrent =
+    /// false` on a concurrent scenario yields its serial-oracle twin:
+    /// the locked first-fit network, the order the CAS probe commits in.
+    pub(crate) fn backend(&self, concurrent: bool) -> Box<dyn Backend> {
+        let sc = &self.sc;
+        // Only the arms with a middle stage have an `m ≥ 1` to build from.
+        let params = || ThreeStageParams::new(sc.n, self.m, sc.r, sc.k);
+        match sc.backend {
+            BackendKind::Crossbar => Box::new(CrossbarSession::new(
+                NetworkConfig::new(sc.n * sc.r, sc.k),
+                sc.model,
+            )),
+            BackendKind::ThreeStage if concurrent => Box::new(ConcurrentThreeStage::new(
+                params(),
+                sc.construction,
+                sc.model,
+            )),
+            BackendKind::ThreeStage => {
+                let mut net = ThreeStageNetwork::new(params(), sc.construction, sc.model);
+                net.set_strategy(self.strategy);
+                Box::new(net)
+            }
+            BackendKind::AwgClos => Box::new(AwgClosNetwork::new(
+                params(),
+                sc.fsr_orders(),
+                ConverterPlacement::IngressEgress,
+                sc.model,
+            )),
+            BackendKind::Graph { topology } => Box::new(GraphNetwork::new(
+                topology.build().with_mc_every(sc.graph.mc_every),
+                sc.n,
+                sc.k,
+                sc.graph.splitting,
+                sc.model,
+            )),
+        }
     }
 }
 
@@ -332,13 +423,13 @@ mod tests {
 
     #[test]
     fn three_stage_policy_matches_the_old_cli_rules() {
-        let at_bound = Scenario::new(BackendKind::ThreeStage).sim_setup().unwrap();
+        let at_bound = Scenario::new(BackendKind::ThreeStage).resolve().unwrap();
         assert!(at_bound.expect_nonblocking);
         assert_eq!(at_bound.strategy, SelectionStrategy::FirstFit);
 
         let starved = Scenario::new(BackendKind::ThreeStage)
             .middles(1)
-            .sim_setup()
+            .resolve()
             .unwrap();
         assert_eq!(starved.strategy, SelectionStrategy::Spread);
         assert!(
@@ -348,7 +439,7 @@ mod tests {
 
         let faulted = Scenario::new(BackendKind::ThreeStage)
             .faulted(true)
-            .sim_setup()
+            .resolve()
             .unwrap();
         assert!(
             !faulted.expect_nonblocking,
@@ -357,38 +448,67 @@ mod tests {
         let spare = Scenario::new(BackendKind::ThreeStage)
             .faulted(true)
             .middles(faulted.m + 1)
-            .sim_setup()
+            .resolve()
             .unwrap();
         assert!(spare.expect_nonblocking);
     }
 
     #[test]
-    fn contradictory_knobs_are_rejected() {
-        assert!(Scenario::new(BackendKind::Crossbar)
-            .repack(true)
-            .sim_setup()
-            .is_err());
-        assert!(Scenario::new(BackendKind::AwgClos)
-            .concurrent(true)
-            .sim_setup()
-            .is_err());
-        assert!(Scenario::new(BackendKind::ThreeStage)
-            .repack(true)
-            .concurrent(true)
-            .sim_setup()
-            .is_err());
-        // AWG needs k ≥ r.
-        assert!(Scenario::new(BackendKind::AwgClos)
-            .geometry(2, 4, 2)
-            .sim_setup()
-            .is_err());
-        assert!(Scenario::new(BackendKind::DEFAULT_GRAPH)
-            .workload(WorkloadSpec::Hotspot {
-                hot: 99,
-                skew_pct: 50
-            })
-            .sim_setup()
-            .is_err());
+    fn maw_dominant_is_judged_at_the_theorem_2_bound() {
+        let maw = Scenario::new(BackendKind::ThreeStage)
+            .geometry(3, 4, 2)
+            .construction(Construction::MawDominant);
+        let t2 = bounds::theorem2_min_m(3, 4, 2).m;
+        let t1 = bounds::theorem1_min_m(3, 4).m;
+        assert!(t2 > t1, "the geometry separates the theorems");
+        assert_eq!(maw.bound(), Ok((t2, "Theorem 2 bound")));
+        assert_eq!(maw.middle_count(), Ok(t2));
+        let below = maw.middles(t1).resolve().unwrap();
+        assert_eq!(below.strategy, SelectionStrategy::Spread);
+    }
+
+    #[test]
+    fn contradictory_knobs_and_illegal_geometry_are_rejected() {
+        use BackendKind::{AwgClos, Crossbar, ThreeStage};
+        const DEFAULT_GRAPH: BackendKind = BackendKind::DEFAULT_GRAPH;
+        let hot = WorkloadSpec::Hotspot {
+            hot: 99,
+            skew_pct: 50,
+        };
+        for (bad, needle) in [
+            (Scenario::new(Crossbar).repack(true), "--repack"),
+            (
+                Scenario::new(AwgClos).geometry(2, 4, 4).concurrent(true),
+                "--concurrent",
+            ),
+            (
+                Scenario::new(ThreeStage).repack(true).concurrent(true),
+                "--concurrent",
+            ),
+            (Scenario::new(AwgClos).geometry(2, 4, 2), "k ≥ r"),
+            (Scenario::new(DEFAULT_GRAPH).workload(hot), "--hot 99"),
+            // What the constructors would panic on.
+            (
+                Scenario::new(ThreeStage).geometry(2, 4, 65),
+                "64 wavelengths",
+            ),
+            (Scenario::new(AwgClos).geometry(2, 4, 65), "64 wavelengths"),
+            (
+                Scenario::new(ThreeStage).geometry(70_000, 70_000, 1),
+                "overflows",
+            ),
+            (Scenario::new(ThreeStage).geometry(0, 4, 1), "at least 1"),
+            (Scenario::new(ThreeStage).middles(0), "--m"),
+        ] {
+            let err = bad.build().err().unwrap_or_else(|| panic!("{bad:?} built"));
+            assert!(err.contains(needle), "{bad:?}: {err}");
+        }
+        // Only the u64-masked fabrics cap k at 64.
+        assert!(Scenario::new(Crossbar).geometry(1, 4, 65).build().is_ok());
+        assert!(Scenario::new(DEFAULT_GRAPH)
+            .geometry(1, 8, 65)
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -398,16 +518,22 @@ mod tests {
             .geometry(1, 9, 4)
             .mc_every(3)
             .splitting(Splitting::TreeOnly);
-        let setup = s.sim_setup().unwrap();
-        assert_eq!(setup.geo.r, 9);
-        assert!(!setup.expect_nonblocking, "graphs have no theorem");
-        assert_eq!(setup.graph.mc_every, 3);
+        assert_eq!(s.r, 9);
+        assert!(
+            !s.resolve().unwrap().expect_nonblocking,
+            "graphs have no theorem"
+        );
         let backend = s.build().unwrap();
         assert_eq!(backend.label(), "graph");
         assert_eq!(backend.ports_per_module(), 1);
 
         let mismatch = Scenario::new(BackendKind::DEFAULT_GRAPH).geometry(1, 5, 2);
-        assert!(mismatch.sim_setup().is_err());
+        assert!(mismatch.resolve().is_err());
+        let provisioned = Scenario::new(BackendKind::DEFAULT_GRAPH).middles(3);
+        assert!(
+            provisioned.resolve().is_err(),
+            "a graph has no middle stage"
+        );
     }
 
     #[test]

@@ -10,13 +10,11 @@
 //! switching backends — they are judged by the conservation-law oracle
 //! across ≥128 seeds instead of per-index diffs.
 
-use wdm_core::{Fault, NetworkConfig};
-use wdm_fabric::CrossbarSession;
-use wdm_multistage::{
-    awg, AwgClosNetwork, Construction, ConverterPlacement, ThreeStageNetwork, ThreeStageParams,
-};
+use wdm_core::Fault;
+use wdm_multistage::awg;
 use wdm_sim::{
-    diff_runs, invariant_violations, simulate, ChoiceStream, Scheduler, SimParams, SimSetup,
+    diff_runs, invariant_violations, simulate, BackendKind, ChoiceStream, Scenario, Scheduler,
+    SimParams,
 };
 use wdm_workload::{FaultAction, TimedFault};
 
@@ -27,38 +25,33 @@ const STEPS: usize = 40;
 const SHARDS: usize = 4;
 const SEEDS: u64 = 128;
 
-fn make_crossbar(setup: &SimSetup) -> CrossbarSession {
-    CrossbarSession::new(
-        NetworkConfig::new(setup.geo.ports(), setup.geo.k),
-        setup.model,
-    )
+/// `kind` at its own bound on the shared geometry.
+fn at_bound(kind: BackendKind) -> Scenario {
+    Scenario::new(kind)
+        .geometry(N, R, K)
+        .schedule(STEPS, SHARDS)
 }
 
-fn make_three_stage(setup: &SimSetup) -> ThreeStageNetwork {
-    ThreeStageNetwork::new(
-        ThreeStageParams::new(setup.geo.n, setup.m, setup.geo.r, setup.geo.k),
-        Construction::MswDominant,
-        setup.model,
-    )
-}
-
-fn make_awg(setup: &SimSetup) -> AwgClosNetwork {
-    let fsr_orders = setup.geo.k.div_ceil(setup.geo.r).max(1);
-    AwgClosNetwork::new(
-        ThreeStageParams::new(setup.geo.n, setup.m, setup.geo.r, setup.geo.k),
-        fsr_orders,
-        ConverterPlacement::IngressEgress,
-        setup.model,
-    )
+/// The AWG-Clos at its pool bound plus `spare` gratings.
+fn awg_clos(spare: u32) -> Scenario {
+    let sc = at_bound(BackendKind::AwgClos);
+    match spare {
+        0 => sc,
+        _ => sc.middles(sc.middle_count().unwrap() + spare),
+    }
 }
 
 /// Serial-oracle conformance at the AWG bound: every seeded
 /// interleaving matches the serial reference, with zero hard blocks.
 #[test]
 fn awg_clos_at_bound_conformance_sweep() {
-    let setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
-    assert_eq!(setup.m, awg::min_middles(N, R, K, 1).unwrap());
-    let report = setup.sweep(0..SEEDS);
+    let setup = awg_clos(0);
+    assert_eq!(
+        setup.middle_count().ok(),
+        awg::min_middles(N, R, K, 1),
+        "provisioned exactly at the pool bound"
+    );
+    let report = setup.sweep(0..SEEDS).unwrap();
     assert_eq!(report.checked, SEEDS as usize);
     assert!(
         report.failures.is_empty(),
@@ -76,14 +69,14 @@ fn awg_clos_at_bound_conformance_sweep() {
 /// and same scheduling seed — per-event verdicts must be identical.
 #[test]
 fn awg_clos_and_three_stage_agree_at_the_bound() {
-    let awg_setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
-    let ts = SimSetup::three_stage_at_bound(N, R, K, STEPS, SHARDS);
+    let awg_setup = awg_clos(0);
+    let ts = at_bound(BackendKind::ThreeStage);
     let params = SimParams::default();
     for seed in 0..SEEDS {
-        let trace = awg_setup.trace(seed);
+        let trace = awg_setup.trace(seed).unwrap();
         let mut cs_a = ChoiceStream::new(seed);
         let run_a = simulate(
-            make_awg(&awg_setup),
+            awg_setup.build().unwrap(),
             &trace,
             &[],
             &params,
@@ -91,7 +84,7 @@ fn awg_clos_and_three_stage_agree_at_the_bound() {
         );
         let mut cs_b = ChoiceStream::new(seed);
         let run_b = simulate(
-            make_three_stage(&ts),
+            ts.build().unwrap(),
             &trace,
             &[],
             &params,
@@ -109,14 +102,14 @@ fn awg_clos_and_three_stage_agree_at_the_bound() {
 /// Differential leg: awg-clos vs crossbar, fault-free.
 #[test]
 fn awg_clos_and_crossbar_agree_at_the_bound() {
-    let awg_setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
-    let cb = SimSetup::crossbar(N, R, K, STEPS, SHARDS);
+    let awg_setup = awg_clos(0);
+    let cb = at_bound(BackendKind::Crossbar);
     let params = SimParams::default();
     for seed in 0..SEEDS {
-        let trace = awg_setup.trace(seed);
+        let trace = awg_setup.trace(seed).unwrap();
         let mut cs_a = ChoiceStream::new(seed);
         let run_a = simulate(
-            make_awg(&awg_setup),
+            awg_setup.build().unwrap(),
             &trace,
             &[],
             &params,
@@ -124,7 +117,7 @@ fn awg_clos_and_crossbar_agree_at_the_bound() {
         );
         let mut cs_b = ChoiceStream::new(seed);
         let run_b = simulate(
-            make_crossbar(&cb),
+            cb.build().unwrap(),
             &trace,
             &[],
             &params,
@@ -145,10 +138,8 @@ fn awg_clos_and_crossbar_agree_at_the_bound() {
 /// argument carried over to wavelength routing.
 #[test]
 fn awg_clos_spare_margin_survives_faulted_sweep() {
-    let mut setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
-    setup.m += 1;
-    setup.faulted = true;
-    let report = setup.sweep(0..SEEDS);
+    let setup = awg_clos(1).faulted(true);
+    let report = setup.sweep(0..SEEDS).unwrap();
     assert!(
         report.failures.is_empty(),
         "margin fabric violated invariants:\n{}",
@@ -161,10 +152,8 @@ fn awg_clos_spare_margin_survives_faulted_sweep() {
 /// but the conservation laws still bind every schedule.
 #[test]
 fn awg_clos_at_bound_kill_still_conserves() {
-    let mut setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
-    setup.faulted = true;
-    setup.expect_nonblocking = false;
-    let report = setup.sweep(0..SEEDS);
+    let setup = awg_clos(0).faulted(true);
+    let report = setup.sweep(0..SEEDS).unwrap();
     assert!(
         report.failures.is_empty(),
         "conservation violated on degraded fabric:\n{}",
@@ -176,10 +165,11 @@ fn awg_clos_at_bound_kill_still_conserves() {
 /// a failing seed replays under `wdmcast sim --backend awg-clos`.
 #[test]
 fn awg_clos_repro_command_is_replayable() {
-    let setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
-    let cmd = setup.repro_command(7);
+    let setup = awg_clos(0);
+    let cmd = setup.repro_command(7).unwrap();
     assert!(cmd.contains("--backend awg-clos"), "{cmd}");
-    assert!(cmd.contains(&format!("--m {}", setup.m)), "{cmd}");
+    let m = setup.middle_count().unwrap();
+    assert!(cmd.contains(&format!("--m {m}")), "{cmd}");
 }
 
 /// Converter-bank faults (ingress and egress banks, alternating by
@@ -189,9 +179,9 @@ fn awg_clos_repro_command_is_replayable() {
 /// conservation laws.
 #[test]
 fn awg_clos_converter_bank_faults_conserve_outcomes() {
-    let setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
+    let setup = awg_clos(0);
     for seed in 0..64u64 {
-        let trace = setup.trace(seed);
+        let trace = setup.trace(seed).unwrap();
         let module = (seed % R as u64) as u32;
         let fault = if seed % 2 == 0 {
             Fault::InputConverters(module)
@@ -210,7 +200,7 @@ fn awg_clos_converter_bank_faults_conserve_outcomes() {
         ];
         let mut choices = ChoiceStream::new(seed);
         let run = simulate(
-            make_awg(&setup),
+            setup.build().unwrap(),
             &trace,
             &script,
             &SimParams::default(),
@@ -237,16 +227,17 @@ fn awg_clos_converter_bank_faults_conserve_outcomes() {
 /// identical to the fault-free run.
 #[test]
 fn awg_clos_middle_converter_fault_is_inert() {
-    let setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
+    let setup = awg_clos(0);
+    let m = setup.middle_count().unwrap();
     for seed in 0..8u64 {
-        let trace = setup.trace(seed);
+        let trace = setup.trace(seed).unwrap();
         let script = [TimedFault {
             time: trace[trace.len() / 3].time,
-            action: FaultAction::Fail(Fault::MiddleConverters((seed % setup.m as u64) as u32)),
+            action: FaultAction::Fail(Fault::MiddleConverters((seed % m as u64) as u32)),
         }];
         let mut cs_a = ChoiceStream::new(seed);
         let faulted = simulate(
-            make_awg(&setup),
+            setup.build().unwrap(),
             &trace,
             &script,
             &SimParams::default(),
@@ -254,7 +245,7 @@ fn awg_clos_middle_converter_fault_is_inert() {
         );
         let mut cs_b = ChoiceStream::new(seed);
         let clean = simulate(
-            make_awg(&setup),
+            setup.build().unwrap(),
             &trace,
             &[],
             &SimParams::default(),
@@ -280,18 +271,17 @@ fn awg_clos_middle_converter_fault_is_inert() {
 /// hardware.
 #[test]
 fn awg_clos_spare_margin_rides_out_converter_bank_kill() {
-    let mut setup = SimSetup::awg_clos(N, R, K, STEPS, SHARDS);
-    setup.m += 1;
+    let setup = awg_clos(1);
     let mut total_hit = 0u64;
     for seed in 0..16u64 {
-        let trace = setup.trace(seed);
+        let trace = setup.trace(seed).unwrap();
         let script = [TimedFault {
             time: trace[trace.len() / 3].time,
             action: FaultAction::Fail(Fault::InputConverters((seed % R as u64) as u32)),
         }];
         let mut choices = ChoiceStream::new(seed);
         let run = simulate(
-            make_awg(&setup),
+            setup.build().unwrap(),
             &trace,
             &script,
             &SimParams::default(),

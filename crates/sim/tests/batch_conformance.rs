@@ -9,8 +9,7 @@
 
 use wdm_runtime::{Backend, RuntimeConfig};
 use wdm_sim::executor::{simulate, Scheduler, SimParams, SimRun};
-use wdm_sim::harness::SimSetup;
-use wdm_sim::Scenario;
+use wdm_sim::{BackendKind, Scenario};
 
 const SEEDS: u64 = 256;
 const STEPS: usize = 24;
@@ -47,19 +46,25 @@ fn assert_conformant<B: Backend>(label: &str, seed: u64, singles: SimRun<B>, bat
     );
 }
 
-fn sweep(setup: &SimSetup, label: &str) {
+/// `kind` at its bound, one shard (the batch window is the only
+/// variable).
+fn at_bound(kind: BackendKind, n: u32, r: u32, k: u32) -> Scenario {
+    Scenario::new(kind).geometry(n, r, k).schedule(STEPS, 1)
+}
+
+fn sweep(setup: &Scenario, label: &str) {
     for seed in 0..SEEDS {
-        let trace = setup.trace(seed);
-        let faults = setup.faults(seed, &trace);
+        let trace = setup.trace(seed).unwrap();
+        let faults = setup.faults(seed, &trace).unwrap();
         let singles = simulate(
-            setup.build_backend(),
+            setup.build().unwrap(),
             &trace,
             &faults,
             &params(1),
             Scheduler::Serial,
         );
         let batched = simulate(
-            setup.build_backend(),
+            setup.build().unwrap(),
             &trace,
             &faults,
             &params(WINDOW),
@@ -71,47 +76,42 @@ fn sweep(setup: &SimSetup, label: &str) {
 
 #[test]
 fn crossbar_fault_free_batches_conform() {
-    let setup = SimSetup::crossbar(4, 4, 2, STEPS, 1);
+    let setup = at_bound(BackendKind::Crossbar, 4, 4, 2);
     sweep(&setup, "crossbar/fault-free");
 }
 
 #[test]
 fn crossbar_faulted_batches_conform() {
-    let mut setup = SimSetup::crossbar(4, 4, 2, STEPS, 1);
-    setup.faulted = true;
+    let setup = at_bound(BackendKind::Crossbar, 4, 4, 2).faulted(true);
     sweep(&setup, "crossbar/faulted");
 }
 
 #[test]
 fn three_stage_fault_free_batches_conform() {
-    let setup = SimSetup::three_stage_at_bound(4, 4, 2, STEPS, 1);
+    let setup = at_bound(BackendKind::ThreeStage, 4, 4, 2);
     sweep(&setup, "three-stage/fault-free");
 }
 
 #[test]
 fn three_stage_faulted_batches_conform() {
-    let mut setup = SimSetup::three_stage_at_bound(4, 4, 2, STEPS, 1);
-    setup.faulted = true;
     // A faulted run may legitimately reject requests through the dead
     // middle switch; conformance still demands the two modes agree on
     // every index.
-    setup.expect_nonblocking = false;
+    let setup = at_bound(BackendKind::ThreeStage, 4, 4, 2).faulted(true);
     sweep(&setup, "three-stage/faulted");
 }
 
 #[test]
 fn awg_clos_fault_free_batches_conform() {
     // k = r so every module pair is wavelength-reachable.
-    let setup = SimSetup::awg_clos(2, 4, 4, STEPS, 1);
+    let setup = at_bound(BackendKind::AwgClos, 2, 4, 4);
     sweep(&setup, "awg-clos/fault-free");
 }
 
 #[test]
 fn awg_clos_faulted_batches_conform() {
-    let mut setup = SimSetup::awg_clos(2, 4, 4, STEPS, 1);
-    setup.faulted = true;
     // Killing a grating at the exact bound may legitimately block.
-    setup.expect_nonblocking = false;
+    let setup = at_bound(BackendKind::AwgClos, 2, 4, 4).faulted(true);
     sweep(&setup, "awg-clos/faulted");
 }
 
@@ -120,7 +120,8 @@ fn awg_clos_faulted_batches_conform() {
 /// blocks at the same indices, not mask or duplicate them.
 #[test]
 fn underprovisioned_three_stage_batches_conform() {
-    let setup = SimSetup::three_stage_underprovisioned(4, 4, 2, STEPS, 1);
+    let at_bound = at_bound(BackendKind::ThreeStage, 4, 4, 2);
+    let setup = at_bound.middles(at_bound.middle_count().unwrap() - 1);
     sweep(&setup, "three-stage/underprovisioned");
 }
 
@@ -128,9 +129,7 @@ fn underprovisioned_three_stage_batches_conform() {
 /// fault regimes, via the Scenario entry point.
 #[test]
 fn graph_batches_conform() {
-    let base = Scenario::new(wdm_sim::BackendKind::DEFAULT_GRAPH)
-        .geometry(1, 8, 2)
-        .schedule(STEPS, 1);
-    sweep(&base.sim_setup().unwrap(), "graph/fault-free");
-    sweep(&base.faulted(true).sim_setup().unwrap(), "graph/faulted");
+    let base = at_bound(BackendKind::DEFAULT_GRAPH, 1, 8, 2);
+    sweep(&base, "graph/fault-free");
+    sweep(&base.faulted(true), "graph/faulted");
 }

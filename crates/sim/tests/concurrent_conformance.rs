@@ -10,15 +10,23 @@
 //! back as a shrunk [`wdm_sim::FailingSeed`] whose display carries a
 //! `reproduce: wdmcast sim … --concurrent` line.
 
-use wdm_sim::SimSetup;
+use wdm_sim::{BackendKind, Scenario};
+
+/// The CAS three-stage at the Theorem 1 bound, k = 1.
+fn cas_at_bound(n: u32, r: u32, steps: usize, shards: usize) -> Scenario {
+    Scenario::new(BackendKind::ThreeStage)
+        .geometry(n, r, 1)
+        .schedule(steps, shards)
+        .concurrent(true)
+}
 
 /// ISSUE acceptance: 256 seeded interleavings of a Theorem-1-bound
 /// churn trace through the CAS backend, zero divergences from the
 /// serial oracle, and proof the schedules explored are distinct.
 #[test]
 fn concurrent_at_bound_conformance_sweep() {
-    let setup = SimSetup::three_stage_at_bound(2, 4, 1, 40, 4).with_concurrent();
-    let report = setup.sweep(0..256);
+    let setup = cas_at_bound(2, 4, 40, 4);
+    let report = setup.sweep(0..256).unwrap();
     assert_eq!(report.checked, 256);
     assert!(
         report.failures.is_empty(),
@@ -39,10 +47,11 @@ fn concurrent_at_bound_conformance_sweep() {
 /// by `check_consistency` at drain.
 #[test]
 fn concurrent_faulted_sweep_conserves_outcomes() {
-    let mut setup = SimSetup::three_stage_at_bound(2, 4, 1, 40, 4).with_concurrent();
-    setup.m += 1;
-    setup.faulted = true;
-    let report = setup.sweep(0..256);
+    let at_bound = cas_at_bound(2, 4, 40, 4);
+    let setup = at_bound
+        .middles(at_bound.middle_count().unwrap() + 1)
+        .faulted(true);
+    let report = setup.sweep(0..256).unwrap();
     assert_eq!(report.checked, 256);
     assert!(
         report.failures.is_empty(),
@@ -57,8 +66,8 @@ fn concurrent_faulted_sweep_conserves_outcomes() {
 #[test]
 fn concurrent_conformance_is_shard_count_independent() {
     for shards in [1usize, 2, 8] {
-        let setup = SimSetup::three_stage_at_bound(2, 4, 1, 30, shards).with_concurrent();
-        let report = setup.sweep(0..24);
+        let setup = cas_at_bound(2, 4, 30, shards);
+        let report = setup.sweep(0..24).unwrap();
         assert!(
             report.failures.is_empty(),
             "shards={shards}:\n{}",
@@ -73,10 +82,9 @@ fn concurrent_conformance_is_shard_count_independent() {
 /// passing runs.
 #[test]
 fn starved_concurrent_failure_is_replayable() {
-    let mut setup = SimSetup::three_stage_at_bound(4, 4, 1, 60, 4).with_concurrent();
-    setup.m = 3; // far below the Theorem 1 bound
+    let setup = cas_at_bound(4, 4, 60, 4).middles(3); // far below the Theorem 1 bound
     let failure = (0..16u64)
-        .find_map(|seed| setup.failing_seed(seed))
+        .find_map(|seed| setup.failing_seed(seed).unwrap())
         .expect("a starved middle stage must produce a failing seed");
     assert!(!failure.violations.is_empty());
     let rendered = failure.to_string();

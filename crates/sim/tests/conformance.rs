@@ -10,14 +10,27 @@
 //! prove the explored schedules are genuinely distinct by counting
 //! decision-log fingerprints.
 
-use wdm_sim::{diff_runs, simulate, ChoiceStream, Scheduler, SimParams, SimSetup};
+use wdm_multistage::Construction;
+use wdm_sim::{diff_runs, simulate, BackendKind, ChoiceStream, Scenario, Scheduler, SimParams};
+
+/// `kind` at its bound on the `n, r, k` geometry (MSW-dominant).
+fn at_bound(
+    kind: BackendKind,
+    (n, r, k): (u32, u32, u32),
+    steps: usize,
+    shards: usize,
+) -> Scenario {
+    Scenario::new(kind)
+        .geometry(n, r, k)
+        .schedule(steps, shards)
+}
 
 /// ISSUE acceptance: ≥100 distinct seeded interleavings of a
 /// Theorem-1-bound churn trace with zero oracle divergences.
 #[test]
 fn three_stage_at_bound_conformance_sweep() {
-    let setup = SimSetup::three_stage_at_bound(2, 4, 1, 40, 4);
-    let report = setup.sweep(0..128);
+    let setup = at_bound(BackendKind::ThreeStage, (2, 4, 1), 40, 4);
+    let report = setup.sweep(0..128).unwrap();
     assert_eq!(report.checked, 128);
     assert!(
         report.failures.is_empty(),
@@ -35,8 +48,8 @@ fn three_stage_at_bound_conformance_sweep() {
 /// sweep: different backend, same conformance obligation.
 #[test]
 fn crossbar_conformance_sweep() {
-    let setup = SimSetup::crossbar(2, 4, 1, 40, 4);
-    let report = setup.sweep(0..64);
+    let setup = at_bound(BackendKind::Crossbar, (2, 4, 1), 40, 4);
+    let report = setup.sweep(0..64).unwrap();
     assert!(
         report.failures.is_empty(),
         "oracle divergence:\n{}",
@@ -46,15 +59,28 @@ fn crossbar_conformance_sweep() {
 }
 
 /// More shards than ports-worth of contention: the schedule space is
-/// wider but the oracle obligation is identical.
+/// wider but the oracle obligation is identical. The last row is the
+/// MAW-dominant construction, provisioned and judged at the Theorem 2
+/// bound (10 against Theorem 1's 9 on this geometry).
 #[test]
 fn conformance_is_shard_count_independent() {
-    for shards in [1usize, 2, 8] {
-        let setup = SimSetup::three_stage_at_bound(2, 4, 1, 30, shards);
-        let report = setup.sweep(0..24);
+    use Construction::{MawDominant, MswDominant};
+    for (construction, geo, shards) in [
+        (MswDominant, (2, 4, 1), 1usize),
+        (MswDominant, (2, 4, 1), 2),
+        (MswDominant, (2, 4, 1), 8),
+        (MawDominant, (3, 4, 2), 4),
+    ] {
+        let setup = at_bound(BackendKind::ThreeStage, geo, 30, shards).construction(construction);
+        if construction == MawDominant {
+            let msw = setup.construction(MswDominant).bound().unwrap();
+            assert_eq!(setup.bound().unwrap().1, "Theorem 2 bound");
+            assert!(setup.middle_count().unwrap() > msw.0);
+        }
+        let report = setup.sweep(0..24).unwrap();
         assert!(
             report.failures.is_empty(),
-            "shards={shards}:\n{}",
+            "{construction} shards={shards}:\n{}",
             report.failures[0]
         );
     }
@@ -66,14 +92,14 @@ fn conformance_is_shard_count_independent() {
 /// nonblocking, so any disagreement localizes a bug to one of them.
 #[test]
 fn crossbar_and_three_stage_agree_at_the_bound() {
-    let cb = SimSetup::crossbar(2, 4, 1, 40, 4);
-    let ts = SimSetup::three_stage_at_bound(2, 4, 1, 40, 4);
+    let cb = at_bound(BackendKind::Crossbar, (2, 4, 1), 40, 4);
+    let ts = at_bound(BackendKind::ThreeStage, (2, 4, 1), 40, 4);
     let params = SimParams::default();
     for seed in 0..32u64 {
-        let trace = cb.trace(seed);
+        let trace = cb.trace(seed).unwrap();
         let mut cs_a = ChoiceStream::new(seed);
         let run_a = simulate(
-            make_crossbar(&cb),
+            cb.build().unwrap(),
             &trace,
             &[],
             &params,
@@ -81,7 +107,7 @@ fn crossbar_and_three_stage_agree_at_the_bound() {
         );
         let mut cs_b = ChoiceStream::new(seed);
         let run_b = simulate(
-            make_three_stage(&ts),
+            ts.build().unwrap(),
             &trace,
             &[],
             &params,
@@ -94,19 +120,4 @@ fn crossbar_and_three_stage_agree_at_the_bound() {
             diffs[0]
         );
     }
-}
-
-fn make_crossbar(setup: &SimSetup) -> wdm_fabric::CrossbarSession {
-    wdm_fabric::CrossbarSession::new(
-        wdm_core::NetworkConfig::new(setup.geo.ports(), setup.geo.k),
-        setup.model,
-    )
-}
-
-fn make_three_stage(setup: &SimSetup) -> wdm_multistage::ThreeStageNetwork {
-    wdm_multistage::ThreeStageNetwork::new(
-        wdm_multistage::ThreeStageParams::new(setup.geo.n, setup.m, setup.geo.r, setup.geo.k),
-        wdm_multistage::Construction::MswDominant,
-        setup.model,
-    )
 }

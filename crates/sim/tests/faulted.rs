@@ -9,7 +9,18 @@
 
 use wdm_core::Fault;
 use wdm_multistage::bounds;
-use wdm_sim::{simulate, ChoiceStream, Scheduler, SimParams, SimSetup};
+use wdm_sim::{simulate, BackendKind, ChoiceStream, Scenario, Scheduler, SimParams};
+
+/// `kind` on n=2, r=4, k=1 with 40 steps over 4 shards, at its bound.
+fn base(kind: BackendKind) -> Scenario {
+    Scenario::new(kind).geometry(2, 4, 1).schedule(40, 4)
+}
+
+/// The three-stage base with one spare middle above the Theorem 1 bound.
+fn spare_margin() -> Scenario {
+    let at_bound = base(BackendKind::ThreeStage);
+    at_bound.middles(at_bound.middle_count().unwrap() + 1)
+}
 use wdm_workload::{FaultAction, TimedFault};
 
 /// Spare margin m = bound + 1 with one mid-trace middle-switch kill:
@@ -17,10 +28,8 @@ use wdm_workload::{FaultAction, TimedFault};
 /// stay clean, conserve outcomes, and hard-block nothing.
 #[test]
 fn three_stage_spare_margin_survives_faulted_sweep() {
-    let mut setup = SimSetup::three_stage_at_bound(2, 4, 1, 40, 4);
-    setup.m += 1;
-    setup.faulted = true;
-    let report = setup.sweep(0..48);
+    let setup = spare_margin().faulted(true);
+    let report = setup.sweep(0..48).unwrap();
     assert!(
         report.failures.is_empty(),
         "margin fabric violated invariants:\n{}",
@@ -35,9 +44,8 @@ fn three_stage_spare_margin_survives_faulted_sweep() {
 /// counted).
 #[test]
 fn crossbar_faulted_sweep_conserves_outcomes() {
-    let mut setup = SimSetup::crossbar(2, 4, 1, 40, 4);
-    setup.faulted = true;
-    let report = setup.sweep(0..48);
+    let setup = base(BackendKind::Crossbar).faulted(true);
+    let report = setup.sweep(0..48).unwrap();
     assert!(
         report.failures.is_empty(),
         "crossbar faulted run violated invariants:\n{}",
@@ -46,14 +54,12 @@ fn crossbar_faulted_sweep_conserves_outcomes() {
 }
 
 /// Killing a middle at m = bound (no spare) may legitimately block, so
-/// `expect_nonblocking` is dropped — but the conservation laws still
-/// bind every schedule.
+/// the policy drops the nonblocking expectation — but the conservation
+/// laws still bind every schedule.
 #[test]
 fn at_bound_kill_without_margin_still_conserves() {
-    let mut setup = SimSetup::three_stage_at_bound(2, 4, 1, 40, 4);
-    setup.faulted = true;
-    setup.expect_nonblocking = false;
-    let report = setup.sweep(0..48);
+    let setup = base(BackendKind::ThreeStage).faulted(true);
+    let report = setup.sweep(0..48).unwrap();
     assert!(
         report.failures.is_empty(),
         "conservation violated on degraded fabric:\n{}",
@@ -67,27 +73,18 @@ fn at_bound_kill_without_margin_still_conserves() {
 /// surviving fabric, exercised across schedules.
 #[test]
 fn spare_margin_heals_every_victim() {
-    let n = 2;
-    let r = 4;
-    let bound = bounds::theorem1_min_m(n, r);
-    let setup = {
-        let mut s = SimSetup::three_stage_at_bound(n, r, 1, 40, 4);
-        s.m = bound.m + 1;
-        s
-    };
+    let setup = spare_margin();
+    let m = setup.middle_count().unwrap();
+    assert_eq!(m, bounds::theorem1_min_m(setup.n, setup.r).m + 1);
     for seed in 0..16u64 {
-        let trace = setup.trace(seed);
+        let trace = setup.trace(seed).unwrap();
         let kill = TimedFault {
             time: trace[trace.len() / 3].time,
-            action: FaultAction::Fail(Fault::MiddleSwitch((seed % setup.m as u64) as u32)),
+            action: FaultAction::Fail(Fault::MiddleSwitch((seed % m as u64) as u32)),
         };
         let mut choices = ChoiceStream::new(seed);
         let run = simulate(
-            wdm_multistage::ThreeStageNetwork::new(
-                wdm_multistage::ThreeStageParams::new(n, setup.m, r, 1),
-                wdm_multistage::Construction::MswDominant,
-                setup.model,
-            ),
+            setup.build().unwrap(),
             &trace,
             &[kill],
             &SimParams::default(),

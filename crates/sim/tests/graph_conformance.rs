@@ -10,8 +10,9 @@ use wdm_sim::{BackendKind, Scenario, WorkloadSpec};
 const SEEDS: u64 = 128;
 
 fn sweep(sc: Scenario, label: &str) {
-    let setup = sc.sim_setup().unwrap_or_else(|e| panic!("{label}: {e}"));
-    let report = setup.sweep(0..SEEDS);
+    let report = sc
+        .sweep(0..SEEDS)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
     assert_eq!(report.checked as u64, SEEDS, "{label}: short sweep");
     if let Some(first) = report.failures.first() {
         panic!(

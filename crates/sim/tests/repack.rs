@@ -17,15 +17,21 @@
 use wdm_core::{MulticastModel, NetworkConfig};
 use wdm_multistage::{Construction, SelectionStrategy, ThreeStageNetwork, ThreeStageParams};
 use wdm_runtime::{RepackPolicy, RuntimeConfig};
-use wdm_sim::{invariant_violations, simulate, Scheduler, SimParams, SimSetup, Violation};
+use wdm_sim::{
+    invariant_violations, simulate, BackendKind, Scenario, Scheduler, SimParams, Violation,
+};
 use wdm_workload::{close_trace, DynamicTraffic, TimedEvent};
 
 const SEEDS: u64 = 256;
 
-fn setup_at_bound_minus_one(faulted: bool) -> SimSetup {
-    let mut setup = SimSetup::three_stage_underprovisioned(2, 4, 1, 40, 4).with_repack();
-    setup.faulted = faulted;
-    setup
+fn setup_at_bound_minus_one(faulted: bool) -> Scenario {
+    let at_bound = Scenario::new(BackendKind::ThreeStage)
+        .geometry(2, 4, 1)
+        .schedule(40, 4);
+    at_bound
+        .middles(at_bound.middle_count().unwrap() - 1)
+        .repack(true)
+        .faulted(faulted)
 }
 
 /// Fault-free churn at `m = bound − 1` with on-block repacking: every
@@ -34,7 +40,7 @@ fn setup_at_bound_minus_one(faulted: bool) -> SimSetup {
 #[test]
 fn repack_sweep_at_bound_minus_one_fault_free() {
     let setup = setup_at_bound_minus_one(false);
-    let report = setup.sweep(0..SEEDS);
+    let report = setup.sweep(0..SEEDS).unwrap();
     assert_eq!(report.checked, SEEDS as usize);
     assert!(
         report.failures.is_empty(),
@@ -55,7 +61,7 @@ fn repack_sweep_at_bound_minus_one_fault_free() {
 #[test]
 fn repack_sweep_at_bound_minus_one_faulted() {
     let setup = setup_at_bound_minus_one(true);
-    let report = setup.sweep(0..SEEDS);
+    let report = setup.sweep(0..SEEDS).unwrap();
     assert_eq!(report.checked, SEEDS as usize);
     assert!(
         report.failures.is_empty(),
@@ -97,7 +103,7 @@ fn starved_params(repack: bool) -> SimParams {
     let mut runtime = RuntimeConfig::default();
     if repack {
         runtime.repack = RepackPolicy::OnBlock {
-            budget: SimSetup::REPACK_BUDGET,
+            budget: Scenario::REPACK_BUDGET,
         };
     }
     SimParams {
@@ -167,11 +173,16 @@ fn repack_dominates_firstfit_on_starved_fabric() {
 /// block and whose reproduction command carries `--repack`.
 #[test]
 fn repack_failing_seed_shrinks_and_carries_the_flag() {
-    let mut setup = SimSetup::three_stage_underprovisioned(4, 4, 1, 60, 4).with_repack();
-    setup.m = 3;
-    setup.expect_nonblocking = true; // repacking reduces blocks, it cannot erase them
+    let setup = Scenario::new(BackendKind::ThreeStage)
+        .geometry(4, 4, 1)
+        .schedule(60, 4)
+        .middles(3)
+        .repack(true);
+    // Stricter than the policy, which never expects a repacking run to
+    // be nonblocking: repacking reduces blocks, it cannot erase them.
     let failure = setup
-        .failing_seed(0)
+        .failing_seed_expecting(0, true)
+        .unwrap()
         .expect("a starved network must block even with repacking");
     assert!(
         failure

@@ -14,19 +14,31 @@
 //!   and the harness must turn the first one into a replayable,
 //!   delta-debugged [`FailingSeed`] artifact of ≤ 10 events.
 
-use wdm_sim::{SimSetup, Violation};
+use wdm_sim::{BackendKind, Scenario, Violation};
+
+/// A three-stage scenario on n = r = 4, k = 1 starved to 3 middles (the
+/// bound is 13; 3 cannot absorb adversarial churn).
+fn starved() -> Scenario {
+    Scenario::new(BackendKind::ThreeStage)
+        .geometry(4, 4, 1)
+        .schedule(60, 4)
+        .middles(3)
+}
 
 /// One below the sufficient bound still never blocks at this geometry:
 /// Theorem 1's counting argument over-provisions when n·k is small.
 #[test]
 fn bound_minus_one_has_empirical_slack() {
     for (n, r) in [(2u32, 4u32), (4, 4)] {
-        let setup = SimSetup::three_stage_underprovisioned(n, r, 1, 40, 4);
-        let report = setup.sweep(0..24);
+        let at_bound = Scenario::new(BackendKind::ThreeStage)
+            .geometry(n, r, 1)
+            .schedule(40, 4);
+        let m = at_bound.middle_count().unwrap() - 1;
+        let setup = at_bound.middles(m);
+        let report = setup.sweep(0..24).unwrap();
         assert!(
             report.failures.is_empty(),
-            "n={n} r={r} m={}: hard block one below the bound:\n{}",
-            setup.m,
+            "n={n} r={r} m={m}: hard block one below the bound:\n{}",
             report.failures[0]
         );
     }
@@ -37,10 +49,9 @@ fn bound_minus_one_has_empirical_slack() {
 /// `wdmcast sim` command line.
 #[test]
 fn starved_network_yields_shrunk_failing_seed() {
-    let mut setup = SimSetup::three_stage_underprovisioned(4, 4, 1, 60, 4);
-    setup.m = 3; // bound is 13; 3 middles cannot absorb adversarial churn
-    let failure = setup
+    let failure = starved()
         .failing_seed(0)
+        .unwrap()
         .expect("a starved network must produce a failing seed");
     assert!(
         failure
@@ -67,11 +78,15 @@ fn starved_network_yields_shrunk_failing_seed() {
 /// transient state.
 #[test]
 fn shrunk_trace_replays_the_failure() {
-    let mut setup = SimSetup::three_stage_underprovisioned(4, 4, 1, 60, 4);
-    setup.m = 3;
-    let failure = setup.failing_seed(3).expect("starved network fails");
+    let setup = starved();
+    let failure = setup
+        .failing_seed(3)
+        .unwrap()
+        .expect("starved network fails");
     let mut choices = wdm_sim::ChoiceStream::new(failure.seed);
-    let violations = setup.violations_for(&failure.trace, &[], &mut choices);
+    let violations = setup
+        .violations_for(&failure.trace, &[], &mut choices)
+        .unwrap();
     assert!(
         violations
             .iter()
@@ -84,9 +99,7 @@ fn shrunk_trace_replays_the_failure() {
 /// collects them as artifacts.
 #[test]
 fn starved_sweep_collects_artifacts() {
-    let mut setup = SimSetup::three_stage_underprovisioned(4, 4, 1, 60, 4);
-    setup.m = 3;
-    let report = setup.sweep(0..8);
+    let report = starved().sweep(0..8).unwrap();
     assert_eq!(report.failures.len(), 8, "every starved seed must fail");
     for f in &report.failures {
         assert!(f.trace.len() <= 10, "unshrunk artifact:\n{f}");

@@ -1,7 +1,7 @@
 //! Application-shaped workloads.
 //!
 //! The paper motivates WDM multicast with "video conferencing, E-commerce,
-//! and video-on-demand services". Each scenario here produces a multicast
+//! and video-on-demand services". Each mix here produces a multicast
 //! assignment whose fan-out distribution matches the application's shape:
 //!
 //! * **video conferencing** — medium symmetric groups: every participant
@@ -18,7 +18,7 @@ use wdm_core::{Endpoint, MulticastAssignment, MulticastConnection, MulticastMode
 
 /// The application mix to synthesize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Scenario {
+pub enum AppMix {
     /// Conferences of `group_size` participants each.
     VideoConference {
         /// Participants per conference (≥ 2).
@@ -36,17 +36,17 @@ pub enum Scenario {
     },
 }
 
-impl Scenario {
+impl AppMix {
     /// Human-readable label for reports.
     pub fn label(&self) -> &'static str {
         match self {
-            Scenario::VideoConference { .. } => "video-conference",
-            Scenario::VideoOnDemand { .. } => "video-on-demand",
-            Scenario::ECommerce { .. } => "e-commerce",
+            AppMix::VideoConference { .. } => "video-conference",
+            AppMix::VideoOnDemand { .. } => "video-on-demand",
+            AppMix::ECommerce { .. } => "e-commerce",
         }
     }
 
-    /// Build a multicast assignment with this scenario's shape on `net`
+    /// Build a multicast assignment with this mix's shape on `net`
     /// under `model`. Always succeeds; contended endpoints are skipped, so
     /// the result is the feasible portion of the offered load.
     pub fn generate(
@@ -58,7 +58,7 @@ impl Scenario {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asg = MulticastAssignment::new(net, model);
         match *self {
-            Scenario::VideoConference { group_size } => {
+            AppMix::VideoConference { group_size } => {
                 let g = group_size.max(2).min(net.ports);
                 // Partition ports into conferences. Each receiver port has
                 // only k wavelengths, so at most k members of a group can
@@ -84,7 +84,7 @@ impl Scenario {
                     }
                 }
             }
-            Scenario::VideoOnDemand { servers } => {
+            AppMix::VideoOnDemand { servers } => {
                 let s = servers.clamp(1, net.ports);
                 // Each server wavelength streams a different "channel" to
                 // a disjoint slice of the audience.
@@ -103,7 +103,7 @@ impl Scenario {
                     }
                 }
             }
-            Scenario::ECommerce { multicast_pct } => {
+            AppMix::ECommerce { multicast_pct } => {
                 let pct = multicast_pct.min(100);
                 for p in 0..net.ports {
                     for w in 0..net.wavelengths {
@@ -178,8 +178,7 @@ mod tests {
 
     #[test]
     fn video_conference_has_symmetric_medium_fanout() {
-        let asg =
-            Scenario::VideoConference { group_size: 4 }.generate(net(), MulticastModel::Msw, 1);
+        let asg = AppMix::VideoConference { group_size: 4 }.generate(net(), MulticastModel::Msw, 1);
         assert!(!asg.is_empty());
         // Every connection reaches exactly group_size−1 ports.
         for c in asg.connections() {
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn vod_has_few_sources_big_fanout() {
-        let asg = Scenario::VideoOnDemand { servers: 2 }.generate(net(), MulticastModel::Msw, 2);
+        let asg = AppMix::VideoOnDemand { servers: 2 }.generate(net(), MulticastModel::Msw, 2);
         assert!(!asg.is_empty());
         let max_fanout = asg.connections().map(|c| c.fanout()).max().unwrap();
         assert!(
@@ -204,7 +203,7 @@ mod tests {
 
     #[test]
     fn ecommerce_is_unicast_dominated() {
-        let asg = Scenario::ECommerce { multicast_pct: 10 }.generate(net(), MulticastModel::Maw, 3);
+        let asg = AppMix::ECommerce { multicast_pct: 10 }.generate(net(), MulticastModel::Maw, 3);
         let unicasts = asg.connections().filter(|c| c.fanout() == 1).count();
         let total = asg.len();
         assert!(total > 0);
@@ -215,9 +214,9 @@ mod tests {
     fn scenarios_respect_every_model() {
         for model in MulticastModel::ALL {
             for scenario in [
-                Scenario::VideoConference { group_size: 4 },
-                Scenario::VideoOnDemand { servers: 3 },
-                Scenario::ECommerce { multicast_pct: 25 },
+                AppMix::VideoConference { group_size: 4 },
+                AppMix::VideoOnDemand { servers: 3 },
+                AppMix::ECommerce { multicast_pct: 25 },
             ] {
                 let asg = scenario.generate(net(), model, 7);
                 for c in asg.connections() {
@@ -233,7 +232,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let s = Scenario::ECommerce { multicast_pct: 30 };
+        let s = AppMix::ECommerce { multicast_pct: 30 };
         let a = s.generate(net(), MulticastModel::Maw, 9).to_string();
         let b = s.generate(net(), MulticastModel::Maw, 9).to_string();
         assert_eq!(a, b);
@@ -242,7 +241,7 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(
-            Scenario::VideoOnDemand { servers: 1 }.label(),
+            AppMix::VideoOnDemand { servers: 1 }.label(),
             "video-on-demand"
         );
     }

@@ -13,7 +13,7 @@
 //! * [`hotspot`] — skewed traffic where one module draws a configurable
 //!   fraction of destination picks (the popular-server regime the
 //!   graph-topology blocking curves sweep);
-//! * [`scenario`] — the application mixes the paper's introduction
+//! * [`app_mix`] — the application mixes the paper's introduction
 //!   motivates: video conferencing, video-on-demand, and unicast-heavy
 //!   e-commerce traffic;
 //! * [`chaos`] — timed component failures and repairs (fault traffic for
@@ -28,12 +28,12 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
+pub mod app_mix;
 pub mod chaos;
 pub mod dynamic;
 mod generators;
 pub mod hotspot;
 pub mod partition;
-pub mod scenario;
 pub mod trace;
 
 pub use chaos::{ChaosSchedule, FaultAction, TimedFault};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wdm_core::{MulticastAssignment, MulticastModel, NetworkConfig};
-use wdm_workload::scenario::Scenario;
+use wdm_workload::app_mix::AppMix;
 use wdm_workload::{AssignmentGen, DynamicTraffic, RequestTrace, TraceEvent};
 
 fn arb_net() -> impl Strategy<Value = NetworkConfig> {
@@ -80,9 +80,9 @@ proptest! {
         which in 0usize..3,
     ) {
         let scenario = [
-            Scenario::VideoConference { group_size: 3 },
-            Scenario::VideoOnDemand { servers: 2 },
-            Scenario::ECommerce { multicast_pct: 25 },
+            AppMix::VideoConference { group_size: 3 },
+            AppMix::VideoOnDemand { servers: 2 },
+            AppMix::ECommerce { multicast_pct: 25 },
         ][which];
         let asg = scenario.generate(net, model, seed);
         for c in asg.connections() {

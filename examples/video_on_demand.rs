@@ -11,11 +11,11 @@
 
 use wdm_multicast::core::{capacity, MulticastModel, NetworkConfig};
 use wdm_multicast::fabric::WdmCrossbar;
-use wdm_multicast::workload::scenario::Scenario;
+use wdm_multicast::workload::app_mix::AppMix;
 
 fn main() {
     let net = NetworkConfig::new(16, 4); // 16 ports, 4 channels per fiber
-    let scenario = Scenario::VideoOnDemand { servers: 3 };
+    let scenario = AppMix::VideoOnDemand { servers: 3 };
     println!("{} on {net}\n", scenario.label());
 
     println!(

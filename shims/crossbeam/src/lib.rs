@@ -1,114 +1,11 @@
 //! Offline shim for the `crossbeam` crate.
 //!
-//! Provides the two pieces this workspace uses:
-//!
-//! * [`scope`] — crossbeam-style scoped threads (`spawn` closures receive
-//!   the scope, the result is a `thread::Result`), implemented on
-//!   `std::thread::scope`;
-//! * [`channel`] — clonable MPMC channels (`unbounded` / `bounded`) built
-//!   from a mutex-guarded ring with condvars. Throughput is far below the
-//!   real lock-free crossbeam, but semantics (multi-consumer,
-//!   disconnect-on-last-drop, timeouts) match.
+//! Provides the one piece this workspace uses: [`channel`] — clonable
+//! MPMC channels (`unbounded` / `bounded`) built from a mutex-guarded
+//! ring with condvars. Throughput is far below the real lock-free
+//! crossbeam, but semantics (multi-consumer, disconnect-on-last-drop,
+//! timeouts) match.
 
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::thread as std_thread;
-
 pub mod channel;
-
-/// Scoped threads under crossbeam's canonical `crossbeam::thread` path.
-pub mod thread {
-    pub use super::{scope, Scope, ScopedJoinHandle};
-}
-
-/// A scope handle: spawn threads that may borrow from the enclosing
-/// stack frame.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std_thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a scoped thread. The closure receives the scope itself (so
-    /// it can spawn siblings), mirroring crossbeam's API.
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        ScopedJoinHandle {
-            inner: inner.spawn(move || f(&Scope { inner })),
-        }
-    }
-}
-
-/// Handle to a scoped thread.
-pub struct ScopedJoinHandle<'scope, T> {
-    inner: std_thread::ScopedJoinHandle<'scope, T>,
-}
-
-impl<T> ScopedJoinHandle<'_, T> {
-    /// Wait for the thread; `Err` carries the panic payload.
-    pub fn join(self) -> std_thread::Result<T> {
-        self.inner.join()
-    }
-}
-
-/// Create a scope for spawning borrowing threads.
-///
-/// Returns `Err` (with the panic payload) if the closure or any
-/// unjoined spawned thread panicked — crossbeam's contract — instead of
-/// unwinding like `std::thread::scope`.
-pub fn scope<'env, F, R>(f: F) -> std_thread::Result<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    catch_unwind(AssertUnwindSafe(|| {
-        std_thread::scope(|s| f(&Scope { inner: s }))
-    }))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scoped_threads_borrow_stack_data() {
-        let data = [1u64, 2, 3, 4];
-        let sum = AtomicUsize::new(0);
-        scope(|s| {
-            for chunk in data.chunks(2) {
-                s.spawn(|_| {
-                    let part: u64 = chunk.iter().sum();
-                    sum.fetch_add(part as usize, Ordering::Relaxed);
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(sum.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn child_panic_is_reported_as_err() {
-        let r = scope(|s| {
-            s.spawn(|_| panic!("child dies"));
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn nested_spawn_from_scope_arg() {
-        let hits = AtomicUsize::new(0);
-        scope(|s| {
-            s.spawn(|s2| {
-                s2.spawn(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-    }
-}

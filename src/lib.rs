@@ -16,4 +16,5 @@ pub use wdm_graph as graph;
 pub use wdm_multistage as multistage;
 pub use wdm_net as net;
 pub use wdm_runtime as runtime;
+pub use wdm_sim as sim;
 pub use wdm_workload as workload;

@@ -6,7 +6,7 @@ use wdm_multicast::fabric::WdmCrossbar;
 use wdm_multicast::multistage::{
     bounds, Construction, RouteError, ThreeStageNetwork, ThreeStageParams,
 };
-use wdm_multicast::workload::scenario::Scenario;
+use wdm_multicast::workload::app_mix::AppMix;
 use wdm_multicast::workload::{AssignmentGen, RequestTrace, TraceEvent};
 
 #[test]
@@ -33,9 +33,9 @@ fn random_assignments_route_through_matching_crossbars() {
 fn scenario_workloads_route_and_match_cost_model() {
     let net = NetworkConfig::new(12, 2);
     for scenario in [
-        Scenario::VideoConference { group_size: 4 },
-        Scenario::VideoOnDemand { servers: 2 },
-        Scenario::ECommerce { multicast_pct: 30 },
+        AppMix::VideoConference { group_size: 4 },
+        AppMix::VideoOnDemand { servers: 2 },
+        AppMix::ECommerce { multicast_pct: 30 },
     ] {
         for model in MulticastModel::ALL {
             let asg = scenario.generate(net, model, 7);

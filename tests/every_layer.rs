@@ -1,0 +1,157 @@
+//! One smoke per layer the conformance suites own, so that tier-1
+//! (`cargo test -q` at the root, which runs only this package) touches
+//! the simulator, the wire codec and the engine's fault path too.
+
+use std::io::Cursor;
+use std::sync::mpsc;
+use wdm_multicast::core::{Endpoint, Fault, MulticastConnection};
+use wdm_multicast::net::codec::{encode_request, encode_response, read_request, read_response};
+use wdm_multicast::net::{RejectReason, Request, Response};
+use wdm_multicast::runtime::{EngineBuilder, RequestOutcome, RuntimeMetrics};
+use wdm_multicast::sim::{BackendKind, Scenario};
+use wdm_multicast::workload::{TimedEvent, TraceEvent};
+
+/// One seeded interleaving per backend through `Scenario`, at the
+/// default geometry (`n=2 r=4 k=2`; the AWG Clos needs `k ≥ r`): zero
+/// violations, and the schedule each seed induces is pinned — the same
+/// fingerprints `wdmcast sim --seed 42` prints.
+#[test]
+fn one_simulator_seed_per_backend_through_scenario() {
+    let three_stage = Scenario::new(BackendKind::ThreeStage);
+    for (label, scenario, events, fingerprint) in [
+        (
+            "crossbar",
+            Scenario::new(BackendKind::Crossbar),
+            44,
+            0x214f_e499_6b94_e944_u64,
+        ),
+        ("three-stage", three_stage, 44, 0x4aff_4935_6f09_5584),
+        (
+            "three-stage-cas",
+            three_stage.concurrent(true),
+            44,
+            0x4aff_4935_6f09_5584,
+        ),
+        (
+            "awg-clos",
+            Scenario::new(BackendKind::AwgClos).geometry(2, 4, 4),
+            48,
+            0xf119_cac2_2e44_0734,
+        ),
+        (
+            "graph",
+            Scenario::new(BackendKind::DEFAULT_GRAPH),
+            44,
+            0x4aff_4935_6f09_5584,
+        ),
+    ] {
+        assert_eq!(scenario.build().unwrap().label(), label);
+        let verdict = scenario.check_seed(42).unwrap();
+        assert!(verdict.violations.is_empty(), "{label}: {verdict:?}");
+        assert_eq!(verdict.events, events, "{label}");
+        assert_eq!(
+            verdict.fingerprint, fingerprint,
+            "{label}: {:016x}",
+            verdict.fingerprint
+        );
+    }
+}
+
+/// Every `Request` and `Response` kind survives encode → frame → decode
+/// with its id.
+#[test]
+fn wire_codec_round_trips_every_request_and_response_kind() {
+    let multicast = MulticastConnection::new(
+        Endpoint::new(3, 1),
+        [Endpoint::new(0, 0), Endpoint::new(7, 1)],
+    )
+    .unwrap();
+    let unicast = MulticastConnection::unicast(Endpoint::new(1, 0), Endpoint::new(2, 0));
+    for req in [
+        Request::Connect(multicast.clone()),
+        Request::Disconnect(Endpoint::new(5, 0)),
+        Request::Snapshot,
+        Request::Drain,
+        Request::Ping,
+        Request::BatchConnect(vec![multicast, unicast]),
+    ] {
+        let bytes = encode_request(7, &req);
+        assert_eq!(read_request(&mut Cursor::new(bytes)).unwrap(), (7, req));
+    }
+    let rejected = Response::Rejected {
+        reason: RejectReason::Blocked,
+        detail: "middle stage exhausted".into(),
+    };
+    let snapshot = RuntimeMetrics::new(2).snapshot(1.5, 3, vec![1, 2, 0]);
+    for resp in [
+        Response::Ok,
+        rejected.clone(),
+        Response::Snapshot(snapshot.clone()),
+        Response::DrainReport {
+            clean: true,
+            summary: snapshot,
+        },
+        Response::Pong,
+        Response::ProtocolError {
+            message: "bad magic".into(),
+        },
+        Response::Batch(vec![Response::Ok, rejected]),
+    ] {
+        let bytes = encode_response(9, &resp);
+        assert_eq!(read_response(&mut Cursor::new(bytes)).unwrap(), (9, resp));
+    }
+}
+
+/// Fault → heal → repair through the engine's `FaultHandle` on a
+/// three-stage network with one spare middle: the kill evicts live
+/// routes, every victim is re-admitted on the survivors, admissions
+/// keep succeeding while the switch is down, the repair is seen once,
+/// and the drained backend is empty and consistent.
+#[test]
+fn fault_heal_repair_cycle_ends_consistent() {
+    let at_bound = Scenario::new(BackendKind::ThreeStage).geometry(2, 4, 1);
+    let spare = at_bound.middles(at_bound.middle_count().unwrap() + 1);
+    let engine = EngineBuilder::new().shards(2).start(spare.build().unwrap());
+    let handle = engine.fault_handle();
+
+    // Each call blocks on the request's own completion, so the fault
+    // below lands on exactly the routes admitted here.
+    let resolve = |event: TraceEvent| {
+        let (tx, rx) = mpsc::channel();
+        let submitted = engine.submit_tracked(
+            TimedEvent { time: 0.0, event },
+            Box::new(move |outcome| tx.send(outcome).expect("the test is waiting")),
+        );
+        assert!(submitted.is_accepted());
+        rx.recv().expect("the engine resolves every tracked event")
+    };
+    let connect = |src: u32, dst: u32| {
+        let conn = MulticastConnection::unicast(Endpoint::new(src, 0), Endpoint::new(dst, 0));
+        resolve(TraceEvent::Connect(conn))
+    };
+    for (src, dst) in [(0, 2), (2, 4), (4, 6)] {
+        assert_eq!(connect(src, dst), RequestOutcome::Admitted);
+    }
+
+    // First-fit put every route on middle 0.
+    let fault = Fault::MiddleSwitch(0);
+    let hit = handle.inject(fault);
+    assert_eq!(
+        (hit.connections_hit, hit.healed, hit.heal_failed),
+        (3, 3, 0)
+    );
+    assert_eq!(connect(6, 0), RequestOutcome::Admitted);
+    assert!(handle.repair(fault));
+    assert!(!handle.repair(fault), "a repaired fault is not down");
+
+    for src in [0, 2, 4, 6] {
+        let departed = resolve(TraceEvent::Disconnect(Endpoint::new(src, 0)));
+        assert_eq!(departed, RequestOutcome::Departed);
+    }
+    let report = engine.drain();
+    assert!(report.is_clean(), "{:?}", report.errors);
+    assert!(report.backend.check().is_empty());
+    let s = &report.summary;
+    assert_eq!((s.faults_injected, s.faults_repaired), (1, 1));
+    assert_eq!((s.admitted, s.departed, s.blocked, s.active), (4, 4, 0, 0));
+}

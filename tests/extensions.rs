@@ -105,10 +105,10 @@ fn limited_range_interpolates_between_constructions() {
 
 #[test]
 fn incremental_session_matches_batch_on_scenarios() {
-    use wdm_multicast::workload::scenario::Scenario;
+    use wdm_multicast::workload::app_mix::AppMix;
     let net = NetworkConfig::new(12, 2);
     for model in MulticastModel::ALL {
-        let offered = Scenario::VideoConference { group_size: 4 }.generate(net, model, 3);
+        let offered = AppMix::VideoConference { group_size: 4 }.generate(net, model, 3);
         let mut session = CrossbarSession::new(net, model);
         for conn in offered.connections() {
             session.connect(conn).unwrap();
