@@ -174,6 +174,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, WireError> {
             Err(e) => return Err(e.into()),
         }
     }
+    let (version, kind, id, len) = check_header(&header)?;
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload)?;
+    Ok(RawFrame {
+        version,
+        kind,
+        id,
+        payload,
+    })
+}
+
+/// The one frame-header check, shared by [`read_frame`] and the serving
+/// core's assembler: magic → version → kind → payload cap, from the
+/// first [`HEADER_LEN`] bytes alone. Returns `(version, kind, id, len)`.
+pub(crate) fn check_header(header: &[u8]) -> Result<(u8, u8, u64, usize), WireError> {
     if header[0..2] != MAGIC {
         return Err(WireError::BadMagic([header[0], header[1]]));
     }
@@ -190,14 +205,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, WireError> {
     if len as usize > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(RawFrame {
-        version,
-        kind,
-        id,
-        payload,
-    })
+    Ok((version, kind, id, len as usize))
 }
 
 fn is_known_kind(k: u8) -> bool {

@@ -6,19 +6,18 @@
 //! down multicast connections on a switch whose nonblocking guarantees
 //! come from Theorems 1–2 of Yang–Wang–Qiao.
 //!
-//! Four layers:
-//!
 //! * [`protocol`] — the request/response vocabulary ([`Request`],
 //!   [`Response`], [`RejectReason`]) mirroring the runtime's error
 //!   taxonomy, plus the trace → wire adapter (`From<&TraceEvent> for
 //!   Request`).
 //! * [`codec`] — versioned framing with strict malformed-frame
 //!   rejection ([`WireError`]); decoding never panics on hostile input.
-//! * [`reactor`] *(Linux)* — the server: [`ReactorServer`], a sharded
-//!   epoll pool serving tens of thousands of connections from a fixed
-//!   set of threads, coalescing each poll cycle's decodable frames into
-//!   one batched engine submission, with per-request write-back,
-//!   backpressure, and graceful drain.
+//! * [`serving`] — the sans-IO serving core: per-connection protocol
+//!   state, dispatch, backpressure, per-cycle batch coalescing, drain.
+//! * [`reactor`] *(Linux)* — [`ReactorServer`], the core's production
+//!   driver: a sharded epoll pool serving tens of thousands of
+//!   connections from a fixed set of threads (`wdm-sim` drives the same
+//!   core over simulated lanes).
 //! * [`client`] / [`mux`] / [`loadgen`] — a pipelining [`NetClient`]
 //!   with connection reuse and timeout/retry; [`MuxClient`] multiplexes
 //!   many logical request lanes over one socket so load generators
@@ -26,9 +25,8 @@
 //!   is the matching epoll-driven closed-loop driver.
 //!
 //! Linux is the only target that is built, tested or benchmarked
-//! (`reactor/sys.rs` binds epoll directly). Elsewhere the crate keeps
-//! [`protocol`], [`codec`], [`client`], [`mux`] and [`MemDuplex`] and
-//! has no server.
+//! (`reactor/sys.rs` binds epoll directly); elsewhere there is no
+//! socket server.
 //!
 //! # Example
 //!
@@ -64,7 +62,7 @@ pub mod mux;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub mod reactor;
-pub mod transport;
+pub mod serving;
 
 pub use client::{ClientConfig, NetClient, NetClientError};
 pub use codec::{RawFrame, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD};
@@ -74,4 +72,3 @@ pub use mux::MuxClient;
 pub use protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
 #[cfg(target_os = "linux")]
 pub use reactor::{ReactorConfig, ReactorServer, ReactorSnapshot};
-pub use transport::{MemDuplex, Transport};

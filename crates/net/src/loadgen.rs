@@ -21,10 +21,10 @@
 
 use crate::codec::{decode_response, encode_request_v};
 use crate::protocol::{RejectReason, Request, Response, WIRE_VERSION};
-use crate::reactor::conn::FrameAssembler;
 use crate::reactor::sys::{
     set_abortive_close, Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
+use crate::serving::conn::FrameAssembler;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -87,7 +87,7 @@ pub struct SimRun<B> {
     pub virtual_secs: f64,
 }
 
-fn source_port(event: &TraceEvent) -> u32 {
+pub(crate) fn source_port(event: &TraceEvent) -> u32 {
     match event {
         TraceEvent::Connect(conn) => conn.source().port.0,
         TraceEvent::Disconnect(src) => src.port.0,

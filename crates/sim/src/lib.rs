@@ -23,9 +23,8 @@
 //! * [`diff`] — differential backend runner: identical traces through
 //!   the crossbar and a three-stage network at the Theorem 1/2 bound
 //!   must agree on every admit/block verdict.
-//! * [`netsim`] — scripted client/server lanes over the real codec and
-//!   in-memory [`wdm_net::MemDuplex`] pipes, making stalled-window
-//!   schedules schedulable.
+//! * [`netsim`] — [`NetSim`], the serving core's simulated driver:
+//!   scripted clients over in-memory lanes, each hop a seeded choice.
 //! * [`shrink`] — delta-debugging minimization at connect/disconnect
 //!   unit granularity.
 //! * [`scenario`] — the [`Scenario`] builder: the one experiment
@@ -50,7 +49,7 @@ pub mod shrink;
 pub use diff::{diff_runs, DiffEntry};
 pub use executor::{simulate, Scheduler, SimParams, SimRun};
 pub use harness::{BackendKind, FailingSeed, GraphSpec, SeedVerdict, SweepReport, WorkloadSpec};
-pub use netsim::NetSim;
+pub use netsim::{NetSim, Peer, Step};
 pub use oracle::{conformance_violations, invariant_violations, Violation};
 pub use scenario::{parse_backend_arg, Scenario};
 pub use schedule::ChoiceStream;

@@ -1,14 +1,20 @@
 //! One smoke per layer the conformance suites own, so that tier-1
 //! (`cargo test -q` at the root, which runs only this package) touches
-//! the simulator, the wire codec and the engine's fault path too.
+//! the simulator, the wire codec, the serving state machine and the
+//! engine's fault path too.
+
+#[path = "../crates/sim/tests/simulated/mod.rs"]
+mod simulated;
+#[path = "../crates/net/tests/transcripts/mod.rs"]
+mod transcripts;
 
 use std::io::Cursor;
 use std::sync::mpsc;
 use wdm_multicast::core::{Endpoint, Fault, MulticastConnection};
 use wdm_multicast::net::codec::{encode_request, encode_response, read_request, read_response};
 use wdm_multicast::net::{RejectReason, Request, Response};
-use wdm_multicast::runtime::{EngineBuilder, RequestOutcome, RuntimeMetrics};
-use wdm_multicast::sim::{BackendKind, Scenario};
+use wdm_multicast::runtime::{EngineBuilder, RequestOutcome, RuntimeConfig, RuntimeMetrics};
+use wdm_multicast::sim::{BackendKind, NetSim, Scenario};
 use wdm_multicast::workload::{TimedEvent, TraceEvent};
 
 /// One seeded interleaving per backend through `Scenario`, at the
@@ -154,4 +160,21 @@ fn fault_heal_repair_cycle_ends_consistent() {
     let s = &report.summary;
     assert_eq!((s.faults_injected, s.faults_repaired), (1, 1));
     assert_eq!((s.admitted, s.departed, s.blocked, s.active), (4, 4, 0, 0));
+}
+
+/// The v2 wire conformance script on the serving core's simulated
+/// driver: under 8 schedule seeds the transcript must equal, entry for
+/// entry, the literal the socket suite (`reactor_conformance.rs`) pins.
+#[test]
+fn serving_core_reproduces_the_v2_transcript_on_the_simulated_driver() {
+    let script = transcripts::conformance_script(2);
+    for seed in 0..8 {
+        let sim = NetSim::new(
+            transcripts::conformance_backend(),
+            2,
+            RuntimeConfig::default(),
+        );
+        let got = simulated::run_simulated(sim, 2, &script, seed);
+        assert_eq!(got, transcripts::pinned_transcript(2), "seed {seed}");
+    }
 }
