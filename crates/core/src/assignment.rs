@@ -1,9 +1,8 @@
 //! Multicast assignments: conflict-free sets of connections.
 
-use crate::bitset::BitRows;
+use crate::bitset::{BitRows, EndpointMap};
 use crate::{AssignmentError, Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
 use core::fmt;
-use std::collections::BTreeMap;
 
 /// A set of multicast connections with no shared source endpoint and no
 /// shared destination endpoint (paper §2), maintained under a fixed
@@ -13,7 +12,8 @@ use std::collections::BTreeMap;
 /// masks ([`BitRows`]): conflict-checking a connection is `O(fanout)`
 /// single-bit probes, and routing layers can AND whole port masks at
 /// once via [`input_port_mask`](Self::input_port_mask) /
-/// [`output_port_mask`](Self::output_port_mask).
+/// [`output_port_mask`](Self::output_port_mask). Connections and output
+/// owners live in dense per-endpoint tables: `fanout + 1` slot writes.
 ///
 /// ```
 /// use wdm_core::{MulticastAssignment, MulticastConnection, Endpoint,
@@ -33,15 +33,19 @@ pub struct MulticastAssignment {
     net: NetworkConfig,
     model: MulticastModel,
     /// Connections keyed by source endpoint (each sources at most one).
-    connections: BTreeMap<Endpoint, MulticastConnection>,
+    connections: EndpointMap<MulticastConnection>,
     /// Busy-wavelength mask per input port.
     input_busy: BitRows,
     /// Busy-wavelength mask per output port.
     output_busy: BitRows,
-    /// Source endpoint of the connection using each busy output endpoint.
-    output_owner: BTreeMap<Endpoint, Endpoint>,
+    /// Per output endpoint (flat index), the flat index of the source
+    /// of the connection using it, or [`NO_OWNER`].
+    output_owner: Vec<u32>,
     used_outputs: usize,
 }
+
+/// `output_owner` sentinel for a free output endpoint.
+const NO_OWNER: u32 = u32::MAX;
 
 impl MulticastAssignment {
     /// Empty assignment for the given network and model.
@@ -49,10 +53,10 @@ impl MulticastAssignment {
         MulticastAssignment {
             net,
             model,
-            connections: BTreeMap::new(),
+            connections: EndpointMap::new(net),
             input_busy: BitRows::new(net.ports, net.wavelengths),
             output_busy: BitRows::new(net.ports, net.wavelengths),
-            output_owner: BTreeMap::new(),
+            output_owner: vec![NO_OWNER; net.endpoints_per_side() as usize],
             used_outputs: 0,
         }
     }
@@ -89,7 +93,9 @@ impl MulticastAssignment {
 
     /// The connection (by source endpoint) currently using output `ep`.
     pub fn output_user(&self, ep: Endpoint) -> Option<Endpoint> {
-        self.output_owner.get(&ep).copied()
+        let k = self.net.wavelengths;
+        let owner = self.output_owner[self.net.contains(ep).then(|| ep.flat_index(k))?];
+        (owner != NO_OWNER).then(|| Endpoint::from_flat_index(owner as usize, k))
     }
 
     /// `true` iff input endpoint `ep` already sources a connection.
@@ -140,10 +146,11 @@ impl MulticastAssignment {
     pub fn add(&mut self, conn: MulticastConnection) -> Result<(), AssignmentError> {
         self.check(&conn)?;
         let src = conn.source();
+        let k = self.net.wavelengths;
         self.input_busy.set(src.port.0, src.wavelength.0);
         for &d in conn.destinations() {
             self.output_busy.set(d.port.0, d.wavelength.0);
-            self.output_owner.insert(d, src);
+            self.output_owner[d.flat_index(k)] = src.flat_index(k) as u32;
         }
         self.used_outputs += conn.fanout();
         self.connections.insert(src, conn);
@@ -159,7 +166,7 @@ impl MulticastAssignment {
         self.input_busy.clear(src.port.0, src.wavelength.0);
         for &d in conn.destinations() {
             self.output_busy.clear(d.port.0, d.wavelength.0);
-            self.output_owner.remove(&d);
+            self.output_owner[d.flat_index(self.net.wavelengths)] = NO_OWNER;
         }
         self.used_outputs -= conn.fanout();
         Ok(conn)

@@ -6,15 +6,18 @@
 //! representation for such sets, so a routing probe is a handful of
 //! AND/popcount instructions instead of a `Vec<bool>` walk.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * free functions over `&[u64]` word slices ([`test_bit`], [`set_bit`],
 //!   [`clear_bit`], [`count_ones`], [`ones`]) — for callers that keep
 //!   their own word vectors (e.g. per-module free-middle masks);
 //! * [`BitRows`], a rectangular table of rows × bits packed row-major —
 //!   for per-port wavelength occupancy where every port owns
-//!   `ceil(k/64)` words.
+//!   `ceil(k/64)` words;
+//! * [`EndpointMap`], one slot per `(port, λ)` endpoint.
 
+use crate::{Endpoint, NetworkConfig};
+use core::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of `u64` words needed to hold `bits` bits.
@@ -180,6 +183,117 @@ impl BitRows {
     /// `true` iff every bit is zero.
     pub fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+}
+
+/// A dense map from the endpoints of one `N×k` frame to `V`: `N·k` slots
+/// indexed by [`Endpoint::flat_index`] (`port·k + λ`), so lookup, insert
+/// and remove are one index computation and no allocation. It offers the
+/// `BTreeMap<Endpoint, V>` subset the per-request paths use and iterates
+/// in `(port, λ)` order — `Endpoint`'s derived `Ord`, so that map's order.
+/// Endpoints outside the frame are never stored: lookups return `None`,
+/// `insert` hands the value back.
+///
+/// ```
+/// use wdm_core::{bitset::EndpointMap, Endpoint, NetworkConfig};
+/// let mut m = EndpointMap::new(NetworkConfig::new(4, 2));
+/// m.insert(Endpoint::new(3, 0), "b");
+/// m.insert(Endpoint::new(0, 1), "a");
+/// assert!(m.values().eq(&["a", "b"]));
+/// assert_eq!(m.insert(Endpoint::new(0, 2), "c"), Some("c")); // k = 2: out of frame
+/// ```
+#[derive(Clone)]
+pub struct EndpointMap<V> {
+    net: NetworkConfig,
+    slots: Vec<Option<(Endpoint, V)>>,
+    len: usize,
+}
+
+/// Iterator over an [`EndpointMap`]'s entries in `(port, λ)` order.
+pub type EndpointEntries<'a, V> = core::iter::Map<
+    core::iter::Flatten<core::slice::Iter<'a, Option<(Endpoint, V)>>>,
+    fn(&'a (Endpoint, V)) -> (&'a Endpoint, &'a V),
+>;
+
+impl<V> EndpointMap<V> {
+    /// Empty map over the endpoints of `net`.
+    pub fn new(net: NetworkConfig) -> Self {
+        let slots = (0..net.endpoints_per_side()).map(|_| None).collect();
+        EndpointMap { net, slots, len: 0 }
+    }
+
+    fn slot(net: NetworkConfig, ep: &Endpoint) -> Option<usize> {
+        net.contains(*ep).then(|| ep.flat_index(net.wavelengths))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` iff there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The value stored under `ep`.
+    pub fn get(&self, ep: &Endpoint) -> Option<&V> {
+        let i = Self::slot(self.net, ep)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
+    }
+
+    /// The value stored under `ep`, mutably.
+    pub fn get_mut(&mut self, ep: &Endpoint) -> Option<&mut V> {
+        let i = Self::slot(self.net, ep)?;
+        self.slots[i].as_mut().map(|(_, v)| v)
+    }
+
+    /// Store `v` under `ep`, returning the value it replaces.
+    pub fn insert(&mut self, ep: Endpoint, v: V) -> Option<V> {
+        let Some(i) = Self::slot(self.net, &ep) else {
+            return Some(v);
+        };
+        let old = self.slots[i].replace((ep, v)).map(|(_, old)| old);
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    /// Take the value stored under `ep` out of the map.
+    pub fn remove(&mut self, ep: &Endpoint) -> Option<V> {
+        let (_, v) = self.slots[Self::slot(self.net, ep)?].take()?;
+        self.len -= 1;
+        Some(v)
+    }
+
+    /// Entries in `(port, λ)` order.
+    pub fn iter(&self) -> EndpointEntries<'_, V> {
+        self.slots.iter().flatten().map(|(ep, v)| (ep, v))
+    }
+
+    /// Values in `(port, λ)` order of their keys.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.iter().map(|(_, v)| v)
+    }
+}
+
+impl<V> core::ops::Index<&Endpoint> for EndpointMap<V> {
+    type Output = V;
+    fn index(&self, ep: &Endpoint) -> &V {
+        self.get(ep).expect("no entry for endpoint")
+    }
+}
+
+impl<'a, V> IntoIterator for &'a EndpointMap<V> {
+    type Item = (&'a Endpoint, &'a V);
+    type IntoIter = EndpointEntries<'a, V>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for EndpointMap<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 

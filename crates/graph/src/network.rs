@@ -5,10 +5,9 @@
 
 use crate::light::{validate_structure, Search, Splitting};
 use crate::topology::Topology;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
-use wdm_core::bitset::{clear_bit, filled_words, BitRows};
+use wdm_core::bitset::{clear_bit, filled_words, BitRows, EndpointMap};
 use wdm_core::{
     AssignmentError, Endpoint, Fault, FaultSet, MulticastAssignment, MulticastConnection,
     MulticastModel, NetworkConfig, Reject,
@@ -110,7 +109,7 @@ pub struct GraphNetwork {
     /// Bit `l`: no fault on record touches link `l`. Derived from
     /// `faults`; re-derived by `check_consistency`.
     live_links: Vec<u64>,
-    routes: BTreeMap<Endpoint, GraphRoute>,
+    routes: EndpointMap<GraphRoute>,
     node_load: Vec<u64>,
     search: Search,
     dest_nodes: Vec<u32>,
@@ -131,11 +130,11 @@ impl GraphNetwork {
         model: MulticastModel,
     ) -> Self {
         assert!(ports_per_node >= 1, "each node needs at least one port");
-        let ports = topo.nodes() * ports_per_node;
+        let net = NetworkConfig::new(topo.nodes() * ports_per_node, k);
         let node_load = vec![0; topo.nodes() as usize];
         GraphNetwork {
             link_busy: BitRows::new(k, topo.num_links()),
-            assignment: MulticastAssignment::new(NetworkConfig::new(ports, k), model),
+            assignment: MulticastAssignment::new(net, model),
             live_links: filled_words(topo.num_links()),
             search: Search::new(&topo, splitting),
             dest_nodes: Vec::new(),
@@ -143,7 +142,7 @@ impl GraphNetwork {
             ports_per_node,
             splitting,
             faults: FaultSet::new(),
-            routes: BTreeMap::new(),
+            routes: EndpointMap::new(net),
             node_load,
         }
     }
@@ -279,13 +278,8 @@ impl GraphNetwork {
                     wavelength: wl,
                     links: links.to_vec(),
                 };
-                return Ok(match self.routes.entry(conn.source()) {
-                    Entry::Vacant(slot) => slot.insert(route),
-                    Entry::Occupied(mut slot) => {
-                        slot.insert(route);
-                        slot.into_mut()
-                    }
-                });
+                self.routes.insert(conn.source(), route);
+                return Ok(&self.routes[&conn.source()]);
             }
         }
         Err(GraphError::Blocked {

@@ -43,7 +43,7 @@ use crate::network::RouteError;
 use crate::ThreeStageParams;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use wdm_core::bitset::{self, BitRows};
+use wdm_core::bitset::{self, BitRows, EndpointMap};
 use wdm_core::{
     AssignmentError, Endpoint, Fault, FaultSet, MulticastAssignment, MulticastConnection,
     MulticastModel,
@@ -182,7 +182,7 @@ pub struct AwgClosNetwork {
     loads: Vec<u64>,
     /// Endpoint-level bookkeeping and model enforcement.
     assignment: MulticastAssignment,
-    routed: BTreeMap<Endpoint, AwgRoute>,
+    routed: EndpointMap<AwgRoute>,
     /// Failed components the router must skip.
     faults: FaultSet,
 }
@@ -215,7 +215,7 @@ impl AwgClosNetwork {
             out_links_up: BitRows::filled(params.r, params.m),
             loads: vec![0; params.m as usize],
             assignment: MulticastAssignment::new(params.network(), output_model),
-            routed: BTreeMap::new(),
+            routed: EndpointMap::new(params.network()),
             faults: FaultSet::new(),
         }
     }

@@ -22,8 +22,7 @@
 use crate::routing::{find_cover, RoutingCtx};
 use crate::{bounds, Construction, DestinationMultiset, ThreeStageParams};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use wdm_core::bitset::{self, BitRows};
+use wdm_core::bitset::{self, BitRows, EndpointMap};
 use wdm_core::{
     AssignmentError, Endpoint, Fault, FaultSet, MulticastAssignment, MulticastConnection,
     MulticastModel, NetworkConfig, Reject,
@@ -195,9 +194,13 @@ pub struct ThreeStageNetwork {
     pub(crate) multisets: Vec<DestinationMultiset>,
     /// Endpoint-level bookkeeping and model enforcement.
     assignment: MulticastAssignment,
-    pub(crate) routed: BTreeMap<Endpoint, RoutedConnection>,
+    pub(crate) routed: EndpointMap<RoutedConnection>,
     /// Failed components the router must skip.
     pub(crate) faults: FaultSet,
+    /// `connect`'s reused scratch: `(output module, start, end)` runs of
+    /// the destination list, and the availability mask.
+    groups: Vec<(u32, usize, usize)>,
+    mask: Vec<u64>,
 }
 
 impl ThreeStageNetwork {
@@ -228,8 +231,10 @@ impl ThreeStageNetwork {
             links_up: BitRows::filled(params.r, params.m),
             multisets: vec![DestinationMultiset::new(params.r, params.k); params.m as usize],
             assignment: MulticastAssignment::new(params.network(), output_model),
-            routed: BTreeMap::new(),
+            routed: EndpointMap::new(params.network()),
             faults: FaultSet::new(),
+            groups: Vec::new(),
+            mask: Vec::new(),
         }
     }
 
@@ -379,20 +384,9 @@ impl ThreeStageNetwork {
     pub fn connections_through(&self, fault: &Fault) -> Vec<Endpoint> {
         self.routed
             .iter()
-            .filter(|(src, rc)| self.route_uses(src, rc, fault))
+            .filter(|(src, rc)| self.ctx().route_uses(src, rc, fault))
             .map(|(&src, _)| src)
             .collect()
-    }
-
-    fn route_uses(&self, src: &Endpoint, rc: &RoutedConnection, fault: &Fault) -> bool {
-        self.ctx().route_uses(src, rc, fault)
-    }
-
-    /// A fault that makes `conn` categorically unroutable (as opposed to
-    /// merely blocked): a dead endpoint port, or a module structurally cut
-    /// off from the middle stage.
-    fn component_down(&self, conn: &MulticastConnection) -> Option<Fault> {
-        self.ctx().component_down(conn)
     }
 
     /// Packed mask of the middle switches reachable by a new connection
@@ -403,6 +397,11 @@ impl ThreeStageNetwork {
     /// incrementally maintained free-wavelength (or not-full), live-middle
     /// and live-link words — no per-middle scan.
     pub fn available_middles_mask(&self, module: u32, src_wl: u32) -> Vec<u64> {
+        self.available_words(module, src_wl).collect()
+    }
+
+    /// The words of [`Self::available_middles_mask`], unmaterialized.
+    fn available_words(&self, module: u32, src_wl: u32) -> impl Iterator<Item = u64> + '_ {
         let base = match self.construction {
             Construction::MswDominant => self.free_in.row(module * self.params.k + src_wl),
             Construction::MawDominant => self.not_full.row(module),
@@ -411,7 +410,6 @@ impl ThreeStageNetwork {
             .zip(&self.live_middles)
             .zip(self.links_up.row(module))
             .map(|((&free, &live), &link)| free & live & link)
-            .collect()
     }
 
     /// Middle switches reachable by a new connection from input module
@@ -429,20 +427,24 @@ impl ThreeStageNetwork {
     /// commit point.
     pub fn connect(&mut self, conn: &MulticastConnection) -> Result<&RoutedConnection, RouteError> {
         self.assignment.check(conn)?;
-        if let Some(fault) = self.component_down(conn) {
+        if let Some(fault) = self.ctx().component_down(conn) {
             return Err(RouteError::ComponentDown(fault));
         }
         let src = conn.source();
         let (in_module, _) = self.params.input_module_of(src.port.0);
+        let dests = conn.destinations();
 
-        // Group destinations by output module.
-        let mut by_module: BTreeMap<u32, Vec<Endpoint>> = BTreeMap::new();
-        for &d in conn.destinations() {
+        // Group destinations by output module. They are sorted by port,
+        // so each module's destinations are one contiguous ascending run
+        // and the runs come in ascending module order.
+        self.groups.clear();
+        for (i, d) in dests.iter().enumerate() {
             let (om, _) = self.params.output_module_of(d.port.0);
-            by_module.entry(om).or_default().push(d);
+            match self.groups.last_mut() {
+                Some((last, _, end)) if *last == om => *end = i + 1,
+                _ => self.groups.push((om, i, i + 1)),
+            }
         }
-
-        let modules: Vec<u32> = by_module.keys().copied().collect();
 
         // Fast path (FirstFit): `find_cover`'s greedy pass commits the
         // *first* switch attaining maximal gain, and no gain can exceed
@@ -453,25 +455,22 @@ impl ThreeStageNetwork {
         // of materializing the full service matrix. Falls through to the
         // general cover search only when no single middle covers the
         // request.
-        let mut fast_hit: Option<(u32, u32)> = None;
+        let mut fast_hit = None;
         if matches!(self.strategy, SelectionStrategy::FirstFit) {
-            let mask = self.available_middles_mask(in_module, src.wavelength.0);
-            'probe: for j in bitset::ones(&mask) {
-                let Some(wi) = self.branch_wavelength(in_module, j, src.wavelength.0) else {
-                    continue;
+            let mut mask = std::mem::take(&mut self.mask);
+            mask.clear();
+            mask.extend(self.available_words(in_module, src.wavelength.0));
+            fast_hit = bitset::ones(&mask).find_map(|j| {
+                let wi = self.branch_wavelength(in_module, j, src.wavelength.0)?;
+                let serves = |&(om, s, e): &(u32, usize, usize)| {
+                    self.leg_wavelength(j, om, wi, &dests[s..e]).is_some()
                 };
-                for (&om, dests) in &by_module {
-                    if self.leg_wavelength(j, om, wi, dests).is_none() {
-                        continue 'probe;
-                    }
-                }
-                fast_hit = Some((j, wi));
-                break;
-            }
+                self.groups.iter().all(serves).then_some((j, wi))
+            });
+            self.mask = mask;
         }
-
-        let (available_wi, cover) = if let Some((j, wi)) = fast_hit {
-            (vec![(j, wi)], vec![(j, modules)])
+        let branches = if let Some((j, wi)) = fast_hit {
+            vec![self.commit_branch(in_module, j, wi, dests, 0..self.groups.len())]
         } else {
             // Availability (with the input-link wavelength each middle
             // would use), ordered by the selection strategy (ties in the
@@ -492,55 +491,42 @@ impl ThreeStageNetwork {
                 SelectionStrategy::Spread => available_wi
                     .sort_by_key(|&(j, _)| self.multisets[j as usize].total_connections()),
             }
+            // The cover search names each requested module by the index of
+            // its run in `self.groups` — an order-preserving relabelling, so
+            // it picks exactly what it would pick on the module numbers.
+            let runs: Vec<u32> = (0..self.groups.len() as u32).collect();
             let available: Vec<u32> = available_wi.iter().map(|&(j, _)| j).collect();
             let serv: Vec<Vec<u32>> = available_wi
                 .iter()
                 .map(|&(j, wi)| {
-                    modules
-                        .iter()
+                    let serves = |&(om, s, e): &(u32, usize, usize)| {
+                        self.leg_wavelength(j, om, wi, &dests[s..e]).is_some()
+                    };
+                    runs.iter()
                         .copied()
-                        .filter(|&om| self.leg_wavelength(j, om, wi, &by_module[&om]).is_some())
+                        .filter(|&g| serves(&self.groups[g as usize]))
                         .collect()
                 })
                 .collect();
-
-            let cover = find_cover(&modules, &available, &serv, self.x_limit as usize).ok_or(
+            let cover = find_cover(&runs, &available, &serv, self.x_limit as usize).ok_or(
                 RouteError::Blocked {
                     available_middles: available.len(),
                     x_limit: self.x_limit,
                 },
             )?;
-            (available_wi, cover)
+            cover
+                .into_iter()
+                .map(|(j, legs)| {
+                    let in_wl = available_wi
+                        .iter()
+                        .find(|&&(jj, _)| jj == j)
+                        .expect("cover switches come from the available list")
+                        .1;
+                    let legs = legs.into_iter().map(|g| g as usize);
+                    self.commit_branch(in_module, j, in_wl, dests, legs)
+                })
+                .collect()
         };
-
-        // Commit.
-        let mut branches = Vec::with_capacity(cover.len());
-        for (j, legs_modules) in cover {
-            let in_wl = available_wi
-                .iter()
-                .find(|&&(jj, _)| jj == j)
-                .expect("cover switches come from the available list")
-                .1;
-            self.occupy_input_link(in_module, j, in_wl);
-            let mut legs = Vec::with_capacity(legs_modules.len());
-            for om in legs_modules {
-                let wl = self
-                    .leg_wavelength(j, om, in_wl, &by_module[&om])
-                    .expect("cover legs are serviceable");
-                self.middle_links[j as usize][om as usize] |= 1 << wl;
-                self.multisets[j as usize].add(om);
-                legs.push(Leg {
-                    out_module: om,
-                    wavelength: wl,
-                    dests: by_module[&om].clone(),
-                });
-            }
-            branches.push(Branch {
-                middle: j,
-                input_wavelength: in_wl,
-                legs,
-            });
-        }
 
         self.assignment
             .add(conn.clone())
@@ -553,6 +539,38 @@ impl ThreeStageNetwork {
             },
         );
         Ok(&self.routed[&src])
+    }
+
+    /// Occupy `module→j` on `in_wl` and one leg per run `self.groups[g]`.
+    fn commit_branch(
+        &mut self,
+        module: u32,
+        j: u32,
+        in_wl: u32,
+        dests: &[Endpoint],
+        runs: impl Iterator<Item = usize>,
+    ) -> Branch {
+        self.occupy_input_link(module, j, in_wl);
+        let legs = runs
+            .map(|g| {
+                let (om, s, e) = self.groups[g];
+                let wl = self
+                    .leg_wavelength(j, om, in_wl, &dests[s..e])
+                    .expect("cover legs are serviceable");
+                self.middle_links[j as usize][om as usize] |= 1 << wl;
+                self.multisets[j as usize].add(om);
+                Leg {
+                    out_module: om,
+                    wavelength: wl,
+                    dests: dests[s..e].to_vec(),
+                }
+            })
+            .collect();
+        Branch {
+            middle: j,
+            input_wavelength: in_wl,
+            legs,
+        }
     }
 
     /// Mark wavelength `wl` busy on the input link `module→j`, keeping
@@ -599,18 +617,6 @@ impl ThreeStageNetwork {
     /// the source wavelength.
     pub(crate) fn branch_wavelength(&self, module: u32, j: u32, src_wl: u32) -> Option<u32> {
         let mask = self.input_links[module as usize][j as usize];
-        self.branch_wavelength_masked(module, mask, src_wl)
-    }
-
-    /// [`Self::branch_wavelength`] against a hypothetical busy mask —
-    /// lets the repack search ask "would this link carry the branch if
-    /// wavelength `w` were freed?" without mutating state.
-    pub(crate) fn branch_wavelength_masked(
-        &self,
-        module: u32,
-        mask: u64,
-        src_wl: u32,
-    ) -> Option<u32> {
         self.ctx().branch_wavelength_masked(module, mask, src_wl)
     }
 
@@ -626,19 +632,6 @@ impl ThreeStageNetwork {
         dests: &[Endpoint],
     ) -> Option<u32> {
         let mask = self.middle_links[j as usize][om as usize];
-        self.leg_wavelength_masked(j, om, mask, wi, dests)
-    }
-
-    /// [`Self::leg_wavelength`] against a hypothetical busy mask — the
-    /// repack search's what-if probe for middle→output links.
-    pub(crate) fn leg_wavelength_masked(
-        &self,
-        j: u32,
-        om: u32,
-        mask: u64,
-        wi: u32,
-        dests: &[Endpoint],
-    ) -> Option<u32> {
         self.ctx().leg_wavelength_masked(j, om, mask, wi, dests)
     }
 
@@ -742,6 +735,16 @@ impl ThreeStageNetwork {
         }
         if links_up != self.links_up {
             problems.push("input-link-up mask out of sync with fault set".into());
+        }
+        // The assignment's owner table must agree with its busy bits, and
+        // with the routes on how many connections are live.
+        let asg = &self.assignment;
+        let disagree = |ep: &Endpoint| asg.output_busy(*ep) != asg.output_user(*ep).is_some();
+        if let Some(ep) = self.network().endpoints().find(disagree) {
+            problems.push(format!("output {ep}: busy bit and owner table disagree"));
+        }
+        if asg.len() != self.routed.len() {
+            problems.push("assignment and routes disagree on the connection count".into());
         }
         for (j, ms) in self.multisets.iter().enumerate() {
             for p in 0..self.params.r {

@@ -404,6 +404,7 @@ impl ThreeStageNetwork {
             return None;
         }
         let mut blockers: Vec<(Endpoint, u32)> = Vec::new();
+        let ctx = self.ctx();
         let src_wl = src.wavelength.0;
         let in_mask = self.input_links[in_module as usize][j as usize];
         // Input side: if the link module→j cannot carry the branch, find
@@ -420,7 +421,7 @@ impl ThreeStageNetwork {
                         .iter()
                         .find(|b| {
                             b.middle == j
-                                && self
+                                && ctx
                                     .branch_wavelength_masked(
                                         in_module,
                                         in_mask & !(1 << b.input_wavelength),
@@ -431,7 +432,7 @@ impl ThreeStageNetwork {
                         .map(|b| (s2, b.input_wavelength))
                 })?;
                 blockers.push((owner, j));
-                self.branch_wavelength_masked(in_module, in_mask & !(1 << freed_wl), src_wl)?
+                ctx.branch_wavelength_masked(in_module, in_mask & !(1 << freed_wl), src_wl)?
             }
         };
         // Leg side: per requested output module, if the link j→om cannot
@@ -449,7 +450,7 @@ impl ThreeStageNetwork {
                     .flat_map(|b| b.legs.iter())
                     .find(|l| {
                         l.out_module == om
-                            && self
+                            && ctx
                                 .leg_wavelength_masked(
                                     j,
                                     om,

@@ -90,19 +90,18 @@ impl RoutingCtx<'_> {
                 self.convertible(wi, wl)
             }
         };
-        let candidates: Vec<u32> = match (self.construction, self.output_model) {
+        let mut candidates = match (self.construction, self.output_model) {
             // MSW middles emit the arriving wavelength only.
-            (Construction::MswDominant, _) => vec![wi],
+            (Construction::MswDominant, _) => wi..wi + 1,
             // MAW middles convert, but an MSW output module pins the
             // arrival to the destination wavelength.
             (Construction::MawDominant, MulticastModel::Msw) => {
-                vec![dests[0].wavelength.0]
+                let d = dests[0].wavelength.0;
+                d..d + 1
             }
-            (Construction::MawDominant, _) => (0..self.params.k).collect(),
+            (Construction::MawDominant, _) => 0..self.params.k,
         };
-        candidates
-            .into_iter()
-            .find(|&wl| mask & (1 << wl) == 0 && mid_conv_ok(wl) && reaches_dests(wl))
+        candidates.find(|&wl| mask & (1 << wl) == 0 && mid_conv_ok(wl) && reaches_dests(wl))
     }
 
     /// `true` iff the realized route `rc` (sourced at `src`) traverses
