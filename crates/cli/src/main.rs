@@ -946,10 +946,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
 
     let xbar = run(CrossbarSession::new(flat, model), &events, &config);
 
-    // The three-stage leg interleaves fault injection with submission:
-    // before a fault batch fires we give the workers a moment to chew
-    // through the backlog, so the kill lands on a warm network rather
-    // than an empty one.
+    // The three-stage leg interleaves fault injection with submission.
+    // Every submit admits before it returns, so a kill lands on exactly
+    // the traffic submitted before its time.
     let mut injector = FaultInjector::scripted(fault_schedule);
     let chaos = injector.pending() > 0;
     let rival = sc.build()?;
@@ -958,11 +957,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let handle = engine.fault_handle();
     let mut fired: Vec<InjectionRecord> = Vec::new();
     for ev in &events {
-        if injector.next_time().is_some_and(|t| t <= ev.time) {
-            // Let in-flight admissions land before the component dies.
-            std::thread::sleep(Duration::from_millis(25));
-            fired.extend(injector.fire_due(ev.time, &handle));
-        }
+        fired.extend(injector.fire_due(ev.time, &handle));
         let _ = engine.submit(ev.clone());
     }
     fired.extend(injector.fire_due(f64::INFINITY, &handle));

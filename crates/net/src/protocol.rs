@@ -211,9 +211,6 @@ impl Response {
             }
             RequestOutcome::Fatal => reject(RejectReason::Fatal, "structural error"),
             RequestOutcome::Draining => reject(RejectReason::Draining, "engine is draining"),
-            RequestOutcome::Backpressure => {
-                reject(RejectReason::Backpressure, "shard queue is full")
-            }
             RequestOutcome::Overloaded => reject(
                 RejectReason::Overloaded,
                 "shedding load under sustained blocking",
@@ -289,7 +286,6 @@ mod tests {
             ),
             (RequestOutcome::Fatal, RejectReason::Fatal),
             (RequestOutcome::Draining, RejectReason::Draining),
-            (RequestOutcome::Backpressure, RejectReason::Backpressure),
             (RequestOutcome::Overloaded, RejectReason::Overloaded),
         ] {
             match Response::from_outcome(outcome) {

@@ -12,11 +12,19 @@
 //!
 //! **Adaptive batch coalescing** is the reason this layer exists: one
 //! [`AdmissionEngine::submit_batch_tracked`] call per poll cycle, split
-//! per backend shard and applied under one backend-lock acquisition
+//! per engine shard and applied under one backend-lock acquisition
 //! each. Under light load a cycle carries one event, under heavy load
 //! hundreds, so lock traffic grows with *wakeups*, not *requests* — with
 //! no timer or knob, since epoll reports more ready sockets per wakeup
 //! as load rises.
+//!
+//! **Run to completion.** The submit admits on this thread, so the
+//! verdicts are encoded into their connections' queues before
+//! [`ServingCore::flush`] returns and go out in the same cycle's write
+//! phase: no engine thread and no eventfd hop stand between a frame and
+//! its answer. Only a connect parked behind a busy endpoint is answered
+//! later, from its engine shard's retry thread, which wakes this shard
+//! through the eventfd.
 
 pub(crate) mod sys;
 
@@ -46,11 +54,6 @@ const EVENT_BATCH: usize = 1024;
 /// Poll cycles between defensive full-slab reap sweeps; the common
 /// path reaps only the tokens the cycle touched.
 const FULL_REAP_EVERY: u64 = 256;
-
-/// Cycles a shard stays in dwell mode after its last hot cycle (one
-/// under [`ReactorConfig::dwell_threshold`] events must not flip the
-/// shard back to wake-per-event mode mid-burst).
-const HOT_STREAK: u32 = 64;
 
 /// A shard's inbox of fresh connections and the eventfd that kicks it.
 type ShardTarget = (Arc<Mutex<Vec<TcpStream>>>, Arc<EventFd>);
@@ -260,29 +263,11 @@ impl<B: Backend> Shard<B> {
         let timeout_ms = (self.shared.config.poll_timeout.as_millis() as i32).max(1);
         let mut events = Epoll::event_buffer(EVENT_BATCH);
         let mut chunk = vec![0u8; READ_CHUNK];
-        let dwell = self.shared.config.dwell;
-        let dwell_threshold = self.shared.config.dwell_threshold.max(1);
-        // Hot is sticky: one quiet cycle between bursts must not drop
-        // the shard back to wake-per-event mode, so a hot cycle keeps
-        // dwelling on for a streak of cycles.
-        let mut hot_streak = 0u32;
         loop {
-            let hot = hot_streak > 0;
-            let mut n = match self.epoll.wait(&mut events, timeout_ms) {
+            let n = match self.epoll.wait(&mut events, timeout_ms) {
                 Ok(n) => n,
                 Err(_) => return,
             };
-            // Adaptive coalescing dwell (interrupt mitigation): in a hot
-            // period, pause briefly and re-snapshot readiness so events
-            // that would each have cost a wakeup land in this one cycle.
-            // Level-triggered epoll keeps the first snapshot's readiness
-            // visible, so re-waiting loses nothing.
-            if hot && n > 0 && !dwell.is_zero() {
-                thread::sleep(dwell);
-                if let Ok(more) = self.epoll.wait(&mut events, 0) {
-                    n = more;
-                }
-            }
             if self.shared.stop.load(Ordering::Acquire) {
                 self.core.close_all();
                 return;
@@ -320,9 +305,9 @@ impl<B: Backend> Shard<B> {
                     .record(frames_this_wakeup);
             }
 
-            // Write service: engine completions (reset the eventfd first
-            // so one landing meanwhile re-arms it) plus sockets that just
-            // turned writable again.
+            // Write service: the verdicts `flush` just produced, retry
+            // completions (reset the eventfd first so one landing
+            // meanwhile re-arms it) and sockets that turned writable.
             self.efd.drain();
             let mut to_write = self.core.take_woken();
             to_write.extend_from_slice(&writable);
@@ -339,12 +324,6 @@ impl<B: Backend> Shard<B> {
             // or engine callback in `to_write`), so reaping scans just
             // this cycle's touched tokens — O(events), not O(conns).
             // A periodic full sweep backstops any path that slips by.
-            if frames_this_wakeup as usize + to_write.len() >= dwell_threshold {
-                hot_streak = HOT_STREAK;
-            } else {
-                hot_streak = hot_streak.saturating_sub(1);
-            }
-
             let mut touched = readable;
             touched.extend_from_slice(&to_write);
             touched.sort_unstable();

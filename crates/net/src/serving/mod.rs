@@ -57,16 +57,6 @@ pub struct ReactorConfig {
     /// Upper bound on how long a shard sleeps in `epoll_wait` with no
     /// readiness (backstop for the stop flag; wakeups cut it short).
     pub poll_timeout: Duration,
-    /// Interrupt-mitigation-style dwell: when the previous cycle
-    /// carried at least [`ReactorConfig::dwell_threshold`] events, the
-    /// shard pauses this long after waking and re-snapshots readiness,
-    /// so trickling completions and frames gather into one large cycle
-    /// instead of one wakeup each. Zero disables dwelling.
-    pub dwell: Duration,
-    /// Events the previous cycle must have carried before the shard
-    /// dwells; below it the shard stays latency-first. The default
-    /// engages only when hundreds of connections are ready per cycle.
-    pub dwell_threshold: usize,
 }
 
 impl Default for ReactorConfig {
@@ -77,8 +67,6 @@ impl Default for ReactorConfig {
             max_coalesce: 4096,
             accept_poll: Duration::from_millis(5),
             poll_timeout: Duration::from_millis(25),
-            dwell: Duration::from_millis(1),
-            dwell_threshold: 256,
         }
     }
 }

@@ -3,15 +3,16 @@
 //! transcript** pinned in `transcripts/` — for a strict v1 client and a
 //! v2 client, through a drain over the wire, and across mid-script
 //! fault injection and repair. `wdm-sim`'s simulated driver checks the
-//! same literals under seeded schedules.
+//! same literals under seeded schedules. A mismatch prints the
+//! entry-by-entry diff, which CI keeps as an artifact.
 
 #![cfg(target_os = "linux")]
 
 mod transcripts;
 
 use transcripts::{
-    conformance_backend, conformance_script, fault_backend, fault_script, pinned_fault_transcript,
-    pinned_transcript, run_script, Driver, Step,
+    assert_transcript, conformance_backend, conformance_script, fault_backend, fault_script,
+    pinned_fault_transcript, pinned_transcript, run_script, Driver, Step,
 };
 use wdm_net::{ClientConfig, NetClient, ReactorConfig, ReactorServer, Request, Response};
 use wdm_runtime::{Backend, EngineBuilder, FaultHandle, RuntimeReport};
@@ -52,7 +53,11 @@ fn conformance_script_yields_the_pinned_transcript() {
     for wire_version in [1u8, 2] {
         let script = conformance_script(wire_version);
         let got = run_over_sockets(conformance_backend(), wire_version, &script);
-        assert_eq!(got, pinned_transcript(wire_version), "wire v{wire_version}");
+        assert_transcript(
+            &format!("wire v{wire_version}"),
+            &got,
+            &pinned_transcript(wire_version),
+        );
     }
 }
 
@@ -63,5 +68,5 @@ fn conformance_script_yields_the_pinned_transcript() {
 #[test]
 fn fault_injection_script_yields_the_pinned_transcript() {
     let got = run_over_sockets(fault_backend(), 2, &fault_script());
-    assert_eq!(got, pinned_fault_transcript());
+    assert_transcript("fault script", &got, &pinned_fault_transcript());
 }

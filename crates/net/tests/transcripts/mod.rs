@@ -99,6 +99,30 @@ pub fn run_script<B: Backend>(
     transcript
 }
 
+/// Check a transcript against its pin. On a mismatch, panic with the
+/// entry-by-entry diff (`-` pinned, `+` actual), so a failure that does
+/// not reproduce still leaves its evidence in the test log.
+pub fn assert_transcript(label: &str, got: &[String], want: &[&str]) {
+    if got.iter().map(String::as_str).eq(want.iter().copied()) {
+        return;
+    }
+    let mut diff = format!("{label}: transcript differs from its pin\n");
+    for i in 0..got.len().max(want.len()) {
+        let (want, got) = (want.get(i).copied(), got.get(i).map(String::as_str));
+        if want == got {
+            diff += &format!("  {i:>2} {}\n", want.unwrap_or_default());
+            continue;
+        }
+        if let Some(want) = want {
+            diff += &format!("- {i:>2} {want}\n");
+        }
+        if let Some(got) = got {
+            diff += &format!("+ {i:>2} {got}\n");
+        }
+    }
+    panic!("{diff}");
+}
+
 fn unicast(sp: u32, sw: u32, dp: u32, dw: u32) -> MulticastConnection {
     MulticastConnection::unicast(Endpoint::new(sp, sw), Endpoint::new(dp, dw))
 }

@@ -1,8 +1,17 @@
 //! The sharded admission engine.
 //!
-//! Events are partitioned across worker shards by the *input module* of
-//! their source endpoint, so all events touching one source are handled
-//! in order by one shard (a connect can never race its own disconnect).
+//! Events are partitioned across shards by the *input module* of their
+//! source endpoint, so all events touching one source are handled in
+//! order by one shard (a connect can never race its own disconnect).
+//! A shard is a lock, not a thread: every `submit*` locks the target
+//! shard's [`ShardCore`] and admits its slice on the calling thread, so
+//! the submit returns with every verdict it could reach delivered. Each
+//! shard keeps one thread, `wdm-shard-{i}`, for the one job no caller
+//! can do: retrying parked connects when their backoff elapses.
+//! Callbacks therefore run on the submitting thread or on a retry
+//! thread; never submit from inside a callback, or while holding a lock
+//! that a callback takes.
+//!
 //! Each shard validates, retries, and meters locally; only the actual
 //! switch mutation touches the shared backend — exclusively (under the
 //! write side of the backend `RwLock`) for plain backends, or truly
@@ -18,9 +27,9 @@
 //! disconnect that frees one of its output endpoints, surfacing as
 //! [`Reject::Busy`]. The engine absorbs those with bounded
 //! retry-and-backoff under a per-request deadline — crucially *without*
-//! stalling the shard's queue: a busy connect is parked in a per-source
-//! pending table and retried on a schedule while later events keep
-//! flowing, so the departure another shard is waiting on is never stuck
+//! stalling the shard: a busy connect is parked in a per-source pending
+//! table and retried on a schedule while later events keep flowing, so
+//! the departure another shard is waiting on is never stuck
 //! behind a retrying head-of-line request. Middle-stage
 //! exhaustion ([`Reject::Blocked`]) is never retried: with `m` at or
 //! above the Theorem 1/2 bound it must not occur at all — the paper's
@@ -29,11 +38,11 @@
 use crate::backend::{Backend, ConcurrentAdmission, RepackStats};
 use crate::clock::{Clock, SystemClock};
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wdm_core::{Endpoint, Fault, MulticastConnection, Reject};
@@ -88,7 +97,8 @@ pub struct OverloadControl {
 /// Tuning knobs for an engine run.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker shards. `0` = one per available CPU.
+    /// Shards, each a lock plus one retry thread. `0` = one per
+    /// available CPU.
     pub workers: usize,
     /// Maximum retry attempts for a busy-endpoint conflict.
     pub max_retries: u32,
@@ -100,11 +110,6 @@ pub struct RuntimeConfig {
     pub deadline: Duration,
     /// Emit a [`MetricsSnapshot`] this often while running.
     pub snapshot_every: Option<Duration>,
-    /// Refuse a submit when its target shard already has this many
-    /// queued channel entries (`None` = unbounded). A refused event
-    /// resolves [`RequestOutcome::Backpressure`] — the caller sheds load
-    /// instead of growing an unbounded queue.
-    pub backpressure_cap: Option<usize>,
     /// Whether (and how hard) to rearrange existing routes when a
     /// connect hard-blocks below the nonblocking bound.
     pub repack: RepackPolicy,
@@ -119,7 +124,7 @@ impl Default for RuntimeConfig {
         // block their shard, so the attempt cap is generous and the
         // deadline is the binding limit: a replayed trace compresses sim
         // time to wall-clock milliseconds, and a busy endpoint stays busy
-        // until the occupant's departure drains through its shard queue.
+        // until the occupant's departure is submitted.
         RuntimeConfig {
             workers: 0,
             max_retries: 4096,
@@ -127,7 +132,6 @@ impl Default for RuntimeConfig {
             max_backoff: Duration::from_millis(2),
             deadline: Duration::from_secs(5),
             snapshot_every: None,
-            backpressure_cap: None,
             repack: RepackPolicy::Off,
             overload: None,
         }
@@ -147,7 +151,7 @@ impl RuntimeConfig {
     }
 }
 
-/// Whether [`AdmissionEngine::submit`] actually enqueued the event.
+/// Whether [`AdmissionEngine::submit`] actually took the event.
 ///
 /// The engine refuses new work once a drain has begun (either
 /// [`AdmissionEngine::begin_drain`] was called or the engine is being
@@ -156,20 +160,17 @@ impl RuntimeConfig {
 /// retryable "server is shutting down" error instead of silently
 /// dropping the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "a Draining outcome means the event was NOT enqueued"]
+#[must_use = "a Draining outcome means the event was NOT admitted"]
 pub enum SubmitOutcome {
-    /// The event was enqueued and will be processed by its shard.
+    /// The event was applied by its shard: resolved, or parked behind a
+    /// busy endpoint for the shard's retry thread.
     Accepted,
     /// The engine is draining; the event was dropped.
     Draining,
-    /// The target shard's queue is at the configured
-    /// [`RuntimeConfig::backpressure_cap`]; the event was dropped. The
-    /// condition is transient — callers may retry after backing off.
-    Backpressure,
 }
 
 impl SubmitOutcome {
-    /// `true` iff the event was enqueued.
+    /// `true` iff the event was taken.
     pub fn is_accepted(&self) -> bool {
         matches!(self, SubmitOutcome::Accepted)
     }
@@ -178,9 +179,10 @@ impl SubmitOutcome {
 /// Terminal fate of one tracked request, reported through the
 /// [`OutcomeCallback`] passed to [`AdmissionEngine::submit_tracked`].
 ///
-/// Exactly one of these fires per tracked event, from the shard thread
-/// that resolved it (or inline from `submit_tracked` itself when the
-/// engine is draining).
+/// Exactly one of these fires per tracked event: on the submitting
+/// thread before the submit returns, or on the shard's retry thread
+/// when the event parked on a busy endpoint or waited behind a parked
+/// connect from its own source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// Connect admitted by the backend.
@@ -199,21 +201,22 @@ pub enum RequestOutcome {
     SkippedDeparture,
     /// Disconnect for a connection a failed heal already removed.
     OrphanedDeparture,
-    /// The engine is draining; the event was never enqueued.
+    /// The engine is draining; the event was never applied.
     Draining,
-    /// The target shard's queue was full; the event was never enqueued.
-    Backpressure,
     /// Connect refused early: the shard is shedding low-fanout load
     /// under sustained blocking pressure (see [`OverloadControl`]).
     /// Retryable — pressure subsides as connections depart.
     Overloaded,
 }
 
-/// Completion hook for one tracked event. Runs on a shard thread; keep
-/// it short (enqueue a response, bump a counter).
+/// Completion hook for one tracked event. Runs under the shard lock, on
+/// the submitting thread or on the shard's retry thread; keep it short
+/// (enqueue a response, bump a counter). It must not submit to the
+/// engine, and must not take a lock its submitter holds across the
+/// submit: either deadlocks.
 pub type OutcomeCallback = Box<dyn FnOnce(RequestOutcome) + Send + 'static>;
 
-/// One queued unit of shard work: the event plus an optional completion
+/// One unit of shard work: the event plus an optional completion
 /// callback for callers (like the TCP serving layer) that need the
 /// admission outcome written back per request.
 struct Job {
@@ -228,13 +231,21 @@ impl Job {
             cb(outcome);
         }
     }
-}
 
-/// What travels on a shard channel: a single event, or a batch whose
-/// jobs are applied under **one** backend lock acquisition.
-enum Work {
-    One(Job),
-    Batch(Vec<Job>),
+    /// Resolve every job as [`RequestOutcome::Draining`].
+    fn refuse(jobs: Vec<Job>) -> SubmitOutcome {
+        for job in jobs {
+            Job::resolve(job.done, RequestOutcome::Draining);
+        }
+        SubmitOutcome::Draining
+    }
+
+    fn source(&self) -> Endpoint {
+        match &self.ev.event {
+            TraceEvent::Connect(conn) => conn.source(),
+            TraceEvent::Disconnect(src) => *src,
+        }
+    }
 }
 
 /// Everything known after a graceful drain.
@@ -248,15 +259,15 @@ pub struct RuntimeReport<B> {
     pub snapshots: Vec<MetricsSnapshot>,
     /// Backend consistency findings (empty = healthy).
     pub consistency: Vec<String>,
-    /// First few error messages noted by workers.
+    /// First few error messages noted by the shards.
     pub errors: Vec<String>,
-    /// Shard workers that died by panic instead of draining. Any panic
-    /// means events were dropped mid-queue, so the run cannot be clean.
+    /// Shards killed by a panic in the backend or a callback. Any panic
+    /// means events were dropped unresolved, so the run cannot be clean.
     pub worker_panics: usize,
 }
 
 impl<B> RuntimeReport<B> {
-    /// The run is healthy: every worker drained, no structural errors,
+    /// The run is healthy: every shard drained, no structural errors,
     /// and a consistent backend.
     pub fn is_clean(&self) -> bool {
         self.worker_panics == 0 && self.summary.fatal == 0 && self.consistency.is_empty()
@@ -302,8 +313,8 @@ fn read_gauges<B: Backend>(b: &B, metrics: &RuntimeMetrics) -> (u64, Vec<u64>) {
 /// The shared heart of an engine: the backend under its reader-writer
 /// lock, the metrics sink, and the failed-heal tombstone set.
 ///
-/// [`AdmissionEngine`] wraps one of these with real threads and
-/// channels; the deterministic simulation harness (`wdm-sim`) drives
+/// [`AdmissionEngine`] wraps one of these with shard locks and retry
+/// threads; the deterministic simulation harness (`wdm-sim`) drives
 /// the same core single-threaded through hand-built [`ShardCore`]s, so
 /// both paths exercise *identical* admission logic.
 pub struct EngineCore<B: Backend> {
@@ -419,41 +430,134 @@ impl<B: Backend> EngineCore<B> {
     }
 }
 
+/// One engine shard: its core behind the lock that submitters and the
+/// retry thread take in turn, and the condvar that wakes the retry
+/// thread.
+struct Shard<B: Backend> {
+    state: std::sync::Mutex<ShardState<B>>,
+    retry: Condvar,
+}
+
+struct ShardState<B: Backend> {
+    core: ShardCore<B, SystemClock>,
+    /// The engine is draining or dropped: the retry thread exits once
+    /// nothing is parked.
+    stopping: bool,
+    /// A panic escaped the backend or a callback; the shard refuses all
+    /// later work.
+    dead: bool,
+}
+
+impl<B: Backend> Shard<B> {
+    /// The shard's state. Backend and callback panics are caught inside
+    /// [`ShardState::run`], which flags the shard dead, so no panic can
+    /// leave the state half-updated under a poisoned lock.
+    fn lock(&self) -> std::sync::MutexGuard<'_, ShardState<B>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<B: Backend> ShardState<B> {
+    /// Run `f` on the core unless the shard is dead; returns whether it
+    /// is still alive. A panic kills the shard, not the calling thread
+    /// (a reactor thread serves thousands of other connections): it is
+    /// counted as fatal, and the drain reports it as a worker panic.
+    fn run(&mut self, f: impl FnOnce(&mut ShardCore<B, SystemClock>)) -> bool {
+        if !self.dead && catch_unwind(AssertUnwindSafe(|| f(&mut self.core))).is_err() {
+            self.dead = true;
+            let metrics = &self.core.metrics;
+            metrics.note_error("shard worker panicked".into());
+            metrics.fatal.fetch_add(1, Ordering::Relaxed);
+        }
+        !self.dead
+    }
+}
+
+/// The engine's shards. Dropping the set, drained or not, tells every
+/// retry thread to exit once nothing is parked.
+struct Shards<B: Backend>(Vec<Arc<Shard<B>>>);
+
+impl<B: Backend> Drop for Shards<B> {
+    fn drop(&mut self) {
+        for shard in &self.0 {
+            shard.lock().stopping = true;
+            shard.retry.notify_one();
+        }
+    }
+}
+
+/// A shard's retry thread: sleep until the earliest parked connect is
+/// due, retry, repeat. `next_due` is read under the lock a parking
+/// submitter holds, and the wait releases that lock atomically, so no
+/// wakeup is lost.
+fn retry_loop<B: Backend>(shard: &Shard<B>) {
+    let mut state = shard.lock();
+    loop {
+        let mut due = None;
+        if !state.run(|core| {
+            core.retry_due();
+            due = core.next_due();
+        }) {
+            return;
+        }
+        state = match due {
+            Some(wait) => {
+                let waited = shard.retry.wait_timeout(state, wait);
+                waited.unwrap_or_else(PoisonError::into_inner).0
+            }
+            None if state.stopping => return,
+            None => shard
+                .retry
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner),
+        };
+    }
+}
+
 /// A running sharded admission engine over backend `B`.
 pub struct AdmissionEngine<B: Backend> {
     core: EngineCore<B>,
-    senders: Vec<Sender<Work>>,
-    backpressure_cap: Option<usize>,
+    shards: Shards<B>,
     /// Set by [`Self::begin_drain`]; makes every later submit refuse.
     draining: AtomicBool,
-    workers: Vec<JoinHandle<()>>,
+    /// One retry thread per shard, in shard order.
+    retriers: Vec<JoinHandle<()>>,
     observer: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
     snapshots: Arc<Mutex<Vec<MetricsSnapshot>>>,
     started: Instant,
 }
 
 impl<B: Backend> AdmissionEngine<B> {
-    /// Take ownership of `backend` and spin up the shard workers (plus
-    /// the snapshot observer when configured). Reached through
-    /// [`EngineBuilder::start`].
+    /// Take ownership of `backend` and set up the shards and their retry
+    /// threads (plus the snapshot observer when configured). Reached
+    /// through [`EngineBuilder::start`].
     fn start_with(backend: B, config: RuntimeConfig) -> Self {
-        let workers_n = config.effective_workers();
         let core = EngineCore::new(backend);
         let started = Instant::now();
 
-        let mut senders = Vec::with_capacity(workers_n);
-        let mut workers = Vec::with_capacity(workers_n);
-        for shard in 0..workers_n {
-            let (tx, rx) = unbounded::<Work>();
-            senders.push(tx);
-            let shard_core = core.shard(config.clone(), SystemClock);
-            workers.push(
+        let shards: Vec<Arc<Shard<B>>> = (0..config.effective_workers())
+            .map(|_| {
+                Arc::new(Shard {
+                    state: std::sync::Mutex::new(ShardState {
+                        core: core.shard(config.clone(), SystemClock),
+                        stopping: false,
+                        dead: false,
+                    }),
+                    retry: Condvar::new(),
+                })
+            })
+            .collect();
+        let retriers = shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let shard = Arc::clone(shard);
                 std::thread::Builder::new()
-                    .name(format!("wdm-shard-{shard}"))
-                    .spawn(move || shard_loop(rx, shard_core))
-                    .expect("spawn shard worker"),
-            );
-        }
+                    .name(format!("wdm-shard-{i}"))
+                    .spawn(move || retry_loop(&shard))
+                    .expect("spawn shard retry thread")
+            })
+            .collect();
 
         let snapshots = Arc::new(Mutex::new(Vec::new()));
         let observer = config.snapshot_every.map(|every| {
@@ -481,10 +585,9 @@ impl<B: Backend> AdmissionEngine<B> {
 
         AdmissionEngine {
             core,
-            senders,
-            backpressure_cap: config.backpressure_cap,
+            shards: Shards(shards),
             draining: AtomicBool::new(false),
-            workers,
+            retriers,
             observer,
             snapshots,
             started,
@@ -498,79 +601,48 @@ impl<B: Backend> AdmissionEngine<B> {
         self.core.fault_handle()
     }
 
-    /// Shard index for a source port: all ports of one input module map
-    /// to one shard.
-    fn shard_of(&self, port: u32) -> usize {
-        self.core.shard_of(port, self.senders.len())
-    }
-
-    /// Number of shard workers this engine runs. Serving layers size
-    /// their own parallelism (e.g. reactor shards) against this so
-    /// coalesced submissions spread across every backend queue.
+    /// Number of shards this engine runs. Serving layers size their own
+    /// parallelism (e.g. reactor shards) against this so coalesced
+    /// submissions spread across every shard lock.
     pub fn shard_count(&self) -> usize {
-        self.senders.len()
+        self.shards.0.len()
     }
 
-    /// Enqueue one event. [`SubmitOutcome::Draining`] means the engine
-    /// refused it (a drain has begun) and the event was dropped.
+    /// Admit one event on the calling thread. [`SubmitOutcome::Draining`]
+    /// means the engine refused it (a drain has begun) and the event was
+    /// dropped.
     pub fn submit(&self, event: TimedEvent) -> SubmitOutcome {
-        self.enqueue(Job {
+        self.admit(vec![Job {
             ev: event,
             done: None,
-        })
+        }])
     }
 
-    /// Enqueue one event with a completion callback. The callback fires
-    /// exactly once with the request's terminal [`RequestOutcome`] —
-    /// from the resolving shard thread, or inline with
-    /// [`RequestOutcome::Draining`] when the engine refuses the event.
-    /// This is the hook the TCP serving layer uses to write admission
-    /// outcomes back to remote clients.
+    /// Admit one event with a completion callback. The callback fires
+    /// exactly once with the request's terminal [`RequestOutcome`]:
+    /// before this call returns (with [`RequestOutcome::Draining`] when
+    /// the engine refuses the event), or later on the shard's retry
+    /// thread when the connect parked behind a busy endpoint. See
+    /// [`OutcomeCallback`] for what the callback must not do. This is the
+    /// hook the TCP serving layer uses to write admission outcomes back
+    /// to remote clients.
     pub fn submit_tracked(&self, event: TimedEvent, done: OutcomeCallback) -> SubmitOutcome {
-        self.enqueue(Job {
+        self.admit(vec![Job {
             ev: event,
             done: Some(done),
-        })
+        }])
     }
 
-    fn enqueue(&self, job: Job) -> SubmitOutcome {
-        if self.draining.load(Ordering::Acquire) {
-            Job::resolve(job.done, RequestOutcome::Draining);
-            return SubmitOutcome::Draining;
-        }
-        let port = match &job.ev.event {
-            TraceEvent::Connect(conn) => conn.source().port.0,
-            TraceEvent::Disconnect(src) => src.port.0,
-        };
-        let shard = self.shard_of(port);
-        if let Some(cap) = self.backpressure_cap {
-            if self.senders[shard].len() >= cap {
-                Job::resolve(job.done, RequestOutcome::Backpressure);
-                return SubmitOutcome::Backpressure;
-            }
-        }
-        match self.senders[shard].send(Work::One(job)) {
-            Ok(()) => SubmitOutcome::Accepted,
-            Err(e) => {
-                if let Work::One(job) = e.0 {
-                    Job::resolve(job.done, RequestOutcome::Draining);
-                }
-                SubmitOutcome::Draining
-            }
-        }
-    }
-
-    /// Enqueue a batch of events. The batch is split by shard
-    /// (preserving per-source order) and each shard applies its slice
-    /// under **one** backend lock acquisition — the fast path for
+    /// Admit a batch of events on the calling thread. The batch is split
+    /// by shard (preserving per-source order) and each shard applies its
+    /// slice under **one** backend lock acquisition — the fast path for
     /// pipelined network clients and trace replay.
     ///
     /// Admission semantics per event are identical to [`Self::submit`]
     /// called in order; only the locking is amortized. The whole batch
-    /// is refused together when the engine is draining or any target
-    /// shard is at the backpressure cap.
+    /// is refused together when the engine is draining.
     pub fn submit_batch(&self, events: Vec<TimedEvent>) -> SubmitOutcome {
-        self.enqueue_batch(
+        self.admit(
             events
                 .into_iter()
                 .map(|ev| Job { ev, done: None })
@@ -590,7 +662,7 @@ impl<B: Backend> AdmissionEngine<B> {
         done: Vec<OutcomeCallback>,
     ) -> SubmitOutcome {
         assert_eq!(events.len(), done.len(), "one callback per batched event");
-        self.enqueue_batch(
+        self.admit(
             events
                 .into_iter()
                 .zip(done)
@@ -599,53 +671,31 @@ impl<B: Backend> AdmissionEngine<B> {
         )
     }
 
-    fn enqueue_batch(&self, jobs: Vec<Job>) -> SubmitOutcome {
-        if jobs.is_empty() {
-            return SubmitOutcome::Accepted;
-        }
+    /// Split `jobs` by shard and run each slice under its shard lock on
+    /// this thread. A slice that parks a connect wakes the retry thread.
+    fn admit(&self, jobs: Vec<Job>) -> SubmitOutcome {
         if self.draining.load(Ordering::Acquire) {
-            for j in jobs {
-                Job::resolve(j.done, RequestOutcome::Draining);
-            }
-            return SubmitOutcome::Draining;
+            return Job::refuse(jobs);
         }
-        let mut per_shard: Vec<Vec<Job>> = (0..self.senders.len()).map(|_| Vec::new()).collect();
+        let shards = &self.shards.0;
+        let mut per_shard: Vec<Vec<Job>> = shards.iter().map(|_| Vec::new()).collect();
         for job in jobs {
-            let port = match &job.ev.event {
-                TraceEvent::Connect(conn) => conn.source().port.0,
-                TraceEvent::Disconnect(src) => src.port.0,
-            };
-            let shard = self.shard_of(port);
-            per_shard[shard].push(job);
-        }
-        // All-or-nothing: refuse the whole batch if any target shard is
-        // over the cap, so callers never see a partially queued batch.
-        if let Some(cap) = self.backpressure_cap {
-            let over = per_shard
-                .iter()
-                .enumerate()
-                .any(|(s, batch)| !batch.is_empty() && self.senders[s].len() >= cap);
-            if over {
-                for batch in per_shard {
-                    for j in batch {
-                        Job::resolve(j.done, RequestOutcome::Backpressure);
-                    }
-                }
-                return SubmitOutcome::Backpressure;
-            }
+            let port = job.source().port.0;
+            per_shard[self.core.shard_of(port, shards.len())].push(job);
         }
         let mut outcome = SubmitOutcome::Accepted;
-        for (shard, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
+        for (shard, slice) in shards.iter().zip(per_shard) {
+            if slice.is_empty() {
                 continue;
             }
-            if let Err(e) = self.senders[shard].send(Work::Batch(batch)) {
-                if let Work::Batch(batch) = e.0 {
-                    for j in batch {
-                        Job::resolve(j.done, RequestOutcome::Draining);
-                    }
-                }
-                outcome = SubmitOutcome::Draining;
+            let mut state = shard.lock();
+            if state.dead {
+                outcome = Job::refuse(slice);
+                continue;
+            }
+            let parked = state.core.parked_len();
+            if state.run(|core| core.handle_jobs(slice)) && state.core.parked_len() > parked {
+                shard.retry.notify_one();
             }
         }
         outcome
@@ -654,9 +704,9 @@ impl<B: Backend> AdmissionEngine<B> {
     /// Non-consuming drain signal: stop accepting new events without
     /// tearing the engine down. Every subsequent [`Self::submit`] /
     /// [`Self::submit_tracked`] returns [`SubmitOutcome::Draining`];
-    /// already-queued events still run to completion. A server that owns
-    /// the engine calls this first (so remote clients get clean
-    /// "draining" refusals), then [`Self::drain`] to collect the report.
+    /// parked connects still run to completion. A server that owns the
+    /// engine calls this first (so remote clients get clean "draining"
+    /// refusals), then [`Self::drain`] to collect the report.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::Release);
     }
@@ -666,14 +716,14 @@ impl<B: Backend> AdmissionEngine<B> {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Enqueue a whole pre-generated trace.
+    /// Submit a whole pre-generated trace, one event at a time.
     pub fn run_events(&self, events: impl IntoIterator<Item = TimedEvent>) {
         for e in events {
             let _ = self.submit(e);
         }
     }
 
-    /// Live metrics handle (counters update while workers run).
+    /// Live metrics handle (counters update while the engine runs).
     pub fn metrics(&self) -> &RuntimeMetrics {
         self.core.metrics()
     }
@@ -683,24 +733,21 @@ impl<B: Backend> AdmissionEngine<B> {
         self.core.snapshot(self.started.elapsed().as_secs_f64())
     }
 
-    /// Graceful shutdown: stop accepting events, let every shard drain
-    /// its queue, join all threads, deep-check the backend, and hand it
-    /// back with the final telemetry.
+    /// Graceful shutdown: stop accepting events, let every retry thread
+    /// resolve what is parked, join all threads, deep-check the backend,
+    /// and hand it back with the final telemetry.
     pub fn drain(mut self) -> RuntimeReport<B> {
-        // Closing the channels lets each worker finish its backlog and
-        // exit its recv loop.
         self.begin_drain();
-        self.senders.clear();
+        let shards = self.shards.0.clone();
+        // Dropping the set stops each retry thread once nothing is parked.
+        drop(self.shards);
         let mut worker_panics = 0usize;
-        for w in self.workers.drain(..) {
-            if w.join().is_err() {
-                self.core
-                    .metrics()
-                    .note_error("shard worker panicked".into());
-                self.core.metrics().fatal.fetch_add(1, Ordering::Relaxed);
+        for (shard, retrier) in shards.iter().zip(self.retriers.drain(..)) {
+            if retrier.join().is_err() || shard.lock().dead {
                 worker_panics += 1;
             }
         }
+        drop(shards);
         if let Some((stop, handle)) = self.observer.take() {
             stop.store(true, Ordering::Relaxed);
             let _ = handle.join();
@@ -751,7 +798,7 @@ impl EngineBuilder {
         EngineBuilder { config }
     }
 
-    /// Number of worker shards; `0` = one per available CPU.
+    /// Number of shards; `0` = one per available CPU.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.workers = shards;
         self
@@ -773,12 +820,6 @@ impl EngineBuilder {
         self.config.max_retries = max_retries;
         self.config.initial_backoff = initial_backoff;
         self.config.max_backoff = max_backoff;
-        self
-    }
-
-    /// Shed load once a shard queue holds this many entries.
-    pub fn backpressure_cap(mut self, cap: usize) -> Self {
-        self.config.backpressure_cap = Some(cap);
         self
     }
 
@@ -807,7 +848,7 @@ impl EngineBuilder {
         &self.config
     }
 
-    /// Take ownership of `backend` and spin up the shard workers.
+    /// Take ownership of `backend` and spin up the shards.
     pub fn start<B: Backend>(self, backend: B) -> AdmissionEngine<B> {
         AdmissionEngine::start_with(backend, self.config)
     }
@@ -973,8 +1014,8 @@ impl<B: Backend> BackendRef<'_, B> {
 
 /// Per-shard state and bookkeeping, generic over its time source.
 ///
-/// Minted by [`EngineCore::shard`]. The threaded engine runs one of
-/// these per worker on [`SystemClock`]; the simulation harness drives
+/// Minted by [`EngineCore::shard`]. The engine keeps one of these per
+/// shard behind a lock, on [`SystemClock`]; the simulation harness drives
 /// the same type single-threaded on a virtual clock via
 /// [`ShardCore::handle_event`] / [`ShardCore::retry_due`] /
 /// [`ShardCore::next_due`].
@@ -1007,7 +1048,7 @@ pub struct ShardCore<B: Backend, C: Clock> {
 
 impl<B: Backend, C: Clock> ShardCore<B, C> {
     /// Apply one event, optionally tracked by a completion callback.
-    /// Never sleeps: a busy connect parks instead of blocking the queue.
+    /// Never sleeps: a busy connect parks instead of blocking the shard.
     pub fn handle_event(&mut self, ev: TimedEvent, done: Option<OutcomeCallback>) {
         self.handle(Job { ev, done });
     }
@@ -1056,17 +1097,14 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         self.parked.len()
     }
 
-    /// Apply one queued job.
+    /// Apply one job.
     fn handle(&mut self, job: Job) {
         self.with_backend(|shard, b| shard.handle_with(b, job));
     }
 
     /// Apply one job against an already-locked backend.
     fn handle_with(&mut self, b: &mut BackendRef<'_, B>, job: Job) {
-        let src = match &job.ev.event {
-            TraceEvent::Connect(conn) => conn.source(),
-            TraceEvent::Disconnect(src) => *src,
-        };
+        let src = job.source();
         // Events behind a parked same-source connect must wait for it so
         // per-source order survives. (A deferred connect counts as
         // offered only when it actually replays.)
@@ -1343,32 +1381,6 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
             .values()
             .map(|p| p.next_try.saturating_duration_since(now))
             .min()
-    }
-}
-
-/// One shard: applies its slice of the event stream to the backend,
-/// interleaving queue intake with retries of parked requests.
-fn shard_loop<B: Backend>(rx: Receiver<Work>, mut shard: ShardCore<B, SystemClock>) {
-    let mut open = true;
-    let apply = |shard: &mut ShardCore<B, SystemClock>, work: Work| match work {
-        Work::One(job) => shard.handle(job),
-        Work::Batch(jobs) => shard.handle_jobs(jobs),
-    };
-    while open || !shard.parked.is_empty() {
-        shard.retry_due();
-        match shard.next_due() {
-            None if open => match rx.recv() {
-                Ok(work) => apply(&mut shard, work),
-                Err(_) => open = false,
-            },
-            Some(wait) if open => match rx.recv_timeout(wait.min(Duration::from_millis(10))) {
-                Ok(work) => apply(&mut shard, work),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => open = false,
-            },
-            Some(wait) => std::thread::sleep(wait.min(Duration::from_millis(10))),
-            None => {}
-        }
     }
 }
 

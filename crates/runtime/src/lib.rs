@@ -11,11 +11,11 @@
 //! # Architecture
 //!
 //! ```text
-//!   DynamicTraffic ──▶ AdmissionEngine::submit
+//!   DynamicTraffic ──▶ AdmissionEngine::submit     (caller's thread)
 //!                          │  shard by input module of source port
 //!            ┌─────────────┼─────────────┐
-//!        shard 0       shard 1   …   shard W-1     (worker threads)
-//!            │             │             │
+//!        shard 0       shard 1   …   shard W-1     (locks; one retry
+//!            │             │             │          thread each)
 //!            └──── retry/backoff/deadline ─────┐
 //!                          ▼                   │
 //!                RwLock<B: Backend>     RuntimeMetrics (atomics)
@@ -38,10 +38,12 @@
 //!   under the **read** side of the backend lock — in parallel — while
 //!   fault injection, repack, and drain take the write side as a
 //!   stop-the-world epoch.
-//! * [`AdmissionEngine`] owns the worker shards. Sharding by input
-//!   module keeps each source's connect strictly before its disconnect;
-//!   cross-shard reordering can only manifest as transient destination
-//!   conflicts, absorbed by bounded exponential backoff.
+//! * [`AdmissionEngine`] owns the shards. A submit admits on the
+//!   calling thread under its shard's lock; each shard's one thread
+//!   only retries parked connects. Sharding by input module keeps each
+//!   source's connect strictly before its disconnect; cross-shard
+//!   reordering can only manifest as transient destination conflicts,
+//!   absorbed by bounded exponential backoff.
 //! * [`RuntimeMetrics`] / [`MetricsSnapshot`] provide lock-free counters,
 //!   log-bucketed latency and holding-time histograms, per-wavelength and
 //!   per-middle-switch gauges, and a serializable snapshot stream.

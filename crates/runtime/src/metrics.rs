@@ -92,7 +92,7 @@ fn bucket_midpoint(i: usize) -> u64 {
 
 /// Shared counters and gauges for one engine run. All hot-path updates
 /// are relaxed atomics; consistency across counters is only needed at
-/// snapshot time and after drain, when the workers have quiesced.
+/// snapshot time and after drain, when the shards have quiesced.
 #[derive(Debug)]
 pub struct RuntimeMetrics {
     /// Connect requests handed to the engine.

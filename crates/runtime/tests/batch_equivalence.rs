@@ -2,7 +2,7 @@
 //! change — on one shard, the per-index outcomes of a batch are
 //! identical to submitting the same events sequentially, across the
 //! whole taxonomy (Busy, Blocked, ComponentDown, Fatal, departures),
-//! and a batch already queued when `begin_drain` fires still resolves
+//! and a batch submitted just before `begin_drain` fires still resolves
 //! its real outcomes.
 
 use proptest::prelude::*;
@@ -140,7 +140,7 @@ fn batch_spanning_begin_drain_still_resolves() {
             event: TraceEvent::Disconnect(Endpoint::new(0, 0)),
         },
     ];
-    // Enqueued before the drain signal: both events must resolve their
+    // Submitted before the drain signal: both events must resolve their
     // real outcomes even though the drain begins immediately after.
     assert_eq!(
         engine.submit_batch_tracked(events, vec![mk(0), mk(1)]),
@@ -164,32 +164,4 @@ fn batch_spanning_begin_drain_still_resolves() {
     assert_eq!(got[1], (1, RequestOutcome::Departed));
     assert_eq!(got[2], (2, RequestOutcome::Draining));
     engine.drain();
-}
-
-#[test]
-fn backpressure_cap_sheds_load() {
-    let p = ThreeStageParams::new(4, 8, 4, 2);
-    let net = ThreeStageNetwork::new(p, Construction::MswDominant, MulticastModel::Msw);
-    // Cap of zero: every queue is "full" before the first submit.
-    let engine = EngineBuilder::new()
-        .shards(1)
-        .backpressure_cap(0)
-        .start(net);
-    let (tx, rx) = mpsc::channel::<RequestOutcome>();
-    let conn = MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(4, 0));
-    let ev = TimedEvent {
-        time: 0.0,
-        event: TraceEvent::Connect(conn),
-    };
-    assert_eq!(
-        engine.submit_tracked(ev.clone(), Box::new(move |o| tx.send(o).unwrap())),
-        SubmitOutcome::Backpressure
-    );
-    assert_eq!(
-        rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-        RequestOutcome::Backpressure
-    );
-    assert_eq!(engine.submit_batch(vec![ev]), SubmitOutcome::Backpressure);
-    let report = engine.drain();
-    assert_eq!(report.summary.offered, 0, "nothing reached a shard");
 }

@@ -106,25 +106,31 @@ fn snapshot_during_held_commit_counts_seqlock_retries() {
     let engine = EngineBuilder::from_config(RuntimeConfig::default())
         .shards(1)
         .start(backend);
-    // Two unicasts; the first one's commit parks at its leg CAS, the
-    // second waits behind it in the single shard's queue.
-    for (src, dst) in [(0u32, 2u32), (1, 3)] {
-        let _ = engine.submit(TimedEvent {
-            time: 0.0,
-            event: TraceEvent::Connect(MulticastConnection::unicast(
-                Endpoint::new(src, 0),
-                Endpoint::new(dst, 0),
-            )),
+    let snap = std::thread::scope(|scope| {
+        // Two unicasts, admitted on the submitting thread: the first
+        // one's commit parks at its leg CAS, holding the submitter (and
+        // the single shard's lock) until the snapshot below is taken;
+        // the second follows once it resumes.
+        scope.spawn(|| {
+            for (src, dst) in [(0u32, 2u32), (1, 3)] {
+                let _ = engine.submit(TimedEvent {
+                    time: 0.0,
+                    event: TraceEvent::Connect(MulticastConnection::unicast(
+                        Endpoint::new(src, 0),
+                        Endpoint::new(dst, 0),
+                    )),
+                });
+            }
         });
-    }
-
-    parked.wait(); // the first commit now sits mid-epoch
-    let snap = engine.snapshot_now();
-    assert!(
-        snap.snapshot_retries > 0,
-        "seqlock reader must have detected the held-open commit"
-    );
-    resume.wait();
+        parked.wait(); // the first commit now sits mid-epoch
+        let snap = engine.snapshot_now();
+        assert!(
+            snap.snapshot_retries > 0,
+            "seqlock reader must have detected the held-open commit"
+        );
+        resume.wait();
+        snap
+    });
 
     let report = engine.drain();
     assert!(report.is_clean(), "{:?}", report.errors);

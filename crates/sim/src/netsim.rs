@@ -3,9 +3,11 @@
 //! [`NetSim`] drives `wdm-net`'s [`ServingCore`] — the state machine the
 //! epoll reactor drives in production — over per-lane byte queues, in
 //! front of a virtual-clock engine ([`EngineCore`] plus one
-//! [`ShardCore`] per engine shard). A lane is one client: a script of
-//! encoded frames, a window of unanswered entries, and a send buffer of
-//! `SEND_BUFFER` bytes toward it. Every hop is a [`Step`]; a
+//! [`ShardCore`] per engine shard) that admits a submitted batch at
+//! once, as the production engine does on the submitting thread; only
+//! parked retries wait for a [`Step::Retry`]. A lane is one client: a
+//! script of encoded frames, a window of unanswered entries, and a send
+//! buffer of `SEND_BUFFER` bytes toward it. Every hop is a [`Step`]; a
 //! [`ChoiceStream`] picks the step and how many bytes it moves, so
 //! stalled-window schedules are a script rather than a race.
 
@@ -31,17 +33,10 @@ use wdm_workload::TimedEvent;
 /// Bytes the modelled server → client socket buffer holds.
 const SEND_BUFFER: usize = 64 * 1024;
 
-type Job = (TimedEvent, Option<OutcomeCallback>);
-
-struct SimShard<B: Backend> {
-    core: ShardCore<B, VirtualClock>,
-    queue: VecDeque<Vec<Job>>,
-}
-
-type Shards<B> = Arc<Mutex<Vec<SimShard<B>>>>;
+type Shards<B> = Arc<Mutex<Vec<ShardCore<B, VirtualClock>>>>;
 
 /// The [`Engine`] seam over the virtual clock: a batch splits per shard
-/// and waits for a [`Step::Deliver`] to apply it under one backend lock.
+/// and each slice is applied at once under one backend lock.
 struct SimEngine<B: Backend> {
     core: EngineCore<B>,
     clock: VirtualClock,
@@ -55,13 +50,13 @@ impl<B: Backend> Engine for SimEngine<B> {
     fn submit(&self, events: Vec<TimedEvent>, callbacks: Vec<OutcomeCallback>) {
         let mut shards = self.shards.lock();
         let n = shards.len();
-        let mut split: Vec<Vec<Job>> = (0..n).map(|_| Vec::new()).collect();
+        let mut split: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for (ev, cb) in events.into_iter().zip(callbacks) {
             split[self.core.shard_of(source_port(&ev.event), n)].push((ev, Some(cb)));
         }
         for (shard, batch) in shards.iter_mut().zip(split) {
             if !batch.is_empty() {
-                shard.queue.push_back(batch);
+                shard.handle_batch(batch);
             }
         }
     }
@@ -70,17 +65,14 @@ impl<B: Backend> Engine for SimEngine<B> {
         self.core.snapshot(self.clock.elapsed().as_secs_f64())
     }
 
-    /// Deliver and retry everything, jumping the clock, until idle.
+    /// Retry everything parked, jumping the clock, until idle.
     fn drain(self) -> RuntimeReport<B> {
         let mut shards = std::mem::take(&mut *self.shards.lock());
         loop {
             for shard in &mut shards {
-                for batch in shard.queue.drain(..) {
-                    shard.core.handle_batch(batch);
-                }
-                shard.core.retry_due();
+                shard.retry_due();
             }
-            match shards.iter().filter_map(|s| s.core.next_due()).min() {
+            match shards.iter().filter_map(|s| s.next_due()).min() {
                 Some(wait) => self.clock.advance(wait.max(Duration::from_nanos(1))),
                 None => break,
             }
@@ -110,12 +102,11 @@ pub enum Step {
     Send(usize),
     /// The server reads the lane's pending bytes, or its hang-up.
     Read(usize),
-    /// End of the server's cycle: the coalesced batch goes to the engine.
+    /// End of the server's cycle: the coalesced batch goes to the
+    /// engine, which admits it at once.
     Cycle,
     /// The server writes the lane's queued responses to its send buffer.
     Write(usize),
-    /// The engine shard applies its oldest submitted batch.
-    Deliver(usize),
     /// The engine shard retries its due parked requests.
     Retry(usize),
     /// The lane's client reads its send buffer, decoding whole responses.
@@ -162,7 +153,7 @@ impl Lane {
 }
 
 /// The simulated serving stack: lanes of scripted clients in front of
-/// one [`ServingCore`] and cooperatively scheduled engine shards.
+/// one [`ServingCore`] and its engine shards.
 pub struct NetSim<B: Backend> {
     slot: Arc<EngineSlot<SimEngine<B>>>,
     core: ServingCore<SimEngine<B>>,
@@ -181,10 +172,7 @@ impl<B: Backend> NetSim<B> {
         let clock = VirtualClock::new();
         let shards: Shards<B> = Arc::new(Mutex::new(
             (0..shards.max(1))
-                .map(|_| SimShard {
-                    core: core.shard(runtime.clone(), clock.clone()),
-                    queue: VecDeque::new(),
-                })
+                .map(|_| core.shard(runtime.clone(), clock.clone()))
                 .collect(),
         ));
         let faults = core.fault_handle();
@@ -252,10 +240,7 @@ impl<B: Backend> NetSim<B> {
             steps.push(Step::Cycle);
         }
         for (s, shard) in self.shards.lock().iter().enumerate() {
-            if !shard.queue.is_empty() {
-                steps.push(Step::Deliver(s));
-            }
-            if shard.core.next_due() == Some(Duration::ZERO) {
+            if shard.next_due() == Some(Duration::ZERO) {
                 steps.push(Step::Retry(s));
             }
         }
@@ -332,13 +317,7 @@ impl<B: Backend> NetSim<B> {
                     self.metrics.eagain_writes.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Step::Deliver(s) => {
-                let shard = &mut self.shards.lock()[s];
-                if let Some(batch) = shard.queue.pop_front() {
-                    shard.core.handle_batch(batch);
-                }
-            }
-            Step::Retry(s) => self.shards.lock()[s].core.retry_due(),
+            Step::Retry(s) => self.shards.lock()[s].retry_due(),
             Step::Recv(l) => {
                 let lane = &mut self.lanes[l];
                 let n = budget.min(lane.to_client.len());
@@ -372,26 +351,15 @@ impl<B: Backend> NetSim<B> {
         self.metrics.snapshot()
     }
 
-    /// Requests queued at engine shard `s` (none once drained).
-    pub fn queued(&self, s: usize) -> usize {
-        self.shards
-            .lock()
-            .get(s)
-            .map_or(0, |sh| sh.queue.iter().map(Vec::len).sum())
-    }
-
     /// Parked requests on engine shard `s` (none once drained).
     pub fn parked(&self, s: usize) -> usize {
-        self.shards
-            .lock()
-            .get(s)
-            .map_or(0, |sh| sh.core.parked_len())
+        self.shards.lock().get(s).map_or(0, ShardCore::parked_len)
     }
 
     /// Earliest parked-retry due time across engine shards.
     pub fn next_due(&self) -> Option<Duration> {
         let shards = self.shards.lock();
-        shards.iter().filter_map(|s| s.core.next_due()).min()
+        shards.iter().filter_map(ShardCore::next_due).min()
     }
 
     /// Advance the virtual clock.

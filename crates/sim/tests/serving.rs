@@ -1,7 +1,7 @@
 //! The socket conformance transcripts, reproduced by the serving core's
 //! simulated driver: the literals in `wdm-net`'s `tests/transcripts/`
 //! must come out byte-identical under every schedule seed — random
-//! read, write and delivery interleavings and chunk sizes — for a
+//! read, write and retry interleavings and chunk sizes — for a
 //! strict v1 client, a v2 client, and the fault inject/repair script.
 
 mod simulated;
@@ -10,8 +10,8 @@ mod transcripts;
 
 use simulated::run_simulated;
 use transcripts::{
-    conformance_backend, conformance_script, fault_backend, fault_script, pinned_fault_transcript,
-    pinned_transcript,
+    assert_transcript, conformance_backend, conformance_script, fault_backend, fault_script,
+    pinned_fault_transcript, pinned_transcript,
 };
 use wdm_runtime::RuntimeConfig;
 use wdm_sim::NetSim;
@@ -24,15 +24,19 @@ fn transcript_sweep(seeds: u64) {
         for wire_version in [1u8, 2] {
             let sim = NetSim::new(conformance_backend(), 2, runtime());
             let got = run_simulated(sim, wire_version, &conformance_script(wire_version), seed);
-            assert_eq!(
-                got,
-                pinned_transcript(wire_version),
-                "v{wire_version} seed {seed}"
+            assert_transcript(
+                &format!("v{wire_version} seed {seed}"),
+                &got,
+                &pinned_transcript(wire_version),
             );
         }
         let sim = NetSim::new(fault_backend(), 2, runtime());
         let got = run_simulated(sim, 2, &fault_script(), seed);
-        assert_eq!(got, pinned_fault_transcript(), "fault script seed {seed}");
+        assert_transcript(
+            &format!("fault script seed {seed}"),
+            &got,
+            &pinned_fault_transcript(),
+        );
     }
 }
 

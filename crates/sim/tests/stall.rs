@@ -52,13 +52,13 @@ fn client_recv(sim: &mut NetSim<CrossbarSession>, l: usize) -> Response {
     sim.responses(l)[before].2.clone()
 }
 
-/// One request of lane `l` from the client's send to the engine shard
-/// `s`'s delivery, and its response written back into the send buffer.
-fn round_trip(sim: &mut NetSim<CrossbarSession>, l: usize, s: usize) {
+/// One request of lane `l` from the client's send to its admission at
+/// the end of the server's cycle, and its response written back into
+/// the send buffer.
+fn round_trip(sim: &mut NetSim<CrossbarSession>, l: usize) {
     sim.step(Step::Send(l));
     sim.step(Step::Read(l));
     sim.step(Step::Cycle);
-    sim.step(Step::Deliver(s));
     if sim.enabled().contains(&Step::Write(l)) {
         sim.step(Step::Write(l));
     }
@@ -84,7 +84,7 @@ fn unsent_window_stall_is_bounded_by_the_deadline() {
 
     // Lane 0's connect is admitted; the response sits unread in the
     // client buffer, so the window stays full and the departure unsent.
-    round_trip(&mut sim, a, 0);
+    round_trip(&mut sim, a);
     assert!(
         sim.enabled().contains(&Step::Recv(a)),
         "admission response is buffered"
@@ -95,7 +95,7 @@ fn unsent_window_stall_is_bounded_by_the_deadline() {
     );
 
     // Lane 1's rival connect parks behind the occupant.
-    round_trip(&mut sim, b, 1);
+    round_trip(&mut sim, b);
     assert_eq!(sim.parked(1), 1, "rival must park, not fail");
 
     // Nothing else is runnable: only the virtual clock can move. The
@@ -131,7 +131,7 @@ fn unsent_window_stall_is_bounded_by_the_deadline() {
     // Drain the window: the departure flows and the run ends clean.
     let resp = client_recv(&mut sim, a);
     assert!(resp.is_ok());
-    round_trip(&mut sim, a, 0);
+    round_trip(&mut sim, a);
     let resp = client_recv(&mut sim, a);
     assert!(resp.is_ok(), "departure completes after the window drains");
 
@@ -182,7 +182,7 @@ fn ping_answered_inline() {
     let mut sim = NetSim::new(crossbar(4), 1, RuntimeConfig::default());
     let l = sim.lane(4, Peer::Reads);
     // A Ping ahead of the scripted traffic is answered without any
-    // shard delivery step.
+    // engine step.
     sim.script(l, encode_request(1, &Request::Ping));
     for (id, ev) in [(2, connect(0, 1)), (3, disconnect(0))] {
         sim.script(l, encode_request(id, &Request::from(&ev)));
@@ -193,7 +193,6 @@ fn ping_answered_inline() {
         !sim.enabled().contains(&Step::Cycle),
         "Ping must not reach the coalesced batch"
     );
-    assert_eq!(sim.queued(0), 0, "Ping must not reach the admission queue");
     sim.step(Step::Write(l));
     let resp = client_recv(&mut sim, l);
     assert!(matches!(resp, Response::Pong), "got {resp:?}");

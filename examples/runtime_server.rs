@@ -45,7 +45,8 @@ fn main() {
     }));
     println!("offered trace: {} timed events\n", events.len());
 
-    // Four shard workers plus a 5 ms snapshot observer.
+    // Four shards, each admitting on this thread, plus a 5 ms snapshot
+    // observer.
     let engine = EngineBuilder::new()
         .shards(4)
         .observe_every(Duration::from_millis(5))

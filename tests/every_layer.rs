@@ -1,7 +1,7 @@
 //! One smoke per layer the conformance suites own, so that tier-1
 //! (`cargo test -q` at the root, which runs only this package) touches
 //! the simulator, the wire codec, the serving state machine and the
-//! engine's fault path too.
+//! engine's fault and retry paths too.
 
 #[path = "../crates/sim/tests/simulated/mod.rs"]
 mod simulated;
@@ -160,6 +160,82 @@ fn fault_heal_repair_cycle_ends_consistent() {
     let s = &report.summary;
     assert_eq!((s.faults_injected, s.faults_repaired), (1, 1));
     assert_eq!((s.admitted, s.departed, s.blocked, s.active), (4, 4, 0, 0));
+}
+
+/// Run to completion, and the one exception: on an idle engine a
+/// connect resolves before its submit returns, while a connect that
+/// goes `Busy` parks and is admitted by its shard's retry thread once
+/// the blocker's departure is submitted, with no other traffic to wake
+/// anything. It must resolve well inside the deadline (a lost retry
+/// wakeup would leave it parked until the drain), and the same-source
+/// events queued behind it must resolve after it, in order.
+#[test]
+fn busy_connect_is_retried_once_its_blocker_departs() {
+    use std::time::Duration;
+    use wdm_multicast::core::{MulticastModel, NetworkConfig};
+    use wdm_multicast::fabric::CrossbarSession;
+
+    let backend = CrossbarSession::new(NetworkConfig::new(8, 1), MulticastModel::Msw);
+    let engine = EngineBuilder::new()
+        .shards(2)
+        .deadline(Duration::from_secs(30))
+        .start(backend);
+    let (tx, rx) = mpsc::channel();
+    let submit = |tag: &'static str, event: TraceEvent| {
+        let tx = tx.clone();
+        let done = Box::new(move |outcome| tx.send((tag, outcome)).expect("the test is waiting"));
+        assert!(engine
+            .submit_tracked(TimedEvent { time: 0.0, event }, done)
+            .is_accepted());
+    };
+    let connect = |src: u32, dst: u32| {
+        TraceEvent::Connect(MulticastConnection::unicast(
+            Endpoint::new(src, 0),
+            Endpoint::new(dst, 0),
+        ))
+    };
+    let depart = |src: u32| TraceEvent::Disconnect(Endpoint::new(src, 0));
+
+    // The blocker holds output 4; a crossbar shards per port, so the
+    // rival from port 1 parks on the other shard.
+    submit("blocker", connect(0, 4));
+    assert_eq!(rx.try_recv(), Ok(("blocker", RequestOutcome::Admitted)));
+    // Let both retry threads fall asleep with nothing parked, so the
+    // rival's park must wake one (the test holds without the pause; it
+    // only makes a lost wakeup show).
+    std::thread::sleep(Duration::from_millis(20));
+    submit("rival", connect(1, 4));
+    submit("rival departs", depart(1));
+    submit("rival again", connect(1, 5));
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(rx.try_recv().is_err(), "the rival and its tail wait");
+
+    submit("blocker departs", depart(0));
+    assert_eq!(
+        rx.try_recv(),
+        Ok(("blocker departs", RequestOutcome::Departed))
+    );
+    let tail: Vec<_> = (0..3)
+        .map(|_| rx.recv_timeout(Duration::from_secs(2)))
+        .collect();
+    assert_eq!(
+        tail,
+        [
+            Ok(("rival", RequestOutcome::Admitted)),
+            Ok(("rival departs", RequestOutcome::Departed)),
+            Ok(("rival again", RequestOutcome::Admitted)),
+        ]
+    );
+    submit("last departs", depart(1));
+    assert_eq!(
+        rx.try_recv(),
+        Ok(("last departs", RequestOutcome::Departed))
+    );
+
+    let report = engine.drain();
+    assert!(report.is_clean(), "{:?}", report.errors);
+    let s = &report.summary;
+    assert_eq!((s.admitted, s.departed, s.expired, s.active), (3, 3, 0, 0));
 }
 
 /// The v2 wire conformance script on the serving core's simulated
