@@ -201,6 +201,42 @@ pub struct ThreeStageNetwork {
     /// the destination list, and the availability mask.
     groups: Vec<(u32, usize, usize)>,
     mask: Vec<u64>,
+    /// Storage of torn-down routes handed back through
+    /// [`Self::recycle`], reused by later commits.
+    spare_branches: Spares<Branch>,
+    spare_legs: Spares<Leg>,
+    spare_dests: Spares<Endpoint>,
+}
+
+/// Emptied vectors bucketed by capacity class: bucket `c` holds vectors
+/// with room for at least `2^c` items, and a request for `len` items is
+/// served from `len`'s class only, so a reused vector never grows. A
+/// vector enters a bucket only by being handed back, so per class the
+/// pooled plus live vectors never outnumber the peak live ones — and a
+/// churn that stays under an earlier peak allocates nothing.
+#[derive(Debug, Clone)]
+struct Spares<T>(Vec<Vec<Vec<T>>>);
+
+impl<T> Spares<T> {
+    /// An empty vector with room for `len` items: a spare of `len`'s
+    /// class, or a fresh one sized to the class.
+    fn take(&mut self, len: usize) -> Vec<T> {
+        let class = len.max(1).next_power_of_two().trailing_zeros() as usize;
+        let spare = self.0.get_mut(class).and_then(Vec::pop);
+        spare.unwrap_or_else(|| Vec::with_capacity(1 << class))
+    }
+
+    /// Empty `v` into the bucket of the largest class it can serve.
+    fn give(&mut self, mut v: Vec<T>) {
+        let Some(class) = v.capacity().checked_ilog2().map(|c| c as usize) else {
+            return;
+        };
+        v.clear();
+        if self.0.len() <= class {
+            self.0.resize_with(class + 1, Vec::new);
+        }
+        self.0[class].push(v);
+    }
 }
 
 impl ThreeStageNetwork {
@@ -235,6 +271,9 @@ impl ThreeStageNetwork {
             faults: FaultSet::new(),
             groups: Vec::new(),
             mask: Vec::new(),
+            spare_branches: Spares(Vec::new()),
+            spare_legs: Spares(Vec::new()),
+            spare_dests: Spares(Vec::new()),
         }
     }
 
@@ -469,8 +508,10 @@ impl ThreeStageNetwork {
             });
             self.mask = mask;
         }
-        let branches = if let Some((j, wi)) = fast_hit {
-            vec![self.commit_branch(in_module, j, wi, dests, 0..self.groups.len())]
+        let mut branches;
+        if let Some((j, wi)) = fast_hit {
+            branches = self.spare_branches.take(1);
+            branches.push(self.commit_branch(in_module, j, wi, dests, 0..self.groups.len()));
         } else {
             // Availability (with the input-link wavelength each middle
             // would use), ordered by the selection strategy (ties in the
@@ -514,19 +555,17 @@ impl ThreeStageNetwork {
                     x_limit: self.x_limit,
                 },
             )?;
-            cover
-                .into_iter()
-                .map(|(j, legs)| {
-                    let in_wl = available_wi
-                        .iter()
-                        .find(|&&(jj, _)| jj == j)
-                        .expect("cover switches come from the available list")
-                        .1;
-                    let legs = legs.into_iter().map(|g| g as usize);
-                    self.commit_branch(in_module, j, in_wl, dests, legs)
-                })
-                .collect()
-        };
+            branches = self.spare_branches.take(cover.len());
+            for (j, legs) in cover {
+                let in_wl = available_wi
+                    .iter()
+                    .find(|&&(jj, _)| jj == j)
+                    .expect("cover switches come from the available list")
+                    .1;
+                let legs = legs.into_iter().map(|g| g as usize);
+                branches.push(self.commit_branch(in_module, j, in_wl, dests, legs));
+            }
+        }
 
         self.assignment
             .add(conn.clone())
@@ -548,24 +587,25 @@ impl ThreeStageNetwork {
         j: u32,
         in_wl: u32,
         dests: &[Endpoint],
-        runs: impl Iterator<Item = usize>,
+        runs: impl ExactSizeIterator<Item = usize>,
     ) -> Branch {
         self.occupy_input_link(module, j, in_wl);
-        let legs = runs
-            .map(|g| {
-                let (om, s, e) = self.groups[g];
-                let wl = self
-                    .leg_wavelength(j, om, in_wl, &dests[s..e])
-                    .expect("cover legs are serviceable");
-                self.middle_links[j as usize][om as usize] |= 1 << wl;
-                self.multisets[j as usize].add(om);
-                Leg {
-                    out_module: om,
-                    wavelength: wl,
-                    dests: dests[s..e].to_vec(),
-                }
-            })
-            .collect();
+        let mut legs = self.spare_legs.take(runs.len());
+        for g in runs {
+            let (om, s, e) = self.groups[g];
+            let wl = self
+                .leg_wavelength(j, om, in_wl, &dests[s..e])
+                .expect("cover legs are serviceable");
+            self.middle_links[j as usize][om as usize] |= 1 << wl;
+            self.multisets[j as usize].add(om);
+            let mut leg_dests = self.spare_dests.take(e - s);
+            leg_dests.extend_from_slice(&dests[s..e]);
+            legs.push(Leg {
+                out_module: om,
+                wavelength: wl,
+                dests: leg_dests,
+            });
+        }
         Branch {
             middle: j,
             input_wavelength: in_wl,
@@ -610,6 +650,21 @@ impl ThreeStageNetwork {
             .remove(src)
             .expect("routed connection is in the assignment");
         Ok(routed)
+    }
+
+    /// Hand back a route [`Self::disconnect`] returned, so later commits
+    /// reuse its `Branch`, `Leg` and destination storage instead of
+    /// allocating. A caller that drops every torn-down route here keeps
+    /// a steady churn free of route allocations.
+    pub fn recycle(&mut self, route: RoutedConnection) {
+        let mut branches = route.branches;
+        for mut b in branches.drain(..) {
+            for leg in b.legs.drain(..) {
+                self.spare_dests.give(leg.dests);
+            }
+            self.spare_legs.give(b.legs);
+        }
+        self.spare_branches.give(branches);
     }
 
     /// The wavelength a branch from input module `module` to middle `j`

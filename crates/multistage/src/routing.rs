@@ -66,10 +66,12 @@ impl RoutingCtx<'_> {
         wi: u32,
         dests: &[Endpoint],
     ) -> Option<u32> {
-        if self.faults.middle_link_down(j, om) {
+        // Each fault lookup is a tree search; a healthy fabric skips all.
+        let faulty = !self.faults.is_empty();
+        if faulty && self.faults.middle_link_down(j, om) {
             return None;
         }
-        let out_conv_down = self.faults.output_converters_down(om);
+        let out_conv_down = faulty && self.faults.output_converters_down(om);
         let reaches_dests = |wl: u32| match self.output_model {
             // An MSW output module cannot convert — but then the dests
             // equal wl by construction of `candidates` below.
@@ -84,7 +86,7 @@ impl RoutingCtx<'_> {
         };
         // A dark middle converter bank pins the leg to the arrival λ.
         let mid_conv_ok = |wl: u32| {
-            if self.faults.middle_converters_down(j) {
+            if faulty && self.faults.middle_converters_down(j) {
                 wl == wi
             } else {
                 self.convertible(wi, wl)
@@ -156,6 +158,9 @@ impl RoutingCtx<'_> {
     /// merely blocked): a dead endpoint port, or a module structurally
     /// cut off from the middle stage.
     pub(crate) fn component_down(&self, conn: &MulticastConnection) -> Option<Fault> {
+        if self.faults.is_empty() {
+            return None;
+        }
         let src = conn.source();
         if self.faults.port_down(src.port.0) {
             return Some(Fault::Port(src.port.0));
@@ -164,9 +169,6 @@ impl RoutingCtx<'_> {
             if self.faults.port_down(d.port.0) {
                 return Some(Fault::Port(d.port.0));
             }
-        }
-        if self.faults.is_empty() {
-            return None;
         }
         // Source module cut off: every middle is dead or unreachable.
         let (in_module, _) = self.params.input_module_of(src.port.0);

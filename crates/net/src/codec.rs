@@ -24,7 +24,7 @@
 //! [`WireError`] the server answers with a `ProtocolError` frame.
 
 use crate::protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use wdm_core::{Endpoint, MulticastConnection};
 use wdm_runtime::MetricsSnapshot;
 
@@ -122,35 +122,6 @@ pub struct RawFrame {
     pub id: u64,
     /// Undecoded payload bytes.
     pub payload: Vec<u8>,
-}
-
-/// Write one frame at the current [`WIRE_VERSION`]. The whole frame is
-/// assembled first so a single `write_all` keeps frames contiguous even
-/// when several threads share the stream behind a lock.
-pub fn write_frame(w: &mut impl Write, kind: u8, id: u64, payload: &[u8]) -> io::Result<()> {
-    write_frame_v(w, WIRE_VERSION, kind, id, payload)
-}
-
-/// [`write_frame`] with an explicit version byte — how a server mirrors
-/// the version a request arrived in, and how tests emulate old clients.
-pub fn write_frame_v(
-    w: &mut impl Write,
-    version: u8,
-    kind: u8,
-    id: u64,
-    payload: &[u8],
-) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    debug_assert!((MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version));
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(version);
-    buf.push(kind);
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)?;
-    w.flush()
 }
 
 /// Read one frame. A clean EOF before any header byte is
@@ -318,31 +289,34 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 /// frames do not exist in wire v1, so encoding one would produce a
 /// frame no v1 peer can parse.
 pub fn encode_request_v(version: u8, id: u64, req: &Request) -> Vec<u8> {
-    let (kind, payload) = match req {
+    let payload_len = match req {
+        Request::Connect(conn) => 8 + 4 + 8 * conn.fanout(),
+        Request::Disconnect(_) => 8,
+        _ => 0,
+    };
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_len);
+    put_frame(&mut buf, version, id, |p| match req {
         Request::Connect(conn) => {
-            let mut p = Vec::with_capacity(8 + 4 + 8 * conn.fanout());
-            put_connection(&mut p, conn);
-            (kind::CONNECT, p)
+            put_connection(p, conn);
+            kind::CONNECT
         }
         Request::Disconnect(src) => {
-            let mut p = Vec::with_capacity(8);
-            put_endpoint(&mut p, *src);
-            (kind::DISCONNECT, p)
+            put_endpoint(p, *src);
+            kind::DISCONNECT
         }
-        Request::Snapshot => (kind::SNAPSHOT, Vec::new()),
-        Request::Drain => (kind::DRAIN, Vec::new()),
-        Request::Ping => (kind::PING, Vec::new()),
+        Request::Snapshot => kind::SNAPSHOT,
+        Request::Drain => kind::DRAIN,
+        Request::Ping => kind::PING,
         Request::BatchConnect(conns) => {
             assert!(version >= 2, "BatchConnect requires wire v2");
-            let mut p = Vec::new();
-            put_u32(&mut p, conns.len() as u32);
+            put_u32(p, conns.len() as u32);
             for conn in conns {
-                put_connection(&mut p, conn);
+                put_connection(p, conn);
             }
-            (kind::BATCH_CONNECT, p)
+            kind::BATCH_CONNECT
         }
-    };
-    frame_bytes(version, kind, id, &payload)
+    });
+    buf
 }
 
 /// Encode a response into a complete frame at [`WIRE_VERSION`].
@@ -358,54 +332,69 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
 /// When `resp` is a [`Response::Batch`] and `version < 2`, or a batch
 /// item is anything but `Ok`/`Rejected`.
 pub fn encode_response_v(version: u8, id: u64, resp: &Response) -> Vec<u8> {
-    let (kind, payload) = match resp {
-        Response::Ok => (kind::OK, Vec::new()),
+    let mut buf = Vec::with_capacity(HEADER_LEN);
+    encode_response_into(&mut buf, version, id, resp);
+    buf
+}
+
+/// [`encode_response_v`] appended to `buf` — how the serving core
+/// encodes a verdict straight into a connection's output queue.
+pub(crate) fn encode_response_into(buf: &mut Vec<u8>, version: u8, id: u64, resp: &Response) {
+    put_frame(buf, version, id, |p| match resp {
+        Response::Ok => kind::OK,
         Response::Rejected { reason, detail } => {
-            let mut p = Vec::new();
             p.push(reject_code(*reason));
-            put_string(&mut p, detail);
-            (kind::REJECTED, p)
+            put_string(p, detail);
+            kind::REJECTED
         }
         Response::Snapshot(snap) => {
-            let mut p = Vec::new();
-            put_string(&mut p, &snap.to_json());
-            (kind::SNAPSHOT_DATA, p)
+            put_string(p, &snap.to_json());
+            kind::SNAPSHOT_DATA
         }
         Response::DrainReport { clean, summary } => {
-            let mut p = vec![u8::from(*clean)];
-            put_string(&mut p, &summary.to_json());
-            (kind::DRAIN_REPORT, p)
+            p.push(u8::from(*clean));
+            put_string(p, &summary.to_json());
+            kind::DRAIN_REPORT
         }
-        Response::Pong => (kind::PONG, Vec::new()),
+        Response::Pong => kind::PONG,
         Response::ProtocolError { message } => {
-            let mut p = Vec::new();
-            put_string(&mut p, message);
-            (kind::PROTOCOL_ERROR, p)
+            put_string(p, message);
+            kind::PROTOCOL_ERROR
         }
         Response::Batch(items) => {
             assert!(version >= 2, "Batch response requires wire v2");
-            let mut p = Vec::new();
-            put_u32(&mut p, items.len() as u32);
+            put_u32(p, items.len() as u32);
             for item in items {
                 match item {
                     Response::Ok => p.push(0),
                     Response::Rejected { reason, detail } => {
                         p.push(reject_code(*reason));
-                        put_string(&mut p, detail);
+                        put_string(p, detail);
                     }
                     other => panic!("batch items are Ok/Rejected, got {other:?}"),
                 }
             }
-            (kind::BATCH_REPLY, p)
+            kind::BATCH_REPLY
         }
-    };
-    frame_bytes(version, kind, id, &payload)
+    });
 }
 
-fn frame_bytes(version: u8, kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    write_frame_v(&mut buf, version, kind, id, payload).expect("Vec write is infallible");
-    buf
+/// Append one whole frame to `buf`: the header, then the payload
+/// `payload` writes after it, which returns the frame's kind. Kind and
+/// length are patched into the header once the payload is written, so
+/// header and payload share one buffer.
+fn put_frame(buf: &mut Vec<u8>, version: u8, id: u64, payload: impl FnOnce(&mut Vec<u8>) -> u8) {
+    debug_assert!((MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version));
+    let start = buf.len();
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&[version, 0]);
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&[0; 4]);
+    let kind = payload(buf);
+    let len = buf.len() - start - HEADER_LEN;
+    debug_assert!(len <= MAX_PAYLOAD);
+    buf[start + 3] = kind;
+    buf[start + 12..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 fn reject_code(reason: RejectReason) -> u8 {
@@ -462,15 +451,25 @@ fn read_connection(
 /// Parse a raw frame as a request. Response kinds are rejected, and so
 /// are v2-only kinds arriving in a v1 frame.
 pub fn decode_request(frame: &RawFrame) -> Result<Request, WireError> {
-    let mut p = PayloadReader::new(&frame.payload);
-    let req = match frame.kind {
-        kind::CONNECT => Request::Connect(read_connection(&mut p, frame.payload.len())?),
+    decode_request_parts(frame.version, frame.kind, &frame.payload)
+}
+
+/// [`decode_request`] over a frame's parts, so the serving core can parse
+/// a payload where it lies in its read buffer.
+pub(crate) fn decode_request_parts(
+    version: u8,
+    kind: u8,
+    payload: &[u8],
+) -> Result<Request, WireError> {
+    let mut p = PayloadReader::new(payload);
+    let req = match kind {
+        kind::CONNECT => Request::Connect(read_connection(&mut p, payload.len())?),
         kind::DISCONNECT => Request::Disconnect(p.endpoint()?),
         kind::SNAPSHOT => Request::Snapshot,
         kind::DRAIN => Request::Drain,
         kind::PING => Request::Ping,
         kind::BATCH_CONNECT => {
-            if frame.version < 2 {
+            if version < 2 {
                 return Err(WireError::Malformed(
                     "batch connect does not exist in wire v1".into(),
                 ));
@@ -478,14 +477,14 @@ pub fn decode_request(frame: &RawFrame) -> Result<Request, WireError> {
             let n = p.u32()?;
             // Each connection needs ≥ 16 payload bytes (src + fanout +
             // one destination); bound the allocation by the payload.
-            if (n as usize).saturating_mul(16) > frame.payload.len() {
+            if (n as usize).saturating_mul(16) > payload.len() {
                 return Err(WireError::Malformed(format!(
                     "batch of {n} larger than the payload could hold"
                 )));
             }
             let mut conns = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                conns.push(read_connection(&mut p, frame.payload.len())?);
+                conns.push(read_connection(&mut p, payload.len())?);
             }
             Request::BatchConnect(conns)
         }

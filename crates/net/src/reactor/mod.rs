@@ -276,9 +276,11 @@ impl<B: Backend> Shard<B> {
 
             let mut readable: Vec<u64> = Vec::new();
             let mut writable: Vec<u64> = Vec::new();
+            let mut woken = false;
             for ev in events.iter().take(n) {
                 let token = ev.token();
                 if token == WAKER {
+                    woken = true;
                     continue;
                 }
                 let bits = ev.events();
@@ -305,27 +307,37 @@ impl<B: Backend> Shard<B> {
                     .record(frames_this_wakeup);
             }
 
-            // Write service: the verdicts `flush` just produced, retry
-            // completions (reset the eventfd first so one landing
-            // meanwhile re-arms it) and sockets that turned writable.
-            self.efd.drain();
-            let mut to_write = self.core.take_woken();
-            to_write.extend_from_slice(&writable);
-            to_write.sort_unstable();
-            to_write.dedup();
-            for &token in &to_write {
-                self.service_writable(token, now);
+            // Write service until no connection is owed a write: the
+            // verdicts `flush` just produced, retry completions, sockets
+            // that turned writable, then the verdicts of frames a drained
+            // queue let through (output cap). A flush wakes nobody, so
+            // this loop is what sends its output. The eventfd is read
+            // only when epoll reported it, before the first take, so a
+            // completion landing after the last take re-arms it.
+            if woken {
+                self.efd.drain();
             }
-            // Frames a drained write queue let through (output cap).
-            self.core.flush();
+            let mut touched = readable;
+            let mut to_write = writable;
+            loop {
+                to_write.extend(self.core.take_woken());
+                if to_write.is_empty() {
+                    break;
+                }
+                to_write.sort_unstable();
+                to_write.dedup();
+                for &token in &to_write {
+                    self.service_writable(token, now);
+                }
+                touched.append(&mut to_write);
+                self.core.flush();
+            }
 
             // A connection only becomes reapable through an event that
             // names it (EOF or error in `readable`, last pending write
             // or engine callback in `to_write`), so reaping scans just
             // this cycle's touched tokens — O(events), not O(conns).
             // A periodic full sweep backstops any path that slips by.
-            let mut touched = readable;
-            touched.extend_from_slice(&to_write);
             touched.sort_unstable();
             touched.dedup();
             self.reap(&touched);

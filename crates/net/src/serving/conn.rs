@@ -7,8 +7,8 @@
 //! buffered — a malformed header is rejected before its payload ever
 //! arrives, with the [`WireError`]s `read_frame` produces.
 
-use crate::codec::{check_header, RawFrame, WireError, HEADER_LEN};
-use crate::protocol::Response;
+use crate::codec::{check_header, decode_request_parts, RawFrame, WireError, HEADER_LEN};
+use crate::protocol::{Request, Response};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -60,6 +60,29 @@ impl FrameAssembler {
     /// frame (or nothing). `Err` — the byte stream is not a valid frame
     /// sequence; the connection is desynchronized beyond recovery.
     pub(crate) fn next_frame(&mut self) -> Result<Option<RawFrame>, WireError> {
+        self.next_with(|version, kind, id, payload| RawFrame {
+            version,
+            kind,
+            id,
+            payload: payload.to_vec(),
+        })
+    }
+
+    /// [`Self::next_frame`] parsed as a request where it lies in the
+    /// buffer, without copying the payload out. Yields exactly what
+    /// `decode_request` makes of `next_frame`'s frame.
+    pub(crate) fn next_request(&mut self) -> Result<Option<DecodedRequest>, WireError> {
+        self.next_with(|version, kind, id, payload| {
+            (version, id, decode_request_parts(version, kind, payload))
+        })
+    }
+
+    /// Consume the next complete frame, handing `f` its version, kind,
+    /// id and payload in place.
+    fn next_with<T>(
+        &mut self,
+        f: impl FnOnce(u8, u8, u64, &[u8]) -> T,
+    ) -> Result<Option<T>, WireError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
@@ -69,50 +92,67 @@ impl FrameAssembler {
         if avail.len() < total {
             return Ok(None);
         }
-        let payload = avail[HEADER_LEN..total].to_vec();
+        let out = f(version, kind, id, &avail[HEADER_LEN..total]);
         self.pos += total;
         self.compact();
-        Ok(Some(RawFrame {
-            version,
-            kind,
-            id,
-            payload,
-        }))
+        Ok(Some(out))
     }
 }
+
+/// A request frame decoded in place: version, id, and the request or
+/// why its payload did not parse (the stream itself stays in sync).
+pub(crate) type DecodedRequest = (u8, u64, Result<Request, WireError>);
 
 /// The wakeup channel from engine-shard callbacks back to the driver:
 /// tokens queue here and the driver's wake callback runs (an eventfd
 /// write under epoll). Push-then-wake ordering means a token is visible
 /// by the time the wakeup is observed — no lost completions.
 pub(crate) struct WakeQueue {
-    pending: Mutex<Vec<u64>>,
+    state: Mutex<WakeState>,
     wake: Box<dyn Fn() + Send + Sync>,
+}
+
+#[derive(Default)]
+struct WakeState {
+    tokens: Vec<u64>,
+    /// The core's own flush is running: its driver takes the tokens
+    /// right after, so waking it would only cost syscalls.
+    quiet: bool,
 }
 
 impl WakeQueue {
     pub(crate) fn new(wake: impl Fn() + Send + Sync + 'static) -> Self {
         WakeQueue {
-            pending: Mutex::new(Vec::new()),
+            state: Mutex::new(WakeState::default()),
             wake: Box::new(wake),
         }
     }
 
     /// Queue `token` for write service and wake the driver — only on the
     /// empty→non-empty transition (under the lock [`WakeQueue::take`]
-    /// shares), so a burst of completions costs one wakeup, not one each.
+    /// shares), so a burst of completions costs one wakeup, not one
+    /// each, and not at all while [`WakeQueue::quiet`] runs.
     pub(crate) fn notify(&self, token: u64) {
-        let mut pending = self.pending.lock();
-        pending.push(token);
-        if pending.len() == 1 {
-            drop(pending);
+        let mut state = self.state.lock();
+        state.tokens.push(token);
+        if state.tokens.len() == 1 && !state.quiet {
+            drop(state);
             (self.wake)();
         }
     }
 
+    /// Run `f`, the core's flush, without waking the driver, which calls
+    /// [`WakeQueue::take`] right after: a completion from another thread
+    /// landing meanwhile is queued like any other and returned by it.
+    pub(crate) fn quiet(&self, f: impl FnOnce()) {
+        self.state.lock().quiet = true;
+        f();
+        self.state.lock().quiet = false;
+    }
+
     /// Drain all queued tokens; a driver resets its wakeup first.
     pub(crate) fn take(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.pending.lock())
+        std::mem::take(&mut self.state.lock().tokens)
     }
 }
 
@@ -140,15 +180,21 @@ impl ConnShared {
         })
     }
 
-    /// Encode `resp` in the wire version its request arrived with and
-    /// queue it for the driver to flush. Safe from any thread.
+    /// Encode `resp` in its request's wire version straight onto the
+    /// output queue, from any thread. Only an empty queue asks for a
+    /// wakeup: a non-empty one is already owed a write, through the wake
+    /// list or, after a short write, the driver's writable interest.
     pub(crate) fn respond(&self, version: u8, id: u64, resp: &Response) {
         if self.closed.load(Ordering::Acquire) {
             return;
         }
-        let bytes = crate::codec::encode_response_v(version, id, resp);
-        self.out.lock().extend_from_slice(&bytes);
-        self.wake.notify(self.token);
+        let mut out = self.out.lock();
+        let was_empty = out.is_empty();
+        crate::codec::encode_response_into(&mut out, version, id, resp);
+        drop(out);
+        if was_empty {
+            self.wake.notify(self.token);
+        }
     }
 
     /// Mark the connection dead; subsequent [`ConnShared::respond`]
@@ -215,8 +261,12 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_request, MAX_PAYLOAD};
+    use crate::codec::{decode_request, encode_request, encode_request_v, MAGIC, MAX_PAYLOAD};
     use crate::protocol::{Request, WIRE_VERSION};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+    use wdm_core::{Endpoint, MulticastConnection};
 
     fn ping_bytes(id: u64) -> Vec<u8> {
         encode_request(id, &Request::Ping)
@@ -308,12 +358,15 @@ mod tests {
         let shared = ConnShared::new(9, Arc::clone(&wake));
         shared.respond(WIRE_VERSION, 1, &Response::Pong);
         shared.respond(WIRE_VERSION, 2, &Response::Ok);
-        assert_eq!(wake.take(), vec![9, 9]);
+        // One token per empty→non-empty transition, not per response.
+        assert_eq!(wake.take(), vec![9]);
         let pending = shared.take_pending().expect("two responses queued");
         // Simulate a short write of 3 bytes: requeue the tail, then a
-        // third response lands behind it.
+        // third response lands behind it. The tail is owed a write
+        // already, so the third response queues no token.
         shared.requeue_front(pending[3..].to_vec());
         shared.respond(WIRE_VERSION, 3, &Response::Pong);
+        assert!(wake.take().is_empty());
         let rest = shared.take_pending().expect("tail + third");
         let mut full = pending[..3].to_vec();
         full.extend_from_slice(&rest);
@@ -329,5 +382,117 @@ mod tests {
         shared.close();
         shared.respond(WIRE_VERSION, 4, &Response::Pong);
         assert!(shared.take_pending().is_none());
+    }
+
+    #[test]
+    fn completions_during_the_flush_wake_nothing_and_are_taken() {
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&wakes);
+        let queue = Arc::new(WakeQueue::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        }));
+        queue.quiet(|| {
+            // A retry-thread completion lands on an empty queue mid-flush,
+            // then the flush's own inline verdict.
+            let retry = Arc::clone(&queue);
+            std::thread::spawn(move || retry.notify(2))
+                .join()
+                .expect("retry thread");
+            queue.notify(1);
+        });
+        assert_eq!(wakes.load(Ordering::SeqCst), 0, "a flush costs no wakeup");
+        assert_eq!(queue.take(), vec![2, 1], "the cycle's take returns both");
+        // Outside a flush a completion wakes the driver, once per
+        // empty→non-empty transition.
+        queue.notify(3);
+        queue.notify(4);
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        assert_eq!(queue.take(), vec![3, 4]);
+    }
+
+    /// One frame of a random stream: a legal request in either wire
+    /// version, a well-framed payload that does not parse as a request,
+    /// or (rarely) a header that desynchronizes the stream.
+    fn random_frame(rng: &mut StdRng) -> Vec<u8> {
+        let id = rng.gen::<u64>();
+        let version = rng.gen_range(1..=WIRE_VERSION);
+        let conn = |rng: &mut StdRng| {
+            let src = rng.gen_range(0..64u32);
+            let fanout = rng.gen_range(1..5u32);
+            let dests = (1..=fanout).map(|i| Endpoint::new(src + i, 0));
+            MulticastConnection::new(Endpoint::new(src, 0), dests).expect("distinct ports")
+        };
+        let raw = |kind: u8, payload: &[u8]| {
+            let mut f = MAGIC.to_vec();
+            f.extend_from_slice(&[version, kind]);
+            f.extend_from_slice(&id.to_le_bytes());
+            f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            f.extend_from_slice(payload);
+            f
+        };
+        match rng.gen_range(0..40) {
+            0..=9 => encode_request_v(version, id, &Request::Connect(conn(rng))),
+            10..=14 => {
+                let batch = vec![conn(rng), conn(rng)];
+                encode_request_v(2, id, &Request::BatchConnect(batch))
+            }
+            15..=19 => encode_request_v(version, id, &Request::Disconnect(Endpoint::new(3, 1))),
+            20..=23 => encode_request_v(version, id, &Request::Ping),
+            24..=26 => encode_request_v(version, id, &Request::Snapshot),
+            // Random payload bytes under a request kind: short,
+            // trailing, invalid or v2-only-in-v1 payloads.
+            27..=33 => {
+                let mut payload = vec![0u8; rng.gen_range(0..40)];
+                rng.fill_bytes(&mut payload);
+                raw(rng.gen_range(0x01..=0x06), &payload)
+            }
+            // A response kind where a request belongs.
+            34..=37 => raw(0x81, &[]),
+            38 => raw(0x77, &[]),
+            _ => {
+                let mut f = encode_request(id, &Request::Ping);
+                f[0] = 0;
+                f
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoding a request in place yields exactly what copying the
+        /// frame out and decoding it does — every request, every payload
+        /// error, every stream error, at the same stream position —
+        /// however the stream is cut into reads.
+        #[test]
+        fn prop_in_place_decode_matches_copying_decode(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stream = Vec::new();
+            for _ in 0..rng.gen_range(1..24) {
+                stream.extend(random_frame(&mut rng));
+            }
+            let mut copying = FrameAssembler::new();
+            let mut in_place = FrameAssembler::new();
+            let mut rest = &stream[..];
+            'stream: while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(48)));
+                rest = tail;
+                copying.extend(chunk);
+                in_place.extend(chunk);
+                loop {
+                    let want = copying
+                        .next_frame()
+                        .map(|f| f.map(|f| (f.version, f.id, decode_request(&f))));
+                    let got = in_place.next_request();
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(in_place.pending(), copying.pending());
+                    match want {
+                        Ok(Some(_)) => {}
+                        Ok(None) => break,
+                        Err(_) => break 'stream,
+                    }
+                }
+            }
+        }
     }
 }

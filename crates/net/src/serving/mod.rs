@@ -21,9 +21,9 @@ mod stats;
 
 pub use stats::{ReactorMetrics, ReactorSnapshot};
 
-use crate::codec::{decode_request, RawFrame, MAX_PAYLOAD};
+use crate::codec::MAX_PAYLOAD;
 use crate::protocol::{RejectReason, Request, Response, WIRE_VERSION};
-use conn::{ConnShared, Connection, FrameAssembler, WakeQueue};
+use conn::{ConnShared, Connection, DecodedRequest, FrameAssembler, WakeQueue};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io;
@@ -236,7 +236,7 @@ impl<E: Engine> ServingCore<E> {
             if conn.closing || conn.shared.queued() > MAX_QUEUED_OUTPUT {
                 break;
             }
-            let frame = match conn.assembler.next_frame() {
+            let frame = match conn.assembler.next_request() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(e) => {
@@ -311,20 +311,18 @@ impl<E: Engine> ServingCore<E> {
         self.batch.events.len()
     }
 
-    /// Tokens whose output grew since the last call.
+    /// Tokens whose output queue filled since the last call.
     pub fn take_woken(&self) -> Vec<u64> {
         self.wake.take()
     }
 
     /// Route one decoded frame. Admission work lands in the cycle batch;
     /// everything else is answered inline.
-    fn dispatch(&mut self, token: u64, frame: RawFrame, now: f64) {
-        let version = frame.version;
-        let id = frame.id;
+    fn dispatch(&mut self, token: u64, (version, id, req): DecodedRequest, now: f64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let req = match decode_request(&frame) {
+        let req = match req {
             Ok(r) => r,
             Err(e) => {
                 self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -445,6 +443,9 @@ impl<E: Engine> ServingCore<E> {
     }
 
     /// End of cycle: submit the coalesced events as one tracked batch.
+    /// The output it queues wakes nobody — nor does a flush that
+    /// [`Self::on_read`] or [`Self::write`] runs: the driver collects it
+    /// with [`Self::take_woken`] before it sleeps.
     pub fn flush(&mut self) {
         if self.batch.events.is_empty() {
             return;
@@ -455,7 +456,7 @@ impl<E: Engine> ServingCore<E> {
         m.coalesced_batches.fetch_add(1, Ordering::Relaxed);
         m.coalesced_events.fetch_add(n, Ordering::Relaxed);
         m.coalesced_batch.record(n);
-        self.slot.submit(events, callbacks);
+        self.wake.quiet(|| self.slot.submit(events, callbacks));
     }
 
     /// Tear down the `candidates` that are done and return their tokens

@@ -281,9 +281,9 @@ impl Backend for ThreeStageNetwork {
     }
 
     fn disconnect(&mut self, src: Endpoint) -> Result<(), Reject> {
-        ThreeStageNetwork::disconnect(self, src)
-            .map(|_| ())
-            .map_err(Reject::from)
+        let route = ThreeStageNetwork::disconnect(self, src).map_err(Reject::from)?;
+        self.recycle(route);
+        Ok(())
     }
 
     fn active_connections(&self) -> usize {
@@ -313,7 +313,7 @@ impl Backend for ThreeStageNetwork {
             |b| ThreeStageNetwork::inject_fault(b, fault),
             |b| b.connections_through(&fault),
             |b, src| b.assignment().connection_at(src).cloned(),
-            ThreeStageNetwork::disconnect,
+            <Self as Backend>::disconnect,
         )
     }
 

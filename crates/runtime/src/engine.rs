@@ -381,7 +381,8 @@ impl<B: Backend> EngineCore<B> {
             dead_sources: Arc::clone(&self.dead_sources),
             cfg,
             clock,
-            live_since: HashMap::new(),
+            wavelengths: self.backend.read().wavelengths().max(1),
+            live_since: Vec::new(),
             never_admitted: HashSet::new(),
             parked: HashMap::new(),
             pressure: 0,
@@ -1030,8 +1031,11 @@ pub struct ShardCore<B: Backend, C: Clock> {
     dead_sources: Arc<Mutex<HashSet<Endpoint>>>,
     cfg: RuntimeConfig,
     clock: C,
-    /// Admitted sources with their connect sim-time (for holding time).
-    live_since: HashMap<Endpoint, f64>,
+    /// Wavelengths per fiber: the stride of `live_since`.
+    wavelengths: u32,
+    /// Connect sim-time of each admitted source (for holding time),
+    /// indexed by `port·k + λ`; grows to the highest source admitted.
+    live_since: Vec<Option<f64>>,
     /// Sources whose admission failed; their paired departure must be
     /// swallowed rather than hit the backend.
     never_admitted: HashSet<Endpoint>,
@@ -1108,9 +1112,11 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         // Events behind a parked same-source connect must wait for it so
         // per-source order survives. (A deferred connect counts as
         // offered only when it actually replays.)
-        if let Some(p) = self.parked.get_mut(&src) {
-            p.deferred.push_back(job);
-            return;
+        if !self.parked.is_empty() {
+            if let Some(p) = self.parked.get_mut(&src) {
+                p.deferred.push_back(job);
+                return;
+            }
         }
         let Job { ev, done } = job;
         match ev.event {
@@ -1187,7 +1193,9 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
                     .admit_latency_ns
                     .record(waited.as_nanos().min(u64::MAX as u128) as u64);
                 self.metrics.wavelength_up(src.wavelength.0 as usize);
-                self.live_since.insert(src, sim_time);
+                if let Some(since) = self.live_since_of(src) {
+                    *since = Some(sim_time);
+                }
                 self.pressure = self.pressure.saturating_sub(1);
                 Job::resolve(done, RequestOutcome::Admitted);
             }
@@ -1253,16 +1261,19 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         sim_time: f64,
         done: Option<OutcomeCallback>,
     ) {
-        if self.never_admitted.remove(&src) {
+        if !self.never_admitted.is_empty() && self.never_admitted.remove(&src) {
             self.metrics
                 .skipped_departures
                 .fetch_add(1, Ordering::Relaxed);
             Job::resolve(done, RequestOutcome::SkippedDeparture);
             return;
         }
-        // A failed heal already removed this connection.
-        if self.dead_sources.lock().remove(&src) {
-            self.live_since.remove(&src);
+        // A failed heal already removed this connection. Heals count
+        // their failures under the backend lock before filling
+        // `dead_sources`, so while the count is zero the set is empty.
+        let heals_failed = self.metrics.heal_failed.load(Ordering::Relaxed) > 0;
+        if heals_failed && self.dead_sources.lock().remove(&src) {
+            self.live_since_of(src).and_then(Option::take);
             self.metrics
                 .orphaned_departures
                 .fetch_add(1, Ordering::Relaxed);
@@ -1273,7 +1284,7 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
             Ok(()) => {
                 self.metrics.departed.fetch_add(1, Ordering::Relaxed);
                 self.metrics.wavelength_down(src.wavelength.0 as usize);
-                if let Some(since) = self.live_since.remove(&src) {
+                if let Some(since) = self.live_since_of(src).and_then(Option::take) {
                     let micros = ((sim_time - since) * 1e6).max(0.0);
                     self.metrics.holding_micros.record(micros as u64);
                 }
@@ -1295,6 +1306,20 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
                 Job::resolve(done, RequestOutcome::Fatal);
             }
         }
+    }
+
+    /// `src`'s slot in `live_since`, growing the table to reach it;
+    /// `None` for a wavelength out of range.
+    fn live_since_of(&mut self, src: Endpoint) -> Option<&mut Option<f64>> {
+        let k = self.wavelengths;
+        if src.wavelength.0 >= k {
+            return None;
+        }
+        let i = src.port.0 as usize * k as usize + src.wavelength.0 as usize;
+        if i >= self.live_since.len() {
+            self.live_since.resize(i + 1, None);
+        }
+        self.live_since.get_mut(i)
     }
 
     /// `true` iff overload control is on, shard pressure is at the

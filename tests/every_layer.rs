@@ -162,6 +162,51 @@ fn fault_heal_repair_cycle_ends_consistent() {
     assert_eq!((s.admitted, s.departed, s.blocked, s.active), (4, 4, 0, 0));
 }
 
+/// The engine's per-shard bookkeeping, pinned through one seeded faulted
+/// simulation: two middles on `n=2 r=4 k=2` (well below the Theorem-1
+/// bound), so connects block and their departures are skipped, and the
+/// scripted middle kill strands two connections a heal cannot re-admit,
+/// whose departures are then orphaned. The drained counters, the
+/// per-wavelength gauges and the mean holding time must not move when
+/// the bookkeeping's data structures change.
+#[test]
+fn faulted_simulation_bookkeeping_is_pinned() {
+    use wdm_multicast::sim::{simulate, ChoiceStream, Scheduler, SimParams};
+    let scenario = Scenario::new(BackendKind::ThreeStage)
+        .geometry(2, 4, 2)
+        .middles(2)
+        .faulted(true)
+        .schedule(200, 2);
+    let seed = 9;
+    let trace = scenario.trace(seed).unwrap();
+    let faults = scenario.faults(seed, &trace).unwrap();
+    let params = SimParams {
+        shards: scenario.shards,
+        ..SimParams::default()
+    };
+    let mut choices = ChoiceStream::new(seed);
+    let run = simulate(
+        scenario.build().unwrap(),
+        &trace,
+        &faults,
+        &params,
+        Scheduler::Random(&mut choices),
+    );
+    let s = &run.report.summary;
+    assert_eq!(
+        (s.offered, s.admitted, s.departed),
+        (102, 90, 88),
+        "offered / admitted / departed"
+    );
+    assert_eq!(
+        (s.skipped_departures, s.orphaned_departures, s.heal_failed),
+        (12, 2, 2),
+        "skipped / orphaned / heal_failed"
+    );
+    assert_eq!(s.wavelength_live, vec![0, 0]);
+    assert_eq!(s.mean_holding, 4.5227272727272725);
+}
+
 /// Run to completion, and the one exception: on an idle engine a
 /// connect resolves before its submit returns, while a connect that
 /// goes `Busy` parks and is admitted by its shard's retry thread once
