@@ -100,7 +100,7 @@ COMMANDS:
                                                    dynamic trace on the crossbar baseline AND the
                                                    chosen multistage backend (default three-stage)
                                                    and report throughput, blocking probability,
-                                                   and admission latency;
+                                                   and the busy-retry wait before admission;
                                                    --kill-middle fails the named middle switches
                                                    mid-run, --fault-rate adds randomized component
                                                    chaos (repairs after mean --mttr, default 2)
@@ -971,8 +971,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         "P(block)",
         "retried",
         "expired",
-        "p50 admit",
-        "p99 admit",
+        "p50 retry wait",
+        "p99 retry wait",
         "conns/s",
     ]);
     let mut row = |label: &str, s: &MetricsSnapshot| {

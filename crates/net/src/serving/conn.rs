@@ -161,6 +161,10 @@ pub(crate) struct ConnShared {
     token: u64,
     /// Encoded-but-unsent response bytes.
     out: Mutex<Vec<u8>>,
+    /// `out.len()`, stored under the `out` lock after every change, so
+    /// the per-frame output-cap check reads it without the lock. Relaxed:
+    /// it publishes no other data (the bytes are read under the lock).
+    queued: AtomicUsize,
     /// Tracked requests currently inside the engine for this peer.
     pub(crate) inflight: AtomicUsize,
     /// Set once the connection was torn down; late callbacks drop their
@@ -174,6 +178,7 @@ impl ConnShared {
         Arc::new(ConnShared {
             token,
             out: Mutex::new(Vec::new()),
+            queued: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             wake,
@@ -191,6 +196,7 @@ impl ConnShared {
         let mut out = self.out.lock();
         let was_empty = out.is_empty();
         crate::codec::encode_response_into(&mut out, version, id, resp);
+        self.queued.store(out.len(), Ordering::Relaxed);
         drop(out);
         if was_empty {
             self.wake.notify(self.token);
@@ -201,13 +207,19 @@ impl ConnShared {
     /// calls become no-ops.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.out.lock().clear();
+        let mut out = self.out.lock();
+        out.clear();
+        self.queued.store(0, Ordering::Relaxed);
     }
 
     /// Move all queued bytes out for writing.
     pub(crate) fn take_pending(&self) -> Option<Vec<u8>> {
         let mut out = self.out.lock();
-        (!out.is_empty()).then(|| std::mem::take(&mut *out))
+        if out.is_empty() {
+            return None;
+        }
+        self.queued.store(0, Ordering::Relaxed);
+        Some(std::mem::take(&mut *out))
     }
 
     /// Re-queue the unwritten tail ahead of anything queued since.
@@ -220,11 +232,12 @@ impl ConnShared {
             merged.extend_from_slice(&out);
             *out = merged;
         }
+        self.queued.store(out.len(), Ordering::Relaxed);
     }
 
     /// Bytes awaiting flushing.
     pub(crate) fn queued(&self) -> usize {
-        self.out.lock().len()
+        self.queued.load(Ordering::Relaxed)
     }
 }
 
@@ -459,6 +472,27 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The lock-free queued count mirrors `out.len()` after every
+        /// write-queue operation, short-write requeues and close included.
+        #[test]
+        fn prop_queued_count_mirrors_the_output_queue(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shared = ConnShared::new(1, Arc::new(WakeQueue::new(|| {})));
+            let mut taken: Vec<u8> = Vec::new();
+            for id in 0..rng.gen_range(1..64u64) {
+                match rng.gen_range(0..40) {
+                    0..=19 => shared.respond(WIRE_VERSION, id, &Response::Pong),
+                    20..=27 => taken = shared.take_pending().unwrap_or_default(),
+                    28..=38 => {
+                        let cut = rng.gen_range(0..=taken.len());
+                        shared.requeue_front(taken.split_off(cut));
+                    }
+                    _ => shared.close(),
+                }
+                prop_assert_eq!(shared.queued(), shared.out.lock().len());
+            }
+        }
 
         /// Decoding a request in place yields exactly what copying the
         /// frame out and decoding it does — every request, every payload

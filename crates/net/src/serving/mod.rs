@@ -175,12 +175,18 @@ struct CycleBatch {
 
 /// One driver shard's connections and the cycle's coalesced batch.
 pub struct ServingCore<E: Engine> {
+    conns: HashMap<u64, Connection>,
+    cycle: Cycle<E>,
+}
+
+/// Everything of a [`ServingCore`] but its connection table, so a read
+/// dispatches its frames while holding its one connection lookup.
+struct Cycle<E: Engine> {
     slot: Arc<EngineSlot<E>>,
     metrics: Arc<ReactorMetrics>,
     max_inflight: usize,
     max_coalesce: usize,
     wake: Arc<WakeQueue>,
-    conns: HashMap<u64, Connection>,
     batch: CycleBatch,
 }
 
@@ -194,13 +200,15 @@ impl<E: Engine> ServingCore<E> {
         wake: impl Fn() + Send + Sync + 'static,
     ) -> Self {
         ServingCore {
-            slot,
-            metrics,
-            max_inflight: config.max_inflight_per_conn,
-            max_coalesce: config.max_coalesce,
-            wake: Arc::new(WakeQueue::new(wake)),
             conns: HashMap::new(),
-            batch: CycleBatch::default(),
+            cycle: Cycle {
+                slot,
+                metrics,
+                max_inflight: config.max_inflight_per_conn,
+                max_coalesce: config.max_coalesce,
+                wake: Arc::new(WakeQueue::new(wake)),
+                batch: CycleBatch::default(),
+            },
         }
     }
 
@@ -208,12 +216,15 @@ impl<E: Engine> ServingCore<E> {
     pub fn open(&mut self, token: u64) {
         let conn = Connection {
             assembler: FrameAssembler::new(),
-            shared: ConnShared::new(token, Arc::clone(&self.wake)),
+            shared: ConnShared::new(token, Arc::clone(&self.cycle.wake)),
             closing: false,
             eof: false,
         };
         self.conns.insert(token, conn);
-        self.metrics.active_conns.fetch_add(1, Ordering::Relaxed);
+        self.cycle
+            .metrics
+            .active_conns
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// `token` is open, not closing or hung up, and within the cap.
@@ -231,30 +242,7 @@ impl<E: Engine> ServingCore<E> {
             return 0;
         };
         conn.assembler.extend(bytes);
-        let mut decoded = 0u64;
-        while let Some(conn) = self.conns.get_mut(&token) {
-            if conn.closing || conn.shared.queued() > MAX_QUEUED_OUTPUT {
-                break;
-            }
-            let frame = match conn.assembler.next_request() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(e) => {
-                    // The byte stream is desynchronized; explain at the
-                    // protocol's own version (the frame header is
-                    // unreliable), then hang up.
-                    self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    conn.refuse(WIRE_VERSION, 0, &e);
-                    break;
-                }
-            };
-            decoded += 1;
-            self.dispatch(token, frame, now);
-        }
-        if decoded > 0 {
-            self.metrics.frames.fetch_add(decoded, Ordering::Relaxed);
-        }
-        decoded
+        self.cycle.decode(conn, now)
     }
 
     /// The peer hung up (EOF); queued output still flushes.
@@ -297,7 +285,7 @@ impl<E: Engine> ServingCore<E> {
                 }
             }
         }
-        self.on_read(token, &[], now);
+        self.cycle.decode(conn, now);
         blocked
     }
 
@@ -308,20 +296,84 @@ impl<E: Engine> ServingCore<E> {
 
     /// Events coalesced this cycle and not yet submitted.
     pub fn pending(&self) -> usize {
-        self.batch.events.len()
+        self.cycle.batch.events.len()
     }
 
     /// Tokens whose output queue filled since the last call.
     pub fn take_woken(&self) -> Vec<u64> {
-        self.wake.take()
+        self.cycle.wake.take()
+    }
+
+    /// End of cycle: submit the coalesced events as one tracked batch.
+    /// The output it queues wakes nobody — nor does a flush that
+    /// [`Self::on_read`] or [`Self::write`] runs: the driver collects it
+    /// with [`Self::take_woken`] before it sleeps.
+    pub fn flush(&mut self) {
+        self.cycle.flush();
+    }
+
+    /// Tear down the `candidates` that are done and return their tokens
+    /// for the driver to release.
+    pub fn reap(&mut self, candidates: &[u64]) -> Vec<u64> {
+        let mut dropped = Vec::new();
+        for &token in candidates {
+            if !self
+                .conns
+                .get(&token)
+                .is_some_and(Connection::ready_to_drop)
+            {
+                continue;
+            }
+            if let Some(conn) = self.conns.remove(&token) {
+                conn.shared.close();
+                let active = &self.cycle.metrics.active_conns;
+                active.fetch_sub(1, Ordering::Relaxed);
+                dropped.push(token);
+            }
+        }
+        dropped
+    }
+
+    /// Tear every connection down (the driver is stopping).
+    pub fn close_all(&mut self) {
+        for (_, conn) in self.conns.drain() {
+            conn.shared.close();
+            let active = &self.cycle.metrics.active_conns;
+            active.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<E: Engine> Cycle<E> {
+    /// Decode and dispatch `conn`'s buffered whole frames up to a
+    /// protocol error or the output cap. Returns the frames decoded.
+    fn decode(&mut self, conn: &mut Connection, now: f64) -> u64 {
+        let mut decoded = 0u64;
+        while !conn.closing && conn.shared.queued() <= MAX_QUEUED_OUTPUT {
+            let frame = match conn.assembler.next_request() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(e) => {
+                    // The byte stream is desynchronized; explain at the
+                    // protocol's own version (the frame header is
+                    // unreliable), then hang up.
+                    self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    conn.refuse(WIRE_VERSION, 0, &e);
+                    break;
+                }
+            };
+            decoded += 1;
+            self.dispatch(conn, frame, now);
+        }
+        if decoded > 0 {
+            self.metrics.frames.fetch_add(decoded, Ordering::Relaxed);
+        }
+        decoded
     }
 
     /// Route one decoded frame. Admission work lands in the cycle batch;
     /// everything else is answered inline.
-    fn dispatch(&mut self, token: u64, (version, id, req): DecodedRequest, now: f64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
+    fn dispatch(&mut self, conn: &mut Connection, (version, id, req): DecodedRequest, now: f64) {
         let req = match req {
             Ok(r) => r,
             Err(e) => {
@@ -442,11 +494,9 @@ impl<E: Engine> ServingCore<E> {
         }
     }
 
-    /// End of cycle: submit the coalesced events as one tracked batch.
-    /// The output it queues wakes nobody — nor does a flush that
-    /// [`Self::on_read`] or [`Self::write`] runs: the driver collects it
-    /// with [`Self::take_woken`] before it sleeps.
-    pub fn flush(&mut self) {
+    /// Submit the coalesced events as one tracked batch, waking nobody
+    /// (see [`ServingCore::flush`]).
+    fn flush(&mut self) {
         if self.batch.events.is_empty() {
             return;
         }
@@ -457,34 +507,5 @@ impl<E: Engine> ServingCore<E> {
         m.coalesced_events.fetch_add(n, Ordering::Relaxed);
         m.coalesced_batch.record(n);
         self.wake.quiet(|| self.slot.submit(events, callbacks));
-    }
-
-    /// Tear down the `candidates` that are done and return their tokens
-    /// for the driver to release.
-    pub fn reap(&mut self, candidates: &[u64]) -> Vec<u64> {
-        let mut dropped = Vec::new();
-        for &token in candidates {
-            if !self
-                .conns
-                .get(&token)
-                .is_some_and(Connection::ready_to_drop)
-            {
-                continue;
-            }
-            if let Some(conn) = self.conns.remove(&token) {
-                conn.shared.close();
-                self.metrics.active_conns.fetch_sub(1, Ordering::Relaxed);
-                dropped.push(token);
-            }
-        }
-        dropped
-    }
-
-    /// Tear every connection down (the driver is stopping).
-    pub fn close_all(&mut self) {
-        for (_, conn) in self.conns.drain() {
-            conn.shared.close();
-            self.metrics.active_conns.fetch_sub(1, Ordering::Relaxed);
-        }
     }
 }

@@ -37,7 +37,7 @@
 
 use crate::backend::{Backend, ConcurrentAdmission, RepackStats};
 use crate::clock::{Clock, SystemClock};
-use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
+use crate::metrics::{MetricsSnapshot, RuntimeMetrics, Tally};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -374,6 +374,7 @@ impl<B: Backend> EngineCore<B> {
     pub fn shard<C: Clock>(&self, cfg: RuntimeConfig, clock: C) -> ShardCore<B, C> {
         let shared_mode = matches!(cfg.repack, RepackPolicy::Off)
             && self.backend.read().as_concurrent().is_some();
+        let wavelengths = self.backend.read().wavelengths().max(1);
         ShardCore {
             backend: Arc::clone(&self.backend),
             shared_mode,
@@ -381,10 +382,11 @@ impl<B: Backend> EngineCore<B> {
             dead_sources: Arc::clone(&self.dead_sources),
             cfg,
             clock,
-            wavelengths: self.backend.read().wavelengths().max(1),
+            wavelengths,
             live_since: Vec::new(),
             never_admitted: HashSet::new(),
             parked: HashMap::new(),
+            tally: Tally::new(wavelengths),
             pressure: 0,
             window_seen: 0,
             window_spent: 0,
@@ -951,12 +953,15 @@ impl<B: Backend> FaultHandle<B> {
     }
 }
 
-/// A connect parked after a busy-endpoint conflict, plus any same-source
-/// events that arrived while it was parked (its own departure, possibly a
-/// successor connect) — those must replay in order once it resolves.
+/// A connect's retry state: what each admission attempt takes, and what
+/// a connect parked after a busy-endpoint conflict keeps — plus any
+/// same-source events that arrived while it was parked (its own
+/// departure, possibly a successor connect), which must replay in order
+/// once it resolves.
 struct Parked {
     conn: MulticastConnection,
     sim_time: f64,
+    /// Clock stamp of the slice that made the first attempt.
     t0: Instant,
     attempts: u32,
     backoff: Duration,
@@ -1041,6 +1046,8 @@ pub struct ShardCore<B: Backend, C: Clock> {
     never_admitted: HashSet<Endpoint>,
     /// Busy connects awaiting retry, keyed by source endpoint.
     parked: HashMap<Endpoint, Parked>,
+    /// The current slice's hot-path counters, published when it ends.
+    tally: Tally,
     /// Saturating overload pressure: +1 per hard block, −1 per admit.
     pressure: u32,
     /// Offered connects seen in the current repack window
@@ -1054,14 +1061,16 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
     /// Apply one event, optionally tracked by a completion callback.
     /// Never sleeps: a busy connect parks instead of blocking the shard.
     pub fn handle_event(&mut self, ev: TimedEvent, done: Option<OutcomeCallback>) {
-        self.handle(Job { ev, done });
+        self.slice(self.clock.now(), |shard, b, now| {
+            shard.handle_with(b, Job { ev, done }, now)
+        });
     }
 
     /// Apply a batch of events under **one** backend lock acquisition.
     ///
     /// Outcomes are identical to calling [`Self::handle_event`] on each
     /// entry in order (parking, deferral, and retry bookkeeping
-    /// included) — only the locking is amortized.
+    /// included) — only the locking and the clock stamp are amortized.
     pub fn handle_batch(&mut self, batch: Vec<(TimedEvent, Option<OutcomeCallback>)>) {
         self.handle_jobs(
             batch
@@ -1071,27 +1080,34 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         );
     }
 
-    /// Run `f` against the backend under the shard's lock discipline:
-    /// the read lock (fine-grained concurrent submission) in shared
-    /// mode, the write lock (exclusive mutation) otherwise.
-    fn with_backend<R>(&mut self, f: impl FnOnce(&mut Self, &mut BackendRef<'_, B>) -> R) -> R {
+    /// One slice: run `f` against the backend under one acquisition of
+    /// the shard's lock discipline — the read lock (fine-grained
+    /// concurrent submission) in shared mode, the write lock (exclusive
+    /// mutation) otherwise — then publish the slice's tally once the
+    /// backend lock is released. `now` is the slice's one clock stamp,
+    /// read by the caller before the lock and handed to `f`: every event
+    /// of the slice is stamped with it. Every way into the shard
+    /// (`handle_event`, `handle_batch`, the engine's submits, and
+    /// `retry_due` with its deferred tails) is one slice.
+    fn slice(&mut self, now: Instant, f: impl FnOnce(&mut Self, &mut BackendRef<'_, B>, Instant)) {
         let backend = Arc::clone(&self.backend);
         if self.shared_mode {
             let guard = backend.read();
             let c = guard
                 .as_concurrent()
                 .expect("shared mode implies a concurrent backend");
-            f(self, &mut BackendRef::Shared(c))
+            f(self, &mut BackendRef::Shared(c), now);
         } else {
             let mut guard = backend.write();
-            f(self, &mut BackendRef::Excl(&mut *guard))
+            f(self, &mut BackendRef::Excl(&mut *guard), now);
         }
+        self.tally.publish(&self.metrics);
     }
 
     fn handle_jobs(&mut self, jobs: Vec<Job>) {
-        self.with_backend(|shard, b| {
+        self.slice(self.clock.now(), |shard, b, now| {
             for job in jobs {
-                shard.handle_with(b, job);
+                shard.handle_with(b, job, now);
             }
         });
     }
@@ -1101,13 +1117,8 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         self.parked.len()
     }
 
-    /// Apply one job.
-    fn handle(&mut self, job: Job) {
-        self.with_backend(|shard, b| shard.handle_with(b, job));
-    }
-
-    /// Apply one job against an already-locked backend.
-    fn handle_with(&mut self, b: &mut BackendRef<'_, B>, job: Job) {
+    /// Apply one job against an already-locked backend, stamped `now`.
+    fn handle_with(&mut self, b: &mut BackendRef<'_, B>, job: Job, now: Instant) {
         let src = job.source();
         // Events behind a parked same-source connect must wait for it so
         // per-source order survives. (A deferred connect counts as
@@ -1121,7 +1132,7 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         let Job { ev, done } = job;
         match ev.event {
             TraceEvent::Connect(conn) => {
-                self.metrics.offered.fetch_add(1, Ordering::Relaxed);
+                self.tally.offered += 1;
                 self.roll_repack_window();
                 if self.should_shed(&conn) {
                     self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -1129,54 +1140,40 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
                     Job::resolve(done, RequestOutcome::Overloaded);
                     return;
                 }
-                self.try_connect_with(
-                    b,
+                let first = Parked {
                     conn,
-                    ev.time,
-                    self.clock.now(),
-                    0,
-                    self.cfg.initial_backoff,
+                    sim_time: ev.time,
+                    t0: now,
+                    attempts: 0,
+                    backoff: self.cfg.initial_backoff,
+                    next_try: now,
                     done,
-                );
+                    deferred: VecDeque::new(),
+                };
+                // A first attempt has no deferred tail to replay.
+                self.try_connect_with(b, first, now);
             }
             TraceEvent::Disconnect(src) => self.do_disconnect_with(b, src, ev.time, done),
         }
     }
 
-    /// One admission attempt; on busy, (re-)park with backoff.
-    fn try_connect(
-        &mut self,
-        conn: MulticastConnection,
-        sim_time: f64,
-        t0: Instant,
-        attempts: u32,
-        backoff: Duration,
-        done: Option<OutcomeCallback>,
-    ) {
-        self.with_backend(|shard, b| {
-            shard.try_connect_with(b, conn, sim_time, t0, attempts, backoff, done)
-        });
-    }
-
-    /// [`Self::try_connect`] against an already-locked backend.
-    #[allow(clippy::too_many_arguments)]
+    /// One admission attempt against an already-locked backend, stamped
+    /// `now`. On busy the connect (re-)parks with backoff, its deferred
+    /// tail attached, and `None` is returned; otherwise its callback
+    /// fires and its deferred tail is returned for replay.
     fn try_connect_with(
         &mut self,
         b: &mut BackendRef<'_, B>,
-        conn: MulticastConnection,
-        sim_time: f64,
-        t0: Instant,
-        attempts: u32,
-        backoff: Duration,
-        done: Option<OutcomeCallback>,
-    ) {
-        let src = conn.source();
+        mut p: Parked,
+        now: Instant,
+    ) -> Option<VecDeque<Job>> {
+        let src = p.conn.source();
         let budget = self.repack_budget();
         let res = if budget == 0 {
-            b.connect(&conn)
+            b.connect(&p.conn)
         } else {
             let t_repack = Instant::now();
-            let (res, stats) = b.connect_with_repack(&conn, budget);
+            let (res, stats) = b.connect_with_repack(&p.conn, budget);
             if stats.moves_attempted > 0 {
                 self.metrics
                     .repack_latency_ns
@@ -1185,53 +1182,44 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
             self.spend_repack(&stats);
             res
         };
-        match res {
+        let waited = now.saturating_duration_since(p.t0);
+        let outcome = match res {
             Ok(()) => {
-                let waited = self.clock.now().saturating_duration_since(t0);
-                self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .admit_latency_ns
-                    .record(waited.as_nanos().min(u64::MAX as u128) as u64);
-                self.metrics.wavelength_up(src.wavelength.0 as usize);
+                self.tally.admitted += 1;
+                self.tally
+                    .record_admit_wait(waited.as_nanos().min(u64::MAX as u128) as u64);
+                self.tally.wavelength_up(src.wavelength.0 as usize);
                 if let Some(since) = self.live_since_of(src) {
-                    *since = Some(sim_time);
+                    *since = Some(p.sim_time);
                 }
                 self.pressure = self.pressure.saturating_sub(1);
-                Job::resolve(done, RequestOutcome::Admitted);
+                RequestOutcome::Admitted
             }
             Err(Reject::Busy(e)) => {
-                let waited = self.clock.now().saturating_duration_since(t0);
-                if attempts >= self.cfg.max_retries || waited >= self.cfg.deadline {
+                if p.attempts >= self.cfg.max_retries || waited >= self.cfg.deadline {
                     self.metrics.expired.fetch_add(1, Ordering::Relaxed);
                     self.metrics.note_error(format!(
-                        "request {src} expired after {attempts} retries: {e}"
+                        "request {src} expired after {} retries: {e}",
+                        p.attempts
                     ));
                     self.never_admitted.insert(src);
-                    Job::resolve(done, RequestOutcome::Expired);
+                    RequestOutcome::Expired
                 } else {
-                    if attempts > 0 {
+                    if p.attempts > 0 {
                         self.metrics.retried.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.parked.insert(
-                        src,
-                        Parked {
-                            conn,
-                            sim_time,
-                            t0,
-                            attempts: attempts + 1,
-                            backoff: (backoff * 2).min(self.cfg.max_backoff),
-                            next_try: self.clock.now() + backoff,
-                            done,
-                            deferred: VecDeque::new(),
-                        },
-                    );
+                    p.attempts += 1;
+                    p.next_try = now + p.backoff;
+                    p.backoff = (p.backoff * 2).min(self.cfg.max_backoff);
+                    self.parked.insert(src, p);
+                    return None;
                 }
             }
             Err(Reject::Blocked { .. }) => {
                 self.metrics.blocked.fetch_add(1, Ordering::Relaxed);
                 self.never_admitted.insert(src);
                 self.pressure = self.pressure.saturating_add(1);
-                Job::resolve(done, RequestOutcome::Blocked);
+                RequestOutcome::Blocked
             }
             Err(Reject::ComponentDown(_)) => {
                 // Only a repair can change the answer; retrying would just
@@ -1239,19 +1227,20 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
                 // capacity, a component was dead.
                 self.metrics.component_down.fetch_add(1, Ordering::Relaxed);
                 self.never_admitted.insert(src);
-                Job::resolve(done, RequestOutcome::ComponentDown);
+                RequestOutcome::ComponentDown
             }
             Err(other) => {
                 self.metrics.fatal.fetch_add(1, Ordering::Relaxed);
                 self.metrics.note_error(format!("connect {src}: {other}"));
                 self.never_admitted.insert(src);
-                Job::resolve(done, RequestOutcome::Fatal);
+                RequestOutcome::Fatal
             }
-        }
+        };
+        Job::resolve(p.done, outcome);
+        Some(p.deferred)
     }
 
-    /// [`Self::do_disconnect`] against an already-locked backend.
-    /// Taking `dead_sources` while the backend is held matches the
+    /// One departure against an already-locked backend. Taking `dead_sources` while the backend is held matches the
     /// backend → dead_sources order [`FaultHandle::inject`] uses, so the
     /// nesting cannot deadlock.
     fn do_disconnect_with(
@@ -1282,11 +1271,11 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         }
         match b.disconnect(src) {
             Ok(()) => {
-                self.metrics.departed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.wavelength_down(src.wavelength.0 as usize);
+                self.tally.departed += 1;
+                self.tally.wavelength_down(src.wavelength.0 as usize);
                 if let Some(since) = self.live_since_of(src).and_then(Option::take) {
                     let micros = ((sim_time - since) * 1e6).max(0.0);
-                    self.metrics.holding_micros.record(micros as u64);
+                    self.tally.record_holding(micros as u64);
                 }
                 // Passive defragmentation: a departure just freed
                 // capacity, so leftover window budget compacts the
@@ -1371,8 +1360,8 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
         }
     }
 
-    /// Retry every parked connect whose backoff elapsed; replay deferred
-    /// same-source events for the ones that resolved.
+    /// Retry every parked connect whose backoff elapsed, in one slice;
+    /// replay deferred same-source events for the ones that resolved.
     pub fn retry_due(&mut self) {
         let now = self.clock.now();
         let due: Vec<Endpoint> = self
@@ -1381,21 +1370,21 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
             .filter(|(_, p)| p.next_try <= now)
             .map(|(src, _)| *src)
             .collect();
-        for src in due {
-            let p = self.parked.remove(&src).expect("due entry present");
-            self.try_connect(p.conn, p.sim_time, p.t0, p.attempts, p.backoff, p.done);
-            if self.parked.contains_key(&src) {
-                // Still parked: keep its deferred tail attached.
-                self.parked.get_mut(&src).expect("re-parked").deferred = p.deferred;
-            } else {
+        if due.is_empty() {
+            return;
+        }
+        self.slice(now, |shard, b, now| {
+            for src in due {
+                let p = shard.parked.remove(&src).expect("due entry present");
                 // Resolved (admitted, expired, blocked, or fatal): the
-                // deferred events run now, in order. `handle` re-parks the
-                // tail automatically if a deferred connect goes busy.
-                for ev in p.deferred {
-                    self.handle(ev);
+                // deferred events run now, in order. A deferred connect
+                // that goes busy re-parks, and the rest of the tail
+                // defers behind it.
+                for job in shard.try_connect_with(b, p, now).into_iter().flatten() {
+                    shard.handle_with(b, job, now);
                 }
             }
-        }
+        });
     }
 
     /// Time until the earliest parked retry is due ([`Duration::ZERO`]

@@ -41,8 +41,7 @@ impl LogHistogram {
 
     /// Record one value.
     pub fn record(&self, value: u64) {
-        let idx = (u64::BITS - value.leading_zeros()) as usize;
-        self.buckets[idx.min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -81,6 +80,12 @@ impl LogHistogram {
     }
 }
 
+/// The bucket `value` falls in: its bit width, the widest values sharing
+/// the last bucket.
+fn bucket_of(value: u64) -> usize {
+    ((u64::BITS - value.leading_zeros()) as usize).min(BUCKETS - 1)
+}
+
 /// Representative value for bucket `i` (values in `[2^(i-1), 2^i)`).
 fn bucket_midpoint(i: usize) -> u64 {
     match i {
@@ -90,9 +95,133 @@ fn bucket_midpoint(i: usize) -> u64 {
     }
 }
 
-/// Shared counters and gauges for one engine run. All hot-path updates
-/// are relaxed atomics; consistency across counters is only needed at
-/// snapshot time and after drain, when the shards have quiesced.
+/// A [`LogHistogram`]'s buckets as plain integers, recorded by one
+/// thread and added into a shared histogram in one go.
+struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    /// Bit `i` is set iff `buckets[i] > 0` (`BUCKETS` is 64).
+    touched: u64,
+    count: u64,
+    sum: u64,
+}
+
+impl LocalHistogram {
+    fn new() -> Self {
+        LocalHistogram {
+            buckets: [0; BUCKETS],
+            touched: 0,
+            count: 0,
+            sum: 0,
+        }
+    }
+
+    fn record(&mut self, value: u64) {
+        let i = bucket_of(value);
+        self.buckets[i] += 1;
+        self.touched |= 1 << i;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
+    /// Add everything recorded into `shared` and start over.
+    fn publish(&mut self, shared: &LogHistogram) {
+        while self.touched != 0 {
+            let i = self.touched.trailing_zeros() as usize;
+            shared.buckets[i].fetch_add(self.buckets[i], Ordering::Relaxed);
+            self.buckets[i] = 0;
+            self.touched &= self.touched - 1;
+        }
+        if self.count > 0 {
+            shared.count.fetch_add(self.count, Ordering::Relaxed);
+            self.count = 0;
+        }
+        if self.sum > 0 {
+            shared.sum.fetch_add(self.sum, Ordering::Relaxed);
+            self.sum = 0;
+        }
+    }
+}
+
+/// One shard slice's hot-path counter updates, as plain integers: a
+/// slice adds to its tally per event and [`Tally::publish`]es it into
+/// the shared [`RuntimeMetrics`] once, instead of paying a relaxed
+/// atomic RMW per counter per event. Reused across slices; it allocates
+/// only when minted. Rare outcomes (blocked, expired, fatal, shed…)
+/// still update [`RuntimeMetrics`] directly.
+pub(crate) struct Tally {
+    pub(crate) offered: u64,
+    pub(crate) admitted: u64,
+    pub(crate) departed: u64,
+    /// Net change of the live-connection gauge per source wavelength.
+    wavelength_delta: Vec<i64>,
+    /// Samples bound for [`RuntimeMetrics::admit_latency_ns`].
+    admit_wait: LocalHistogram,
+    /// Samples bound for [`RuntimeMetrics::holding_micros`].
+    holding: LocalHistogram,
+}
+
+impl Tally {
+    /// An empty tally for a network with `k` wavelengths.
+    pub(crate) fn new(wavelengths: u32) -> Self {
+        Tally {
+            offered: 0,
+            admitted: 0,
+            departed: 0,
+            wavelength_delta: vec![0; wavelengths.max(1) as usize],
+            admit_wait: LocalHistogram::new(),
+            holding: LocalHistogram::new(),
+        }
+    }
+
+    /// A connection on source wavelength `w` went live (ignored out of
+    /// range, like [`RuntimeMetrics::wavelength_up`]).
+    pub(crate) fn wavelength_up(&mut self, w: usize) {
+        if let Some(d) = self.wavelength_delta.get_mut(w) {
+            *d += 1;
+        }
+    }
+
+    /// A connection on source wavelength `w` departed.
+    pub(crate) fn wavelength_down(&mut self, w: usize) {
+        if let Some(d) = self.wavelength_delta.get_mut(w) {
+            *d -= 1;
+        }
+    }
+
+    pub(crate) fn record_admit_wait(&mut self, nanos: u64) {
+        self.admit_wait.record(nanos);
+    }
+
+    pub(crate) fn record_holding(&mut self, micros: u64) {
+        self.holding.record(micros);
+    }
+
+    /// Add the tally into `m` and zero it.
+    pub(crate) fn publish(&mut self, m: &RuntimeMetrics) {
+        for (counter, n) in [
+            (&m.offered, &mut self.offered),
+            (&m.admitted, &mut self.admitted),
+            (&m.departed, &mut self.departed),
+        ] {
+            if *n > 0 {
+                counter.fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
+        }
+        for (gauge, d) in m.wavelength_live.iter().zip(&mut self.wavelength_delta) {
+            // Two's-complement wrap makes a negative delta a subtraction.
+            if *d != 0 {
+                gauge.fetch_add(std::mem::take(d) as u64, Ordering::Relaxed);
+            }
+        }
+        self.admit_wait.publish(&m.admit_latency_ns);
+        self.holding.publish(&m.holding_micros);
+    }
+}
+
+/// Shared counters and gauges for one engine run. All updates are
+/// relaxed atomics, and engine shards make their hot-path ones once per
+/// slice; consistency across counters is only needed at snapshot time
+/// and after drain, when the shards have quiesced.
 #[derive(Debug)]
 pub struct RuntimeMetrics {
     /// Connect requests handed to the engine.
@@ -139,7 +268,10 @@ pub struct RuntimeMetrics {
     /// backend (a retry means a snapshot genuinely overlapped an
     /// in-flight fine-grained commit).
     pub snapshot_retries: AtomicU64,
-    /// Wall-clock admission latency, nanoseconds.
+    /// Retry wait of each admitted connect, nanoseconds: its shard
+    /// slice's clock stamp minus the stamp of its first attempt. 0 for a
+    /// connect admitted on its first attempt; for one a retry admitted,
+    /// the time from its first attempt to that retry.
     pub admit_latency_ns: LogHistogram,
     /// Wall-clock latency of repack attempts (the extra work past the
     /// plain connect that blocked), nanoseconds.
@@ -203,10 +335,14 @@ impl RuntimeMetrics {
     }
 
     /// Current per-wavelength live-connection gauges.
+    ///
+    /// A shard publishes its admissions after it releases the backend
+    /// lock, so a failed heal's gauge-down can land first and leave a
+    /// gauge briefly below zero; it reads as 0 until the publish lands.
     pub fn wavelength_gauges(&self) -> Vec<u64> {
         self.wavelength_live
             .iter()
-            .map(|g| g.load(Ordering::Relaxed))
+            .map(|g| (g.load(Ordering::Relaxed) as i64).max(0) as u64)
             .collect()
     }
 
@@ -325,11 +461,14 @@ pub struct MetricsSnapshot {
     pub active: u64,
     /// `blocked / offered` (0 when nothing offered).
     pub blocking_probability: f64,
-    /// Median admission latency, nanoseconds (log-bucket approximation).
+    /// Median retry wait of admitted connects, nanoseconds (log-bucket
+    /// approximation): the wait busy-endpoint retries added before
+    /// admission, 0 for a first-attempt admission. Not the time spent
+    /// admitting (see [`RuntimeMetrics::admit_latency_ns`]).
     pub p50_admit_ns: u64,
-    /// 99th-percentile admission latency, nanoseconds.
+    /// 99th-percentile retry wait of admitted connects, nanoseconds.
     pub p99_admit_ns: u64,
-    /// Mean admission latency, nanoseconds.
+    /// Mean retry wait of admitted connects, nanoseconds.
     pub mean_admit_ns: f64,
     /// 99th-percentile per-connection heal latency, nanoseconds (0 when
     /// no heals ran).
@@ -405,6 +544,66 @@ mod tests {
         assert_eq!(m.wavelength_gauges(), vec![1, 0, 1]);
         // Out-of-range wavelength is ignored, not a panic.
         m.wavelength_up(99);
+        // A failed heal's gauge-down ahead of the admitting slice's
+        // publish reads as 0, not as a wrapped count.
+        m.wavelength_down(1);
+        assert_eq!(m.wavelength_gauges(), vec![1, 0, 1]);
+        m.wavelength_up(1);
+        assert_eq!(m.wavelength_gauges(), vec![1, 0, 1]);
+    }
+
+    #[test]
+    fn a_published_tally_equals_the_per_event_updates() {
+        let (direct, tallied) = (RuntimeMetrics::new(3), RuntimeMetrics::new(3));
+        direct.wavelength_up(1);
+        tallied.wavelength_up(1);
+        let mut tally = Tally::new(3);
+        // Two slices: admissions, then departures whose negative gauge
+        // deltas publish as subtractions.
+        let slices: [&[(u32, u64)]; 2] = [&[(0, 0), (2, 0), (0, 1500)], &[(1, 7), (0, 900)]];
+        for (s, slice) in slices.iter().enumerate() {
+            for &(w, v) in *slice {
+                direct.offered.fetch_add(1, Ordering::Relaxed);
+                tally.offered += 1;
+                if s == 0 {
+                    direct.admitted.fetch_add(1, Ordering::Relaxed);
+                    direct.admit_latency_ns.record(v);
+                    direct.wavelength_up(w as usize);
+                    tally.admitted += 1;
+                    tally.record_admit_wait(v);
+                    tally.wavelength_up(w as usize);
+                } else {
+                    direct.departed.fetch_add(1, Ordering::Relaxed);
+                    direct.holding_micros.record(v);
+                    direct.wavelength_down(w as usize);
+                    tally.departed += 1;
+                    tally.record_holding(v);
+                    tally.wavelength_down(w as usize);
+                }
+            }
+            tally.wavelength_up(99); // out of range: ignored, as on the metrics
+            tally.publish(&tallied);
+        }
+        assert_eq!(
+            tallied.snapshot(1.0, 0, Vec::new()),
+            direct.snapshot(1.0, 0, Vec::new())
+        );
+        assert_eq!(tallied.wavelength_gauges(), vec![1, 0, 1]);
+        for (a, b) in [
+            (&direct.admit_latency_ns, &tallied.admit_latency_ns),
+            (&direct.holding_micros, &tallied.holding_micros),
+        ] {
+            assert_eq!(a.count(), b.count());
+            for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
+                assert_eq!(a.quantile(q), b.quantile(q));
+            }
+        }
+        // Publishing an empty tally changes nothing.
+        tally.publish(&tallied);
+        assert_eq!(
+            tallied.snapshot(1.0, 0, Vec::new()),
+            direct.snapshot(1.0, 0, Vec::new())
+        );
     }
 
     #[test]

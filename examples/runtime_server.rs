@@ -86,7 +86,7 @@ fn main() {
     println!("  departed       {}", s.departed);
     println!("  P(block)       {:.4}", s.blocking_probability);
     println!(
-        "  admit p50/p99  {} ns / {} ns",
+        "  retry wait p50/p99  {} ns / {} ns",
         s.p50_admit_ns, s.p99_admit_ns
     );
     println!("  middle loads   {:?}", s.middle_loads);

@@ -18,7 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use wdm_multicast::core::{Endpoint, MulticastConnection, MulticastModel};
 use wdm_multicast::multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
-use wdm_multicast::runtime::Backend;
+use wdm_multicast::runtime::{Backend, EngineBuilder};
+use wdm_multicast::workload::{TimedEvent, TraceEvent};
 
 thread_local! {
     /// Whether allocations on this thread are being counted.
@@ -172,4 +173,58 @@ fn steady_churn_allocates_only_the_assignment_copy() {
         "{steady:?}"
     );
     assert_eq!(net.check_consistency(), Vec::<String>::new());
+}
+
+/// Events per engine submit in the engine-path guard.
+const BATCH: usize = 64;
+
+#[test]
+fn engine_submit_allocates_the_assignment_copies_and_a_per_submit_constant() {
+    let bound = bounds::theorem1_min_m(16, 32);
+    let params = ThreeStageParams::new(16, bound.m, 32, 8);
+    let net = ThreeStageNetwork::new(params, Construction::MswDominant, MulticastModel::Msw);
+    let mut rng = StdRng::seed_from_u64(7);
+    let slots = slots(params.network().ports, params.k, &mut rng);
+    let mut up = vec![false; slots.len()];
+    // One shard: the submit's split is one slice of exactly `BATCH`
+    // jobs, so what the engine allocates per submit is one constant.
+    let engine = EngineBuilder::new().shards(1).start(net);
+    let toggle = |i: usize, up: &mut [bool]| {
+        let event = if up[i] {
+            TraceEvent::Disconnect(slots[i].source())
+        } else {
+            TraceEvent::Connect(slots[i].clone())
+        };
+        up[i] = !up[i];
+        TimedEvent { time: 0.0, event }
+    };
+    let submit = |events: Vec<TimedEvent>| {
+        assert!(engine.submit_batch(events).is_accepted());
+    };
+
+    // Warm up through the peak, as above, and grow the shard's tables.
+    for chunk in (0..slots.len()).collect::<Vec<_>>().chunks(BATCH) {
+        submit(chunk.iter().map(|&i| toggle(i, &mut up)).collect());
+    }
+    for chunk in (0..slots.len()).collect::<Vec<_>>().chunks(BATCH) {
+        submit(chunk.iter().map(|&i| toggle(i, &mut up)).collect());
+    }
+
+    let (submits, mut connects, mut allocs) = (1_000u64, 0u64, 0u64);
+    for _ in 0..submits {
+        let events: Vec<TimedEvent> = (0..BATCH)
+            .map(|_| toggle(rng.gen_range(0..slots.len()), &mut up))
+            .collect();
+        connects += events
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Connect(_)))
+            .count() as u64;
+        allocs += counted(|| submit(events)).1;
+    }
+    let report = engine.drain();
+    assert!(report.is_clean(), "{:?}", report.errors);
+    assert_eq!(report.summary.blocked + report.summary.expired, 0);
+    // Per submit: the job list, the per-shard split and its one slice
+    // grown to `BATCH`.
+    assert_eq!(allocs - connects, submits * 7, "{allocs} allocations");
 }
