@@ -3,7 +3,8 @@
 //! Shared infrastructure for the table/figure generators and benchmarks:
 //!
 //! * [`parallel_map`] / [`parallel_sweep`] — order-preserving parallel
-//!   evaluation of parameter grids on scoped threads (crossbeam);
+//!   evaluation of parameter grids on scoped threads
+//!   (`std::thread::scope`);
 //! * [`Summary`] — basic descriptive statistics;
 //! * [`TextTable`] — aligned text tables with CSV export, used to print
 //!   the paper's tables;

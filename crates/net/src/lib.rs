@@ -18,11 +18,9 @@
 //!   driver: a sharded epoll pool serving tens of thousands of
 //!   connections from a fixed set of threads (`wdm-sim` drives the same
 //!   core over simulated lanes).
-//! * [`client`] / [`mux`] / [`loadgen`] — a pipelining [`NetClient`]
-//!   with connection reuse and timeout/retry; [`MuxClient`] multiplexes
-//!   many logical request lanes over one socket so load generators
-//!   reach C100k without C100k descriptors; and [`loadgen`] *(Linux)*
-//!   is the matching epoll-driven closed-loop driver.
+//! * [`client`] / [`loadgen`] — a pipelining [`NetClient`] with
+//!   connection reuse and timeout/retry, and [`loadgen`] *(Linux)*, the
+//!   matching epoll-driven closed-loop driver.
 //!
 //! Linux is the only target that is built, tested or benchmarked
 //! (`reactor/sys.rs` binds epoll directly); elsewhere there is no
@@ -58,7 +56,6 @@ pub mod client;
 pub mod codec;
 #[cfg(target_os = "linux")]
 pub mod loadgen;
-pub mod mux;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub mod reactor;
@@ -68,7 +65,6 @@ pub use client::{ClientConfig, NetClient, NetClientError};
 pub use codec::{RawFrame, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD};
 #[cfg(target_os = "linux")]
 pub use loadgen::{LoadConfig, LoadReport};
-pub use mux::MuxClient;
 pub use protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
 #[cfg(target_os = "linux")]
 pub use reactor::{ReactorConfig, ReactorServer, ReactorSnapshot};

@@ -7,7 +7,7 @@
 //! reads and writes — goes through `std::net`, which already exposes
 //! `WouldBlock` semantics portably.
 //!
-//! Safety is confined to this module: the public wrappers ([`Epoll`],
+//! Safety is confined to this module: the safe wrappers ([`Epoll`],
 //! [`EventFd`]) own their file descriptors, close them on drop, and
 //! never hand out raw pointers.
 
@@ -19,15 +19,15 @@ use std::os::unix::io::RawFd;
 type c_int = i32;
 
 /// Readable readiness.
-pub const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// Writable readiness.
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// Error condition (always reported, need not be requested).
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// Hang-up (always reported, need not be requested).
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 /// Peer closed its writing half.
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
@@ -48,7 +48,7 @@ const SO_LINGER: c_int = 13;
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     events: u32,
     data: u64,
 }
@@ -59,13 +59,13 @@ impl EpollEvent {
     }
 
     /// Readiness bits reported by the kernel.
-    pub fn events(&self) -> u32 {
+    pub(crate) fn events(&self) -> u32 {
         // Copy out of the (possibly packed) struct; no reference taken.
         self.events
     }
 
     /// The token registered with the fd.
-    pub fn token(&self) -> u64 {
+    pub(crate) fn token(&self) -> u64 {
         self.data
     }
 }
@@ -109,7 +109,7 @@ extern "C" {
 /// kernel's socket tables and slow the next run. An abortive close is
 /// safe here because the load generator only closes after the last
 /// response has been received — there is no in-flight data to lose.
-pub fn set_abortive_close(fd: RawFd) {
+pub(crate) fn set_abortive_close(fd: RawFd) {
     let linger = Linger {
         l_onoff: 1,
         l_linger: 0,
@@ -127,13 +127,13 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 }
 
 /// An owned epoll instance.
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: RawFd,
 }
 
 impl Epoll {
     /// Create a close-on-exec epoll instance.
-    pub fn new() -> io::Result<Epoll> {
+    pub(crate) fn new() -> io::Result<Epoll> {
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
     }
@@ -147,17 +147,17 @@ impl Epoll {
     }
 
     /// Register `fd` with the given interest bits and token.
-    pub fn add(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, interest, token)
     }
 
     /// Change the interest bits of an already-registered `fd`.
-    pub fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, interest, token)
     }
 
     /// Deregister `fd`.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         let mut ev = EpollEvent::zeroed();
         cvt(unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
     }
@@ -165,7 +165,7 @@ impl Epoll {
     /// Wait up to `timeout_ms` (−1 blocks indefinitely) for readiness.
     /// Fills `events` from the start and returns how many are valid.
     /// `EINTR` is retried internally.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         debug_assert!(!events.is_empty());
         loop {
             let n = unsafe {
@@ -187,7 +187,7 @@ impl Epoll {
     }
 
     /// A zeroed event buffer of the given capacity for [`Epoll::wait`].
-    pub fn event_buffer(capacity: usize) -> Vec<EpollEvent> {
+    pub(crate) fn event_buffer(capacity: usize) -> Vec<EpollEvent> {
         vec![EpollEvent::zeroed(); capacity]
     }
 }
@@ -201,32 +201,32 @@ impl Drop for Epoll {
 /// An owned nonblocking eventfd: the reactor's cross-thread wakeup.
 /// Writers ([`EventFd::wake`]) add to the counter; the reactor reads
 /// ([`EventFd::drain`]) to reset it. Both directions never block.
-pub struct EventFd {
+pub(crate) struct EventFd {
     fd: RawFd,
 }
 
 impl EventFd {
     /// Create a nonblocking, close-on-exec eventfd.
-    pub fn new() -> io::Result<EventFd> {
+    pub(crate) fn new() -> io::Result<EventFd> {
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(EventFd { fd })
     }
 
     /// The fd to register with an [`Epoll`].
-    pub fn as_raw_fd(&self) -> RawFd {
+    pub(crate) fn as_raw_fd(&self) -> RawFd {
         self.fd
     }
 
     /// Signal the owning reactor. Never blocks: the 64-bit counter
     /// cannot realistically saturate, and a full counter still leaves
     /// the fd readable, which is all a wakeup needs.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let one: u64 = 1;
         unsafe { write(self.fd, one.to_ne_bytes().as_ptr(), 8) };
     }
 
     /// Reset the counter so the fd stops polling readable.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf = [0u8; 8];
         unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
     }

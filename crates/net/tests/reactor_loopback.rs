@@ -11,10 +11,13 @@
 
 #![cfg(target_os = "linux")]
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::thread;
 use wdm_core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
 use wdm_fabric::CrossbarSession;
 use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
+use wdm_net::codec::{encode_request, read_response};
 use wdm_net::{ClientConfig, NetClient, ReactorConfig, ReactorServer, RejectReason};
 use wdm_net::{Request, Response};
 use wdm_runtime::{AdmissionEngine, EngineBuilder};
@@ -332,4 +335,37 @@ fn reactor_inflight_cap_sheds_with_backpressure() {
     let report = server.shutdown();
     assert!(report.is_clean());
     assert_eq!(report.summary.offered, 0, "nothing reached the engine");
+}
+
+/// Connects pipelined with their disconnects on one connection are
+/// applied and answered in request order: every one succeeds (a
+/// disconnect run ahead of its connect would be refused), and the
+/// answers come back in the order of the request ids.
+#[test]
+fn reactor_answers_pipelined_requests_in_request_order() {
+    let server = serve_crossbar(8, 2, ReactorConfig::default());
+    let conn = MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(1, 0));
+    let mut frames = Vec::new();
+    for round in 0..8u64 {
+        frames.extend(encode_request(2 * round, &Request::Connect(conn.clone())));
+        frames.extend(encode_request(
+            2 * round + 1,
+            &Request::Disconnect(conn.source()),
+        ));
+    }
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    sock.write_all(&frames).expect("pipelined write");
+    for id in 0..16 {
+        assert_eq!(
+            read_response(&mut sock).expect("answer"),
+            (id, Response::Ok)
+        );
+    }
+    let mut control = NetClient::connect(server.local_addr()).expect("control client");
+    assert!(matches!(
+        control.drain().expect("drain"),
+        Response::DrainReport { clean: true, .. }
+    ));
+    let report = server.wait();
+    assert_eq!((report.summary.admitted, report.summary.departed), (8, 8));
 }

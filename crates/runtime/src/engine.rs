@@ -1023,7 +1023,7 @@ impl<B: Backend> BackendRef<'_, B> {
 /// Minted by [`EngineCore::shard`]. The engine keeps one of these per
 /// shard behind a lock, on [`SystemClock`]; the simulation harness drives
 /// the same type single-threaded on a virtual clock via
-/// [`ShardCore::handle_event`] / [`ShardCore::retry_due`] /
+/// [`ShardCore::handle_batch`] / [`ShardCore::retry_due`] /
 /// [`ShardCore::next_due`].
 pub struct ShardCore<B: Backend, C: Clock> {
     backend: Arc<RwLock<B>>,
@@ -1058,19 +1058,11 @@ pub struct ShardCore<B: Backend, C: Clock> {
 }
 
 impl<B: Backend, C: Clock> ShardCore<B, C> {
-    /// Apply one event, optionally tracked by a completion callback.
-    /// Never sleeps: a busy connect parks instead of blocking the shard.
-    pub fn handle_event(&mut self, ev: TimedEvent, done: Option<OutcomeCallback>) {
-        self.slice(self.clock.now(), |shard, b, now| {
-            shard.handle_with(b, Job { ev, done }, now)
-        });
-    }
-
-    /// Apply a batch of events under **one** backend lock acquisition.
-    ///
-    /// Outcomes are identical to calling [`Self::handle_event`] on each
-    /// entry in order (parking, deferral, and retry bookkeeping
-    /// included) — only the locking and the clock stamp are amortized.
+    /// Apply a batch of events, each optionally tracked by a completion
+    /// callback, in order under **one** backend lock acquisition and one
+    /// clock stamp. Never sleeps: a busy connect parks instead of
+    /// blocking the shard, and later events from its source wait behind
+    /// it. A batch of one is a single event.
     pub fn handle_batch(&mut self, batch: Vec<(TimedEvent, Option<OutcomeCallback>)>) {
         self.handle_jobs(
             batch
@@ -1087,8 +1079,8 @@ impl<B: Backend, C: Clock> ShardCore<B, C> {
     /// backend lock is released. `now` is the slice's one clock stamp,
     /// read by the caller before the lock and handed to `f`: every event
     /// of the slice is stamped with it. Every way into the shard
-    /// (`handle_event`, `handle_batch`, the engine's submits, and
-    /// `retry_due` with its deferred tails) is one slice.
+    /// (`handle_batch`, the engine's submits, and `retry_due` with its
+    /// deferred tails) is one slice.
     fn slice(&mut self, now: Instant, f: impl FnOnce(&mut Self, &mut BackendRef<'_, B>, Instant)) {
         let backend = Arc::clone(&self.backend);
         if self.shared_mode {
@@ -1621,12 +1613,10 @@ mod tests {
         event: TraceEvent,
     ) -> RequestOutcome {
         let (tx, rx) = std::sync::mpsc::channel();
-        shard.handle_event(
-            TimedEvent { time, event },
-            Some(Box::new(move |o| {
-                let _ = tx.send(o);
-            })),
-        );
+        let done: OutcomeCallback = Box::new(move |o| {
+            let _ = tx.send(o);
+        });
+        shard.handle_batch(vec![(TimedEvent { time, event }, Some(done))]);
         rx.try_recv().expect("event resolves synchronously")
     }
 

@@ -1,62 +1,73 @@
 //! The deterministic executor.
 //!
-//! One function, [`simulate`], runs a whole engine lifetime — submit,
-//! shard processing, parked retries, fault injection, drain — as a
-//! single-threaded loop over a virtual clock. The concurrent engine's
-//! moving parts become *cooperatively scheduled actions*:
+//! One function, [`simulate`], runs a whole engine lifetime — submits,
+//! parked retries, fault injection, drain — as a single-threaded loop
+//! over the one simulated engine (an [`EngineCore`] and its
+//! [`ShardCore`]s on a virtual clock, the engine behind [`NetSim`]
+//! too). Its steps are the production engine's atomic units:
 //!
-//! * **Submit** — the client thread hands the next trace event to its
-//!   shard's queue (sharding is the engine's own `shard_of`).
-//! * **Deliver** — a shard pops its queue head and applies it through
-//!   the very same [`ShardCore`] logic the threaded engine runs.
-//! * **Retry** — a shard whose earliest parked request is due retries it.
+//! * **Slice(k)** — submitter `k` runs the next shard slice of its open
+//!   submit under that shard's lock, first opening a submit of up to
+//!   [`SimParams::batch`] of its events if it has none. The
+//!   [`SimParams::shards`] submitters each own the events of a
+//!   source-disjoint part of the trace, split by source port (on a
+//!   graph, by source node) and not by shard, so two submitters meet
+//!   on one shard as two reactor threads do while each source keeps
+//!   its order. The trace is the arrival order: a submit opens only at
+//!   an event within `2 × batch` of the earliest unsubmitted one. That
+//!   lookahead is a restriction the shrinker imposes, not a model of
+//!   production: wider ones make order-dependent failures that a
+//!   re-seeded shrink cannot keep (DESIGN.md §wdm-sim).
+//! * **Retry(s)** — shard `s`'s retry thread wakes: if its earliest
+//!   parked connect is not yet due the virtual clock moves on to it,
+//!   then every due one is retried. Submitters keep running meanwhile.
 //! * **Inject** — the next scripted fault fires through a real
 //!   [`FaultHandle`].
 //!
-//! At every step the scheduler picks among the currently enabled actions
-//! with one [`ChoiceStream`] decision; when nothing is runnable the
-//! virtual clock jumps straight to the earliest parked retry. No wall
-//! clock, no threads, no sockets — the same seed replays the same
-//! interleaving, bit for bit, including every backoff and deadline.
+//! At every step the scheduler picks among the enabled steps with one
+//! [`ChoiceStream`] decision. No wall clock, no threads, no sockets —
+//! the same seed replays the same interleaving, bit for bit, including
+//! every backoff and deadline.
 //!
+//! [`EngineCore`]: wdm_runtime::EngineCore
 //! [`ShardCore`]: wdm_runtime::ShardCore
 //! [`FaultHandle`]: wdm_runtime::FaultHandle
+//! [`NetSim`]: crate::NetSim
 
+use crate::engine::{source_port, Job, SimEngine};
 use crate::schedule::ChoiceStream;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
-use wdm_runtime::{
-    Backend, EngineCore, RequestOutcome, RuntimeConfig, RuntimeReport, VirtualClock,
-};
+use wdm_net::serving::Engine;
+use wdm_runtime::{Backend, OutcomeCallback, RequestOutcome, RuntimeConfig, RuntimeReport};
 use wdm_workload::chaos::{FaultAction, TimedFault};
-use wdm_workload::{TimedEvent, TraceEvent};
+use wdm_workload::TimedEvent;
 
 /// How the executor resolves scheduling choices.
 pub enum Scheduler<'a> {
-    /// Always run the highest-priority enabled action: deliver before
-    /// retrying, retry before injecting, inject before submitting. With
-    /// one shard this is exactly the serial reference semantics — every
-    /// event fully processed, in trace order, faults fired at their
-    /// trace position.
+    /// Always run the highest-priority enabled step: finish the open
+    /// submit, retry what is due, inject, open the submit holding the
+    /// earliest unsubmitted event, and only then let a retry thread
+    /// sleep the clock forward. With a one-event window (or one shard)
+    /// this is the serial reference semantics — every event fully
+    /// processed, in trace order, faults fired at their trace position.
     Serial,
     /// Draw every decision from a seeded [`ChoiceStream`].
     Random(&'a mut ChoiceStream),
 }
 
-/// Executor shape: shard count plus the engine tunables.
+/// Executor shape: shard and submitter count plus the engine tunables.
 #[derive(Debug, Clone)]
 pub struct SimParams {
-    /// Number of cooperatively scheduled shards.
+    /// Number of engine shards, and of submitters.
     pub shards: usize,
-    /// Submission window: each Submit step enqueues up to this many
-    /// consecutive trace events, and a shard delivery drains its whole
-    /// queue through [`ShardCore::handle_batch`] (one backend lock per
-    /// delivery) instead of popping one event. `1` (the default) is the
-    /// classic single-event executor. A window never crosses a fault's
-    /// eligibility point, so fault ordering relative to the trace is
-    /// identical in both modes.
+    /// Submission window: each submit takes up to this many consecutive
+    /// events of its submitter, and each of its shard slices is applied
+    /// through [`ShardCore::handle_batch`] under one backend lock. `1`
+    /// (the default) submits event by event. A window never crosses a
+    /// fault's eligibility point, so fault ordering relative to the
+    /// trace is the same for every window.
     ///
     /// [`ShardCore::handle_batch`]: wdm_runtime::ShardCore::handle_batch
     pub batch: usize,
@@ -87,16 +98,18 @@ pub struct SimRun<B> {
     pub virtual_secs: f64,
 }
 
-pub(crate) fn source_port(event: &TraceEvent) -> u32 {
-    match event {
-        TraceEvent::Connect(conn) => conn.source().port.0,
-        TraceEvent::Disconnect(src) => src.port.0,
-    }
+/// One submitting thread: its unsubmitted events and its open submit.
+#[derive(Default)]
+struct Submitter {
+    /// Trace indices of its events not yet submitted, in trace order.
+    events: VecDeque<usize>,
+    /// The open submit's slices not yet run, in shard order.
+    slices: VecDeque<(usize, Vec<Job>)>,
 }
 
 /// Run `trace` (and scripted `faults`) against `backend` under one
-/// deterministic interleaving. A fault becomes eligible once the next
-/// event to submit is at or past its timestamp (or the trace is
+/// deterministic interleaving. A fault becomes eligible once every
+/// submitter's next event is at or past its timestamp (or the trace is
 /// exhausted); the scheduler decides exactly when it fires within its
 /// eligibility window.
 pub fn simulate<B: Backend>(
@@ -106,63 +119,83 @@ pub fn simulate<B: Backend>(
     params: &SimParams,
     mut sched: Scheduler<'_>,
 ) -> SimRun<B> {
-    let shards_n = params.shards.max(1);
-    let batch_n = params.batch.max(1);
-    let core = EngineCore::new(backend);
-    let clock = VirtualClock::new();
-    let mut shards: Vec<_> = (0..shards_n)
-        .map(|_| core.shard(params.runtime.clone(), clock.clone()))
-        .collect();
-    let handle = core.fault_handle();
+    let k = params.shards.max(1);
+    let batch = params.batch.max(1);
+    // The sources of one graph node share its fibers, so which of them
+    // blocks depends on their order: there a submitter owns whole
+    // nodes, and the serial oracle keeps its meaning.
+    let group = match backend.label() {
+        "graph" => backend.ports_per_module().max(1),
+        _ => 1,
+    };
+    let engine = SimEngine::new(backend, k, params.runtime.clone());
+    let shards = &engine.shards;
+    let handle = engine.fault_handle();
     let outcomes: Arc<Mutex<Vec<Option<RequestOutcome>>>> =
         Arc::new(Mutex::new(vec![None; trace.len()]));
-    let mut queues: Vec<VecDeque<(usize, TimedEvent)>> = vec![VecDeque::new(); shards_n];
-    let mut next_ev = 0usize;
+    // A Fibonacci hash of the source port (node) picks the submitter,
+    // so the sources one shard serves spread over the submitters.
+    let owner: Vec<usize> = trace
+        .iter()
+        .map(|ev| {
+            let key = u64::from(source_port(&ev.event) / group);
+            (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % k
+        })
+        .collect();
+    let mut submitters: Vec<Submitter> = (0..k).map(|_| Submitter::default()).collect();
+    for (i, &s) in owner.iter().enumerate() {
+        submitters[s].events.push_back(i);
+    }
     let mut next_fault = 0usize;
 
     #[derive(Clone, Copy)]
     enum Action {
-        Deliver(usize),
+        Slice(usize),
         Retry(usize),
         Inject,
-        Submit,
     }
 
     let mut actions: Vec<Action> = Vec::new();
+    let mut sleeping = Vec::new();
     loop {
-        // Enumerate enabled actions in a fixed priority order; the
-        // serial scheduler always takes the first.
+        // Enumerate enabled steps in a fixed priority order; the serial
+        // scheduler always takes the first.
         actions.clear();
-        for (s, q) in queues.iter().enumerate() {
-            if !q.is_empty() {
-                actions.push(Action::Deliver(s));
+        sleeping.clear();
+        for (s, sub) in submitters.iter().enumerate() {
+            if !sub.slices.is_empty() {
+                actions.push(Action::Slice(s));
             }
         }
-        for (s, shard) in shards.iter().enumerate() {
-            if shard.next_due() == Some(Duration::ZERO) {
-                actions.push(Action::Retry(s));
+        for (s, wait) in shards.parked_waits() {
+            match wait.is_zero() {
+                true => actions.push(Action::Retry(s)),
+                false => sleeping.push((wait, s)),
             }
         }
-        if next_fault < faults.len() {
-            let due = faults[next_fault].time;
-            if next_ev >= trace.len() || trace[next_ev].time >= due {
+        let earliest = submitters
+            .iter()
+            .filter_map(|s| s.events.front())
+            .min()
+            .copied();
+        if let Some(fault) = faults.get(next_fault) {
+            if earliest.is_none_or(|i| trace[i].time >= fault.time) {
                 actions.push(Action::Inject);
             }
         }
-        if next_ev < trace.len() {
-            actions.push(Action::Submit);
-        }
-
-        if actions.is_empty() {
-            // Only parked retries (if anything) remain: jump the clock
-            // to the earliest one, or quiesce.
-            match shards.iter().filter_map(|s| s.next_due()).min() {
-                Some(wait) => {
-                    clock.advance(wait.max(Duration::from_nanos(1)));
-                    continue;
+        if let Some(e) = earliest {
+            // Submits open in arrival order, within the lookahead.
+            for i in e..(e + 2 * batch).min(trace.len()) {
+                let sub = &submitters[owner[i]];
+                if sub.slices.is_empty() && sub.events.front() == Some(&i) {
+                    actions.push(Action::Slice(owner[i]));
                 }
-                None => break,
             }
+        }
+        sleeping.sort_unstable();
+        actions.extend(sleeping.iter().map(|&(_, s)| Action::Retry(s)));
+        if actions.is_empty() {
+            break;
         }
 
         let pick = match &mut sched {
@@ -170,32 +203,32 @@ pub fn simulate<B: Backend>(
             Scheduler::Random(choices) => choices.choose(actions.len()),
         };
         match actions[pick] {
-            Action::Deliver(s) => {
-                if batch_n > 1 {
-                    let jobs: Vec<_> = std::mem::take(&mut queues[s])
-                        .into_iter()
-                        .map(|(idx, ev)| {
-                            let slot = Arc::clone(&outcomes);
-                            let done = Box::new(move |o| {
-                                slot.lock()[idx] = Some(o);
-                            })
-                                as wdm_runtime::OutcomeCallback;
-                            (ev, Some(done))
-                        })
-                        .collect();
-                    shards[s].handle_batch(jobs);
-                } else {
-                    let (idx, ev) = queues[s].pop_front().expect("enabled ⇒ non-empty");
-                    let slot = Arc::clone(&outcomes);
-                    shards[s].handle_event(
-                        ev,
-                        Some(Box::new(move |o| {
-                            slot.lock()[idx] = Some(o);
-                        })),
-                    );
+            Action::Slice(s) => {
+                let sub = &mut submitters[s];
+                if sub.slices.is_empty() {
+                    // First event unconditionally, then extend the
+                    // window — but never past a fault's eligibility
+                    // point, so the injection fires at the same trace
+                    // position whatever the window.
+                    let fault_at = faults.get(next_fault).map(|f| f.time);
+                    let mut jobs = Vec::new();
+                    while let Some(&i) = sub.events.front() {
+                        let full =
+                            jobs.len() == batch || fault_at.is_some_and(|t| trace[i].time >= t);
+                        if !jobs.is_empty() && full {
+                            break;
+                        }
+                        let slot = Arc::clone(&outcomes);
+                        let done: OutcomeCallback = Box::new(move |o| slot.lock()[i] = Some(o));
+                        jobs.push((trace[i].clone(), Some(done)));
+                        sub.events.pop_front();
+                    }
+                    sub.slices = engine.split(jobs).into();
                 }
+                let (shard, slice) = sub.slices.pop_front().expect("an open submit");
+                shards.apply(shard, slice);
             }
-            Action::Retry(s) => shards[s].retry_due(),
+            Action::Retry(s) => shards.retry(s),
             Action::Inject => {
                 match faults[next_fault].action {
                     FaultAction::Fail(f) => {
@@ -207,31 +240,11 @@ pub fn simulate<B: Backend>(
                 }
                 next_fault += 1;
             }
-            Action::Submit => {
-                // First event unconditionally, then extend the window —
-                // but never past a fault's eligibility point, so the
-                // injection fires at the same trace position whether or
-                // not submission is batched.
-                let mut taken = 0;
-                while next_ev < trace.len()
-                    && (taken == 0
-                        || (taken < batch_n
-                            && !(next_fault < faults.len()
-                                && trace[next_ev].time >= faults[next_fault].time)))
-                {
-                    let ev = trace[next_ev].clone();
-                    let s = core.shard_of(source_port(&ev.event), shards_n);
-                    queues[s].push_back((next_ev, ev));
-                    next_ev += 1;
-                    taken += 1;
-                }
-            }
         }
     }
 
-    drop(shards);
-    let virtual_secs = clock.elapsed().as_secs_f64();
-    let report = core.finish(virtual_secs);
+    let virtual_secs = shards.secs();
+    let report = engine.drain();
     let outcomes = std::mem::take(&mut *outcomes.lock());
     SimRun {
         outcomes,
@@ -245,6 +258,7 @@ mod tests {
     use super::*;
     use wdm_core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
     use wdm_fabric::CrossbarSession;
+    use wdm_workload::TraceEvent;
 
     fn crossbar() -> CrossbarSession {
         CrossbarSession::new(NetworkConfig::new(4, 1), MulticastModel::Msw)
@@ -280,8 +294,8 @@ mod tests {
 
     #[test]
     fn busy_conflict_is_absorbed_by_virtual_retry() {
-        // Both sources want dst 2 on a *closed* trace. Cross-shard
-        // reordering may admit either first — the loser parks — but the
+        // Both sources want dst 2 on a *closed* trace. Two submitters
+        // may admit either first — the loser parks — but the
         // retry loop must absorb the conflict under every schedule, and
         // every event must resolve exactly as the serial order does.
         let trace = vec![

@@ -12,10 +12,15 @@
 //!
 //! * [`schedule`] — the seeded [`ChoiceStream`]: decision log,
 //!   schedule fingerprinting, forced-prefix replay.
-//! * [`executor`] — [`simulate`]: a whole engine lifetime (submit,
-//!   shard delivery, parked retries, fault injection, drain) as one
-//!   deterministic loop over [`wdm_runtime::ShardCore`]s and a
-//!   [`wdm_runtime::VirtualClock`].
+//! * `engine` — the one simulated engine: production's
+//!   [`wdm_runtime::EngineCore`] and one [`wdm_runtime::ShardCore`] per
+//!   shard on a [`wdm_runtime::VirtualClock`], whose submit splits a
+//!   batch by shard and applies each slice under one backend lock, as
+//!   the threaded engine does. Both drivers below run on it.
+//! * [`executor`] — [`simulate`]: a whole engine lifetime (submits,
+//!   parked retries, fault injection, drain) as one deterministic loop
+//!   whose steps are the engine's atomic units: one submitter's shard
+//!   slice, one shard's retry, one fault.
 //! * [`oracle`] — the serial-oracle conformance check (every
 //!   interleaving of a legal closed trace must match the single-shard
 //!   serial outcome, index by index) and the schedule-independent
@@ -24,7 +29,8 @@
 //!   the crossbar and a three-stage network at the Theorem 1/2 bound
 //!   must agree on every admit/block verdict.
 //! * [`netsim`] — [`NetSim`], the serving core's simulated driver:
-//!   scripted clients over in-memory lanes, each hop a seeded choice.
+//!   scripted clients over in-memory lanes in front of the same engine,
+//!   each hop a seeded choice.
 //! * [`shrink`] — delta-debugging minimization at connect/disconnect
 //!   unit granularity.
 //! * [`scenario`] — the [`Scenario`] builder: the one experiment
@@ -38,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod diff;
+mod engine;
 pub mod executor;
 pub mod harness;
 pub mod netsim;

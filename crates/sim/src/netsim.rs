@@ -2,85 +2,30 @@
 //!
 //! [`NetSim`] drives `wdm-net`'s [`ServingCore`] — the state machine the
 //! epoll reactor drives in production — over per-lane byte queues, in
-//! front of a virtual-clock engine ([`EngineCore`] plus one
-//! [`ShardCore`] per engine shard) that admits a submitted batch at
-//! once, as the production engine does on the submitting thread; only
-//! parked retries wait for a [`Step::Retry`]. A lane is one client: a
-//! script of encoded frames, a window of unanswered entries, and a send
-//! buffer of `SEND_BUFFER` bytes toward it. Every hop is a [`Step`]; a
+//! front of the one simulated engine (the engine behind
+//! [`simulate`](crate::simulate) too). A [`Step::Cycle`] hands the
+//! coalesced batch to it, and it admits the batch at once, as the
+//! production engine does on the submitting thread; only parked retries
+//! wait for a [`Step::Retry`]. A lane is one client: a script of
+//! encoded frames, a window of unanswered entries, and a send buffer of
+//! `SEND_BUFFER` bytes toward it. Every hop is a [`Step`]; a
 //! [`ChoiceStream`] picks the step and how many bytes it moves, so
 //! stalled-window schedules are a script rather than a race.
 
-use crate::executor::source_port;
+use crate::engine::{Shards, SimEngine};
 use crate::schedule::ChoiceStream;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use wdm_net::codec::{decode_response, read_frame};
-use wdm_net::serving::{
-    Engine, EngineSlot, ReactorConfig, ReactorMetrics, ReactorSnapshot, ServingCore,
-};
+use wdm_net::serving::{EngineSlot, ReactorConfig, ReactorMetrics, ReactorSnapshot, ServingCore};
 use wdm_net::{Response, HEADER_LEN};
-use wdm_runtime::{
-    Backend, EngineCore, FaultHandle, MetricsSnapshot, OutcomeCallback, RuntimeConfig,
-    RuntimeReport, ShardCore, VirtualClock,
-};
-use wdm_workload::TimedEvent;
+use wdm_runtime::{Backend, FaultHandle, RuntimeConfig, RuntimeReport, ShardCore};
 
 /// Bytes the modelled server → client socket buffer holds.
 const SEND_BUFFER: usize = 64 * 1024;
-
-type Shards<B> = Arc<Mutex<Vec<ShardCore<B, VirtualClock>>>>;
-
-/// The [`Engine`] seam over the virtual clock: a batch splits per shard
-/// and each slice is applied at once under one backend lock.
-struct SimEngine<B: Backend> {
-    core: EngineCore<B>,
-    clock: VirtualClock,
-    /// Shared with the [`NetSim`]; emptied by the drain.
-    shards: Shards<B>,
-}
-
-impl<B: Backend> Engine for SimEngine<B> {
-    type Backend = B;
-
-    fn submit(&self, events: Vec<TimedEvent>, callbacks: Vec<OutcomeCallback>) {
-        let mut shards = self.shards.lock();
-        let n = shards.len();
-        let mut split: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
-        for (ev, cb) in events.into_iter().zip(callbacks) {
-            split[self.core.shard_of(source_port(&ev.event), n)].push((ev, Some(cb)));
-        }
-        for (shard, batch) in shards.iter_mut().zip(split) {
-            if !batch.is_empty() {
-                shard.handle_batch(batch);
-            }
-        }
-    }
-
-    fn snapshot(&self) -> MetricsSnapshot {
-        self.core.snapshot(self.clock.elapsed().as_secs_f64())
-    }
-
-    /// Retry everything parked, jumping the clock, until idle.
-    fn drain(self) -> RuntimeReport<B> {
-        let mut shards = std::mem::take(&mut *self.shards.lock());
-        loop {
-            for shard in &mut shards {
-                shard.retry_due();
-            }
-            match shards.iter().filter_map(|s| s.next_due()).min() {
-                Some(wait) => self.clock.advance(wait.max(Duration::from_nanos(1))),
-                None => break,
-            }
-        }
-        drop(shards);
-        self.core.finish(self.clock.elapsed().as_secs_f64())
-    }
-}
 
 /// How a lane's client treats its connection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,8 +103,7 @@ pub struct NetSim<B: Backend> {
     slot: Arc<EngineSlot<SimEngine<B>>>,
     core: ServingCore<SimEngine<B>>,
     metrics: Arc<ReactorMetrics>,
-    clock: VirtualClock,
-    shards: Shards<B>,
+    shards: Arc<Shards<B>>,
     faults: FaultHandle<B>,
     lanes: Vec<Lane>,
 }
@@ -168,19 +112,10 @@ impl<B: Backend> NetSim<B> {
     /// A serving core (default [`ReactorConfig`] caps) in front of
     /// `shards` engine shards over `backend`.
     pub fn new(backend: B, shards: usize, runtime: RuntimeConfig) -> Self {
-        let core = EngineCore::new(backend);
-        let clock = VirtualClock::new();
-        let shards: Shards<B> = Arc::new(Mutex::new(
-            (0..shards.max(1))
-                .map(|_| core.shard(runtime.clone(), clock.clone()))
-                .collect(),
-        ));
-        let faults = core.fault_handle();
-        let slot = Arc::new(EngineSlot::new(SimEngine {
-            core,
-            clock: clock.clone(),
-            shards: Arc::clone(&shards),
-        }));
+        let engine = SimEngine::new(backend, shards, runtime);
+        let shards = Arc::clone(&engine.shards);
+        let faults = engine.fault_handle();
+        let slot = Arc::new(EngineSlot::new(engine));
         let metrics = Arc::new(ReactorMetrics::new());
         let serving = ServingCore::new(
             Arc::clone(&slot),
@@ -192,7 +127,6 @@ impl<B: Backend> NetSim<B> {
             slot,
             core: serving,
             metrics,
-            clock,
             shards,
             faults,
             lanes: Vec::new(),
@@ -239,8 +173,8 @@ impl<B: Backend> NetSim<B> {
         if self.core.pending() > 0 {
             steps.push(Step::Cycle);
         }
-        for (s, shard) in self.shards.lock().iter().enumerate() {
-            if shard.next_due() == Some(Duration::ZERO) {
+        for (s, wait) in self.shards.parked_waits() {
+            if wait.is_zero() {
                 steps.push(Step::Retry(s));
             }
         }
@@ -317,7 +251,7 @@ impl<B: Backend> NetSim<B> {
                     self.metrics.eagain_writes.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Step::Retry(s) => self.shards.lock()[s].retry_due(),
+            Step::Retry(s) => self.shards.retry(s),
             Step::Recv(l) => {
                 let lane = &mut self.lanes[l];
                 let n = budget.min(lane.to_client.len());
@@ -353,23 +287,23 @@ impl<B: Backend> NetSim<B> {
 
     /// Parked requests on engine shard `s` (none once drained).
     pub fn parked(&self, s: usize) -> usize {
-        self.shards.lock().get(s).map_or(0, ShardCore::parked_len)
+        let cores = self.shards.cores.lock();
+        cores.get(s).map_or(0, ShardCore::parked_len)
     }
 
     /// Earliest parked-retry due time across engine shards.
     pub fn next_due(&self) -> Option<Duration> {
-        let shards = self.shards.lock();
-        shards.iter().filter_map(ShardCore::next_due).min()
+        self.shards.next_due()
     }
 
     /// Advance the virtual clock.
     pub fn advance(&self, d: Duration) {
-        self.clock.advance(d.max(Duration::from_nanos(1)));
+        self.shards.clock.advance(d.max(Duration::from_nanos(1)));
     }
 
     /// Virtual seconds elapsed.
     pub fn virtual_secs(&self) -> f64 {
-        self.clock.elapsed().as_secs_f64()
+        self.shards.secs()
     }
 
     /// A fault handle on the backend (no-ops once drained).

@@ -121,3 +121,27 @@ fn crossbar_and_three_stage_agree_at_the_bound() {
         );
     }
 }
+
+/// Two submitters meeting on every shard under hotspot churn: sources
+/// contend for the hot module's outputs, so connects park behind busy
+/// endpoints mid-trace and their sources' later events queue behind
+/// them. Every schedule must still match the serial oracle — a deferred
+/// tail replayed out of order would not.
+#[test]
+fn two_submitters_on_hotspot_churn_match_the_serial_oracle() {
+    use wdm_sim::WorkloadSpec;
+    let hot = WorkloadSpec::Hotspot {
+        hot: 1,
+        skew_pct: 80,
+    };
+    for kind in [BackendKind::Crossbar, BackendKind::ThreeStage] {
+        let setup = at_bound(kind, (2, 4, 1), 40, 2).workload(hot);
+        let report = setup.sweep(0..128).unwrap();
+        assert!(
+            report.failures.is_empty(),
+            "{} of 128 seeds diverged:\n{}",
+            report.failures.len(),
+            report.failures[0]
+        );
+    }
+}
