@@ -45,11 +45,9 @@ fn bench_census(c: &mut Criterion) {
     });
 }
 
-fn bench_incremental_vs_batch(c: &mut Criterion) {
-    // One connect+disconnect cycle: the session touches only the delta's
-    // gates; batch routing reprograms the whole fabric.
+fn bench_batch_reroute(c: &mut Criterion) {
+    // One connect+disconnect cycle, reprogramming the whole fabric each way.
     use wdm_core::MulticastConnection;
-    use wdm_fabric::CrossbarSession;
     let net = NetworkConfig::new(16, 4);
     let model = MulticastModel::Maw;
     // A random background may be full; free one slot deterministically by
@@ -57,20 +55,7 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
     let mut background = AssignmentGen::new(net, model, 9).any_assignment();
     let victim = background.connections().next().unwrap().source();
     let removed = background.remove(victim).unwrap();
-    let free_src = removed.source();
-    let free_dst = removed.destinations()[0];
-    let extra = MulticastConnection::unicast(free_src, free_dst);
-
-    let mut session = CrossbarSession::new(net, model);
-    for conn in background.connections() {
-        session.connect(conn).unwrap();
-    }
-    c.bench_function("fabric/incremental_connect_cycle_N16k4", |b| {
-        b.iter(|| {
-            session.connect(&extra).unwrap();
-            session.disconnect(free_src).unwrap();
-        })
-    });
+    let extra = MulticastConnection::unicast(removed.source(), removed.destinations()[0]);
 
     let mut xbar = WdmCrossbar::build(net, model);
     let mut with_extra = background.clone();
@@ -86,7 +71,7 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
 fn bench_awg_clos_connect_cycle(c: &mut Criterion) {
     // One multicast connect+disconnect cycle through the wavelength-routed
     // Clos: four legs planned per cycle, each a packed-bitset probe over
-    // the class replicas — comparable to the incremental crossbar cycle.
+    // the class replicas.
     use wdm_core::MulticastConnection;
     use wdm_multistage::AwgClosNetwork;
     let mut net = AwgClosNetwork::at_bound(2, 4, 4, MulticastModel::Msw);
@@ -119,7 +104,7 @@ criterion_group!(
     bench_build,
     bench_route,
     bench_census,
-    bench_incremental_vs_batch,
+    bench_batch_reroute,
     bench_awg_clos_connect_cycle
 );
 criterion_main!(benches);

@@ -5,10 +5,9 @@
 //! [`Component::InputPort`]/[`Component::OutputPort`] components.
 
 use crate::{
-    propagate, Census, Component, FabricError, ModuleSpec, Netlist, NodeId, PowerBudget,
-    PowerParams, PropagationOutcome, Signal, WdmModule,
+    propagate_assignment, Census, Component, FabricError, ModuleSpec, Netlist, NodeId, PowerBudget,
+    PowerParams, PropagationOutcome, WdmModule,
 };
-use std::collections::BTreeMap;
 use wdm_core::{Endpoint, MulticastAssignment, MulticastModel, NetworkConfig};
 
 /// A crossbar-based `N×N` `k`-wavelength WDM multicast switch under one of
@@ -74,36 +73,6 @@ impl WdmCrossbar {
         &self.netlist
     }
 
-    /// Mutable access for session-level incremental control.
-    pub(crate) fn netlist_mut(&mut self) -> &mut Netlist {
-        &mut self.netlist
-    }
-
-    /// Program one MSDW input converter by flat input-endpoint index.
-    pub(crate) fn program_input_converter(
-        &mut self,
-        in_flat: usize,
-        target: Option<wdm_core::WavelengthId>,
-    ) {
-        self.module
-            .program_input_converter(&mut self.netlist, in_flat, target);
-    }
-
-    /// Shine the sources of `asg` through the fabric **as currently
-    /// configured** — no gate or converter is touched. This is the
-    /// read-only propagation used by incremental sessions.
-    pub fn propagate_current(&self, asg: &MulticastAssignment) -> PropagationOutcome {
-        let mut injections: BTreeMap<u32, Vec<Signal>> = BTreeMap::new();
-        for conn in asg.connections() {
-            let src = conn.source();
-            injections.entry(src.port.0).or_default().push(Signal {
-                origin: src,
-                wavelength: src.wavelength,
-            });
-        }
-        propagate::propagate(&self.netlist, &injections)
-    }
-
     /// Component census — crosspoints and converters for Table 1.
     pub fn census(&self) -> Census {
         Census::of(&self.netlist)
@@ -161,7 +130,7 @@ impl WdmCrossbar {
     ///
     /// Errors on model/size mismatch or physical conflicts; delivery
     /// completeness is the caller's check (see
-    /// [`PropagationOutcome::delivered_exactly`]) so fault-injection
+    /// [`PropagationOutcome::check_delivery`]) so fault-injection
     /// experiments can observe partial delivery.
     pub fn route(&mut self, asg: &MulticastAssignment) -> Result<PropagationOutcome, FabricError> {
         if asg.network() != self.net {
@@ -198,48 +167,21 @@ impl WdmCrossbar {
             }
         }
 
-        let mut injections: BTreeMap<u32, Vec<Signal>> = BTreeMap::new();
-        for conn in asg.connections() {
-            let src = conn.source();
-            injections.entry(src.port.0).or_default().push(Signal {
-                origin: src,
-                wavelength: src.wavelength,
-            });
-        }
-
-        let outcome = propagate::propagate(&self.netlist, &injections);
+        let outcome = propagate_assignment(&self.netlist, asg);
         if !outcome.is_clean() {
             return Err(FabricError::Propagation(outcome.errors));
         }
         Ok(outcome)
     }
 
-    /// [`route`](Self::route) plus an exact-delivery check.
+    /// [`route`](Self::route) plus
+    /// [`check_delivery`](PropagationOutcome::check_delivery).
     pub fn route_verified(
         &mut self,
         asg: &MulticastAssignment,
     ) -> Result<PropagationOutcome, FabricError> {
         let outcome = self.route(asg)?;
-        for conn in asg.connections() {
-            for &d in conn.destinations() {
-                let got = outcome.received_at(d);
-                let want = Signal {
-                    origin: conn.source(),
-                    wavelength: d.wavelength,
-                };
-                if got != [want] {
-                    return Err(FabricError::DeliveryFailure { endpoint: d });
-                }
-            }
-        }
-        if !outcome.delivered_exactly(asg) {
-            // Spurious light on an endpoint no connection claims.
-            let spurious = outcome
-                .lit_outputs()
-                .find(|ep| asg.output_user(*ep).is_none())
-                .expect("delivered_exactly failed, so a spurious output exists");
-            return Err(FabricError::DeliveryFailure { endpoint: spurious });
-        }
+        outcome.check_delivery(asg)?;
         Ok(outcome)
     }
 }
@@ -373,6 +315,30 @@ mod tests {
                 endpoint: Endpoint::new(1, 0)
             }
         );
+    }
+
+    #[test]
+    fn swapped_sources_fail_delivery() {
+        // Route A, then judge it against B, which swaps A's destinations:
+        // every destination holds exactly one signal, but from the other
+        // source, so only a per-signal comparison catches it.
+        let net = NetworkConfig::new(4, 1);
+        let mut xbar = WdmCrossbar::build(net, MulticastModel::Msw);
+        let mut a = MulticastAssignment::new(net, MulticastModel::Msw);
+        a.add(conn((0, 0), &[(2, 0)])).unwrap();
+        a.add(conn((1, 0), &[(3, 0)])).unwrap();
+        let mut b = MulticastAssignment::new(net, MulticastModel::Msw);
+        b.add(conn((0, 0), &[(3, 0)])).unwrap();
+        b.add(conn((1, 0), &[(2, 0)])).unwrap();
+        let out = xbar.route_verified(&a).unwrap();
+        for d in [Endpoint::new(2, 0), Endpoint::new(3, 0)] {
+            assert_eq!(out.received_at(d).len(), 1);
+        }
+        assert!(matches!(
+            out.check_delivery(&b),
+            Err(FabricError::DeliveryFailure { .. })
+        ));
+        assert!(!out.delivered_exactly(&b));
     }
 
     #[test]

@@ -59,5 +59,5 @@ pub use module::{ModuleSpec, WdmModule};
 pub use netlist::{EdgeId, Netlist};
 pub use path::{trace_signal, SignalPath};
 pub use power::{PowerBudget, PowerParams};
-pub use propagate::{propagate, PropagationOutcome, Signal};
+pub use propagate::{propagate, propagate_assignment, PropagationOutcome, Signal};
 pub use session::CrossbarSession;

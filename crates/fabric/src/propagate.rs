@@ -6,11 +6,16 @@
 //! conflicts (wavelength collisions, multi-lit combiners, overloaded
 //! converters) are collected rather than short-circuited, so a single run
 //! reports every problem in the configuration.
+//!
+//! Every gate-level verifier — the crossbar, the crossbar session and the
+//! photonic three- and five-stage networks — lights its fabric with
+//! [`propagate_assignment`] and judges the result with
+//! [`PropagationOutcome::check_delivery`].
 
-use crate::{Component, EdgeId, Netlist, PropagationError};
+use crate::{Component, EdgeId, FabricError, Netlist, PropagationError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use wdm_core::{Endpoint, WavelengthId};
+use wdm_core::{Endpoint, MulticastAssignment, WavelengthId};
 
 /// A light signal: where it entered the network and the wavelength it is
 /// currently carried on (converters rewrite the latter, never the former).
@@ -65,33 +70,51 @@ impl PropagationOutcome {
         self.crosstalk_exposure.values().map(|&c| c as u64).sum()
     }
 
-    /// Exact-delivery check against an assignment: every destination
-    /// endpoint of every connection received exactly the signal injected
-    /// by its source (on the destination's own wavelength), no other
-    /// output endpoint received anything, and there were no conflicts.
-    pub fn delivered_exactly(&self, asg: &wdm_core::MulticastAssignment) -> bool {
+    /// Judge exact delivery of `asg`: no physical conflicts, every
+    /// destination of every connection received exactly the signal its
+    /// source injected (on the destination's own wavelength), and no
+    /// other output endpoint is lit. The error names the first endpoint
+    /// that deviates.
+    pub fn check_delivery(&self, asg: &MulticastAssignment) -> Result<(), FabricError> {
         if !self.is_clean() {
-            return false;
+            return Err(FabricError::Propagation(self.errors.clone()));
         }
-        let mut expected: BTreeMap<Endpoint, Signal> = BTreeMap::new();
         for conn in asg.connections() {
             for &d in conn.destinations() {
-                expected.insert(
-                    d,
-                    Signal {
-                        origin: conn.source(),
-                        wavelength: d.wavelength,
-                    },
-                );
+                let want = Signal {
+                    origin: conn.source(),
+                    wavelength: d.wavelength,
+                };
+                if self.received_at(d) != [want] {
+                    return Err(FabricError::DeliveryFailure { endpoint: d });
+                }
             }
         }
-        if self.received.len() != expected.len() {
-            return false;
+        // Spurious light on an endpoint no connection claims.
+        match self.lit_outputs().find(|&ep| asg.output_user(ep).is_none()) {
+            Some(endpoint) => Err(FabricError::DeliveryFailure { endpoint }),
+            None => Ok(()),
         }
-        expected
-            .iter()
-            .all(|(ep, want)| self.received_at(*ep) == std::slice::from_ref(want))
     }
+
+    /// `true` iff [`check_delivery`](Self::check_delivery) passes.
+    pub fn delivered_exactly(&self, asg: &MulticastAssignment) -> bool {
+        self.check_delivery(asg).is_ok()
+    }
+}
+
+/// Shine every source of `asg` into `netlist` on its own wavelength and
+/// propagate. The fabric is read as configured; no gate is touched.
+pub fn propagate_assignment(netlist: &Netlist, asg: &MulticastAssignment) -> PropagationOutcome {
+    let mut injections: BTreeMap<u32, Vec<Signal>> = BTreeMap::new();
+    for conn in asg.connections() {
+        let src = conn.source();
+        injections.entry(src.port.0).or_default().push(Signal {
+            origin: src,
+            wavelength: src.wavelength,
+        });
+    }
+    propagate(netlist, &injections)
 }
 
 /// Propagate the injected signals through `netlist`.

@@ -1,24 +1,22 @@
-//! Incremental crossbar control: connect and disconnect one multicast at
-//! a time without reprogramming the whole fabric.
+//! Crossbar admission control: connect and disconnect one multicast at a
+//! time against a live assignment.
 //!
-//! [`WdmCrossbar::route`] reconfigures every gate for a complete
-//! assignment — fine for experiments, wasteful for a live switch where
-//! connections come and go. A [`CrossbarSession`] owns a crossbar plus a
-//! live assignment and touches only the gates and converters of the
-//! connection being added or removed, exactly like a real switch
-//! controller. Batch and incremental configuration are equivalence-tested
-//! against each other.
+//! The crossbars of Figs. 4–7 are nonblocking by construction, so
+//! admitting a connection needs only the assignment's endpoint check and
+//! the fault set. A [`CrossbarSession`] therefore keeps just those two;
+//! it programs no gates. [`CrossbarSession::verify`] builds a
+//! [`WdmCrossbar`] from the live assignment, routes it and judges exact
+//! delivery — the one configuration path every crossbar caller shares.
 
-use crate::{Component, FabricError, PropagationOutcome, WdmCrossbar};
+use crate::{FabricError, PropagationOutcome, WdmCrossbar};
 use wdm_core::{
     AssignmentError, Endpoint, Fault, FaultSet, MulticastAssignment, MulticastConnection,
     MulticastModel, NetworkConfig,
 };
 
-/// A crossbar with live, incrementally-managed connections.
+/// A crossbar's live connections and failed components.
 #[derive(Debug, Clone)]
 pub struct CrossbarSession {
-    xbar: WdmCrossbar,
     live: MulticastAssignment,
     /// Control-plane faults the admission check consults. For a
     /// single-stage crossbar only port and converter-bank faults bite;
@@ -28,10 +26,9 @@ pub struct CrossbarSession {
 }
 
 impl CrossbarSession {
-    /// Open a session on a freshly built crossbar.
+    /// Open a session with no connections and no faults.
     pub fn new(net: NetworkConfig, model: MulticastModel) -> Self {
         CrossbarSession {
-            xbar: WdmCrossbar::build(net, model),
             live: MulticastAssignment::new(net, model),
             faults: FaultSet::new(),
         }
@@ -66,14 +63,14 @@ impl CrossbarSession {
                 // MSDW programs the converter at the *input* of source
                 // port p whenever the group wavelength differs.
                 Fault::InputConverters(p) => {
-                    self.xbar.model() == MulticastModel::Msdw
+                    self.live.model() == MulticastModel::Msdw
                         && c.source().port.0 == p
                         && c.destinations()[0].wavelength != c.source().wavelength
                 }
                 // MAW converts at each output whose λ differs from the
                 // source's.
                 Fault::OutputConverters(p) => {
-                    self.xbar.model() == MulticastModel::Maw
+                    self.live.model() == MulticastModel::Maw
                         && c.destinations()
                             .iter()
                             .any(|d| d.port.0 == p && d.wavelength != c.source().wavelength)
@@ -98,7 +95,7 @@ impl CrossbarSession {
                 return Some(Fault::Port(d.port.0));
             }
         }
-        match self.xbar.model() {
+        match self.live.model() {
             MulticastModel::Msw => None,
             MulticastModel::Msdw => {
                 // Needs the source-side converter iff the group λ differs.
@@ -126,13 +123,8 @@ impl CrossbarSession {
         &self.live
     }
 
-    /// Borrow the underlying crossbar (census, power, fault injection).
-    pub fn crossbar(&self) -> &WdmCrossbar {
-        &self.xbar
-    }
-
-    /// Add one connection: checks endpoint conflicts, then enables only
-    /// this connection's gates (and programs its converter under MSDW).
+    /// Add one connection: checks endpoint conflicts and the fault set,
+    /// then records it.
     ///
     /// Borrows the request so rejected admissions (the hot path under
     /// contention) never copy the destination set; the single clone
@@ -142,88 +134,28 @@ impl CrossbarSession {
         if let Some(fault) = self.component_down(conn) {
             return Err(AssignmentError::ComponentDown(fault));
         }
-        let k = self.network().wavelengths;
-        if self.xbar.model() == MulticastModel::Msdw {
-            let target = conn.destinations()[0].wavelength;
-            let src_flat = conn.source().flat_index(k);
-            self.xbar.program_converter_raw(src_flat, Some(target));
-        }
-        for &dst in conn.destinations() {
-            let gate = self
-                .xbar
-                .gate_between(conn.source(), dst)
-                .expect("model-legal connection has a gate path");
-            self.xbar.set_gate_raw(gate, true);
-        }
         self.live.add(conn.clone()).expect("checked above");
         Ok(())
     }
 
-    /// Remove the connection sourced at `src`, disabling only its gates.
+    /// Remove the connection sourced at `src`.
     pub fn disconnect(&mut self, src: Endpoint) -> Result<MulticastConnection, AssignmentError> {
-        let conn = self.live.remove(src)?;
-        let k = self.network().wavelengths;
-        for &dst in conn.destinations() {
-            let gate = self
-                .xbar
-                .gate_between(src, dst)
-                .expect("routed connection had a gate path");
-            self.xbar.set_gate_raw(gate, false);
-        }
-        if self.xbar.model() == MulticastModel::Msdw {
-            self.xbar.program_converter_raw(src.flat_index(k), None);
-        }
-        Ok(conn)
+        self.live.remove(src)
     }
 
-    /// Shine light through the current configuration and verify exact
-    /// delivery of the live assignment.
-    pub fn verify(&self) -> Result<PropagationOutcome, FabricError> {
-        let outcome = self.xbar.propagate_current(&self.live);
-        if !outcome.is_clean() {
-            return Err(FabricError::Propagation(outcome.errors.clone()));
-        }
-        if !outcome.delivered_exactly(&self.live) {
-            let bad = self
-                .live
-                .connections()
-                .flat_map(|c| c.destinations().iter().copied())
-                .find(|&d| outcome.received_at(d).len() != 1)
-                .or_else(|| {
-                    outcome
-                        .lit_outputs()
-                        .find(|ep| self.live.output_user(*ep).is_none())
-                })
-                .expect("deviating endpoint exists");
-            return Err(FabricError::DeliveryFailure { endpoint: bad });
-        }
-        Ok(outcome)
-    }
-}
-
-impl WdmCrossbar {
-    /// Toggle one gate by node id (session-internal; does not touch other
-    /// state).
-    pub(crate) fn set_gate_raw(&mut self, gate: crate::NodeId, on: bool) {
-        if let Component::SoaGate { enabled, .. } = self.netlist_mut().component_mut(gate) {
-            *enabled = on;
-        }
-    }
-
-    /// Program one MSDW input converter by flat index (session-internal).
-    pub(crate) fn program_converter_raw(
-        &mut self,
-        in_flat: usize,
-        target: Option<wdm_core::WavelengthId>,
-    ) {
-        self.program_input_converter(in_flat, target);
+    /// Build the crossbar, route the live assignment through it and
+    /// verify exact delivery. Returns the routed crossbar with the
+    /// outcome, so callers can trace paths through its netlist.
+    pub fn verify(&self) -> Result<(WdmCrossbar, PropagationOutcome), FabricError> {
+        let mut xbar = WdmCrossbar::build(self.network(), self.live.model());
+        let outcome = xbar.route_verified(&self.live)?;
+        Ok((xbar, outcome))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn conn(src: (u32, u32), dests: &[(u32, u32)]) -> MulticastConnection {
         MulticastConnection::new(
@@ -242,7 +174,7 @@ mod tests {
         s.connect(&conn((1, 1), &[(0, 1), (3, 1)])).unwrap();
         s.verify().unwrap();
         s.disconnect(Endpoint::new(0, 0)).unwrap();
-        let outcome = s.verify().unwrap();
+        let (_, outcome) = s.verify().unwrap();
         assert_eq!(outcome.lit_outputs().count(), 2);
     }
 
@@ -264,8 +196,7 @@ mod tests {
         s.connect(&conn((0, 0), &[(1, 1), (2, 1)])).unwrap();
         s.verify().unwrap();
         s.disconnect(Endpoint::new(0, 0)).unwrap();
-        // The same source can now host a λ1-destination connection —
-        // which would fail had the converter stayed programmed to λ2.
+        // The same source can now host a λ1-destination connection.
         s.connect(&conn((0, 0), &[(1, 0)])).unwrap();
         s.verify().unwrap();
     }
@@ -344,89 +275,5 @@ mod tests {
         );
         // Middle-stage faults are foreign vocabulary to a crossbar.
         assert!(s.connections_through(&Fault::MiddleSwitch(0)).is_empty());
-    }
-
-    #[test]
-    fn incremental_equals_batch_under_churn() {
-        for model in MulticastModel::ALL {
-            let net = NetworkConfig::new(5, 2);
-            let mut session = CrossbarSession::new(net, model);
-            let mut batch = WdmCrossbar::build(net, model);
-            let mut gen = wdm_workload_stub::Gen::new(net, model, 11);
-            let mut rng = StdRng::seed_from_u64(13);
-            let mut live: Vec<Endpoint> = Vec::new();
-            for _ in 0..120 {
-                if !live.is_empty() && rng.gen_bool(0.4) {
-                    let i = rng.gen_range(0..live.len());
-                    session.disconnect(live.swap_remove(i)).unwrap();
-                } else if let Some(c) = gen.next(&session.live) {
-                    live.push(c.source());
-                    session.connect(&c).unwrap();
-                }
-                // Same light, both ways.
-                let inc = session.verify().expect("incremental config verifies");
-                let bat = batch
-                    .route_verified(session.assignment())
-                    .expect("batch verifies");
-                let a: Vec<_> = inc.lit_outputs().collect();
-                let b: Vec<_> = bat.lit_outputs().collect();
-                assert_eq!(a, b, "{model}");
-            }
-        }
-    }
-
-    /// Minimal in-crate request generator (wdm-workload depends on
-    /// wdm-core only; the real generator lives there, but fabric cannot
-    /// depend on it without a cycle in dev graphs).
-    mod wdm_workload_stub {
-        use super::*;
-
-        pub struct Gen {
-            rng: StdRng,
-            net: NetworkConfig,
-            model: MulticastModel,
-        }
-
-        impl Gen {
-            pub fn new(net: NetworkConfig, model: MulticastModel, seed: u64) -> Self {
-                Gen {
-                    rng: StdRng::seed_from_u64(seed),
-                    net,
-                    model,
-                }
-            }
-
-            pub fn next(&mut self, asg: &MulticastAssignment) -> Option<MulticastConnection> {
-                let free: Vec<Endpoint> = self
-                    .net
-                    .endpoints()
-                    .filter(|&e| !asg.input_busy(e))
-                    .collect();
-                if free.is_empty() {
-                    return None;
-                }
-                let src = free[self.rng.gen_range(0..free.len())];
-                let group_wl = self.rng.gen_range(0..self.net.wavelengths);
-                let mut dests = Vec::new();
-                for p in 0..self.net.ports {
-                    if !self.rng.gen_bool(0.5) {
-                        continue;
-                    }
-                    let w = match self.model {
-                        MulticastModel::Msw => src.wavelength.0,
-                        MulticastModel::Msdw => group_wl,
-                        MulticastModel::Maw => self.rng.gen_range(0..self.net.wavelengths),
-                    };
-                    let ep = Endpoint::new(p, w);
-                    if asg.output_user(ep).is_none() {
-                        dests.push(ep);
-                    }
-                }
-                if dests.is_empty() {
-                    return None;
-                }
-                MulticastConnection::new(src, dests).ok()
-            }
-        }
     }
 }

@@ -3,12 +3,13 @@
 //! [`ConcurrentThreeStage`] is the fine-grained-concurrency counterpart
 //! of [`ThreeStageNetwork`](crate::ThreeStageNetwork): the same Fig. 8
 //! geometry, the same FirstFit routing decisions (shared verbatim via
-//! [`crate::routing`]), but admissible from many threads at once through
-//! `&self`. The occupancy words live in [`AtomicU64`]s, admission takes
-//! only the *source input module's* stripe lock, and the middle→output
-//! leg words — the only state two input modules can race on — commit by
-//! compare-and-swap with newest-first rollback when a racing commit
-//! invalidates the probed wavelength.
+//! the crate-private `routing` module), but admissible from many
+//! threads at once through `&self`. The occupancy words live in
+//! [`AtomicU64`]s, admission takes only the *source input module's*
+//! stripe lock, and the middle→output leg words — the only state two
+//! input modules can race on — commit by compare-and-swap with
+//! newest-first rollback when a racing commit invalidates the probed
+//! wavelength.
 //!
 //! Concurrency architecture (see DESIGN.md "Fine-grained admission"):
 //!

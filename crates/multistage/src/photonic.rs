@@ -24,11 +24,10 @@
 //! ```
 
 use crate::{Construction, RoutedConnection, ThreeStageNetwork, ThreeStageParams};
-use std::collections::BTreeMap;
 use wdm_core::{Endpoint, MulticastConnection, MulticastModel};
 use wdm_fabric::{
-    propagate, Census, Component, FabricError, ModuleSpec, Netlist, PowerBudget, PowerParams,
-    PropagationOutcome, Signal, WdmModule,
+    propagate_assignment, Census, Component, FabricError, ModuleSpec, Netlist, PowerBudget,
+    PowerParams, PropagationOutcome, WdmModule,
 };
 
 /// The Fig. 8 network as a photonic netlist.
@@ -196,39 +195,15 @@ impl PhotonicThreeStage {
             module.reset(&mut self.netlist);
         }
 
-        let mut injections: BTreeMap<u32, Vec<Signal>> = BTreeMap::new();
         for conn in logical.assignment().connections() {
             let routed = logical
                 .route_of(conn.source())
                 .expect("every live connection has a recorded route");
             self.program_connection(conn, routed);
-            injections
-                .entry(conn.source().port.0)
-                .or_default()
-                .push(Signal {
-                    origin: conn.source(),
-                    wavelength: conn.source().wavelength,
-                });
         }
 
-        let outcome = propagate(&self.netlist, &injections);
-        if !outcome.is_clean() {
-            return Err(FabricError::Propagation(outcome.errors));
-        }
-        if !outcome.delivered_exactly(logical.assignment()) {
-            let missing = logical
-                .assignment()
-                .connections()
-                .flat_map(|c| c.destinations().iter().copied())
-                .find(|&d| outcome.received_at(d).len() != 1)
-                .or_else(|| {
-                    outcome
-                        .lit_outputs()
-                        .find(|ep| logical.assignment().output_user(*ep).is_none())
-                })
-                .expect("some endpoint deviates");
-            return Err(FabricError::DeliveryFailure { endpoint: missing });
-        }
+        let outcome = propagate_assignment(&self.netlist, logical.assignment());
+        outcome.check_delivery(logical.assignment())?;
         Ok(outcome)
     }
 

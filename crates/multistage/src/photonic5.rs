@@ -4,12 +4,11 @@
 //! inner_m)` modules in one netlist, light traced end to end across all
 //! five stages.
 
-use crate::{Construction, FiveStageNetwork, RoutedConnection, ThreeStageParams};
-use std::collections::BTreeMap;
+use crate::{Construction, FiveStageNetwork, ThreeStageParams};
 use wdm_core::{Endpoint, MulticastModel, PortId};
 use wdm_fabric::{
-    propagate, Census, Component, FabricError, ModuleSpec, Netlist, PowerBudget, PowerParams,
-    PropagationOutcome, Signal, WdmModule,
+    propagate_assignment, Census, Component, FabricError, ModuleSpec, Netlist, PowerBudget,
+    PowerParams, PropagationOutcome, WdmModule,
 };
 
 /// The modules of one expanded (inner three-stage) middle.
@@ -222,26 +221,13 @@ impl PhotonicFiveStage {
         }
 
         let k = self.outer_params.k;
-        let mut injections: BTreeMap<u32, Vec<Signal>> = BTreeMap::new();
 
         // Outer stages 1 and 5 from the outer routed connections.
-        let outer_conns: Vec<(Endpoint, RoutedConnection)> = five
-            .outer()
-            .assignment()
-            .connections()
-            .map(|c| {
-                (
-                    c.source(),
-                    five.outer().route_of(c.source()).unwrap().clone(),
-                )
-            })
-            .collect();
-        for (src, routed) in &outer_conns {
+        let outer = five.outer();
+        for conn in outer.assignment().connections() {
+            let src = conn.source();
+            let routed = outer.route_of(src).unwrap();
             let (a, local_in) = self.outer_params.input_module_of(src.port.0);
-            injections.entry(src.port.0).or_default().push(Signal {
-                origin: *src,
-                wavelength: src.wavelength,
-            });
             for branch in &routed.branches {
                 let in_flat = Endpoint::new(local_in, src.wavelength.0).flat_index(k);
                 let out_flat = Endpoint::new(branch.middle, branch.input_wavelength).flat_index(k);
@@ -300,24 +286,8 @@ impl PhotonicFiveStage {
             }
         }
 
-        let outcome = propagate(&self.netlist, &injections);
-        if !outcome.is_clean() {
-            return Err(FabricError::Propagation(outcome.errors));
-        }
-        if !outcome.delivered_exactly(five.assignment()) {
-            let missing = five
-                .assignment()
-                .connections()
-                .flat_map(|c| c.destinations().iter().copied())
-                .find(|&d| outcome.received_at(d).len() != 1)
-                .or_else(|| {
-                    outcome
-                        .lit_outputs()
-                        .find(|ep| five.assignment().output_user(*ep).is_none())
-                })
-                .expect("some endpoint deviates");
-            return Err(FabricError::DeliveryFailure { endpoint: missing });
-        }
+        let outcome = propagate_assignment(&self.netlist, five.assignment());
+        outcome.check_delivery(five.assignment())?;
         Ok(outcome)
     }
 }

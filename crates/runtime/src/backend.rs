@@ -106,16 +106,19 @@ pub trait Backend: Send + Sync + 'static {
     fn disconnect(&mut self, src: Endpoint) -> Result<(), Reject>;
 
     /// Admit a batch of connections, returning one verdict per request
-    /// in order. The default is the sequential singles loop; backends
-    /// with cheaper amortized admission may override it. Callers that
-    /// already hold the backend lock get one lock acquisition for the
-    /// whole batch either way.
+    /// in order: the sequential singles loop. No backend overrides it
+    /// and no engine path calls it (a submit already admits a whole
+    /// slice under one backend lock). It stays only until ROADMAP item
+    /// 5(a) deletes it together with the benchmark's `TracedBackend`
+    /// override (`benchmark/src/trace.rs`).
     fn connect_batch(&mut self, conns: &[MulticastConnection]) -> Vec<Result<(), Reject>> {
         conns.iter().map(|c| self.connect(c)).collect()
     }
 
     /// Tear down a batch of connections by source, one verdict per
-    /// entry in order.
+    /// entry in order. Same status as
+    /// [`connect_batch`](Self::connect_batch): no override, no engine
+    /// caller, deleted by ROADMAP item 5(a).
     fn disconnect_batch(&mut self, srcs: &[Endpoint]) -> Vec<Result<(), Reject>> {
         srcs.iter().map(|&s| self.disconnect(s)).collect()
     }
@@ -252,8 +255,8 @@ impl Backend for CrossbarSession {
     }
 
     fn check(&self) -> Vec<String> {
-        // Shines light through the configured fabric and demands exact
-        // delivery of the live assignment.
+        // Builds the fabric from the live assignment, shines light
+        // through it and demands exact delivery.
         match self.verify() {
             Ok(_) => Vec::new(),
             Err(e) => vec![format!("crossbar light-propagation check failed: {e}")],

@@ -1,5 +1,5 @@
 //! Integration tests for the extension features: recursive five-stage
-//! networks, photonic realizations, limited-range conversion, incremental
+//! networks, photonic realizations, limited-range conversion, crossbar
 //! sessions, path tracing, and dynamic traffic.
 
 use wdm_multicast::core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
@@ -104,7 +104,7 @@ fn limited_range_interpolates_between_constructions() {
 }
 
 #[test]
-fn incremental_session_matches_batch_on_scenarios() {
+fn session_admits_and_delivers_scenario_assignments() {
     use wdm_multicast::workload::app_mix::AppMix;
     let net = NetworkConfig::new(12, 2);
     for model in MulticastModel::ALL {
@@ -113,7 +113,7 @@ fn incremental_session_matches_batch_on_scenarios() {
         for conn in offered.connections() {
             session.connect(conn).unwrap();
         }
-        let outcome = session.verify().unwrap();
+        let (_, outcome) = session.verify().unwrap();
         assert!(outcome.delivered_exactly(session.assignment()), "{model}");
     }
 }
@@ -128,15 +128,10 @@ fn path_loss_orders_msw_below_maw() {
     let loss = |model| {
         let mut session = CrossbarSession::new(net, model);
         session.connect(&conn).unwrap();
-        let outcome = session.verify().unwrap();
-        trace_signal(
-            session.crossbar().netlist(),
-            &outcome,
-            Endpoint::new(4, 0),
-            &params,
-        )
-        .unwrap()
-        .loss_db
+        let (xbar, outcome) = session.verify().unwrap();
+        trace_signal(xbar.netlist(), &outcome, Endpoint::new(4, 0), &params)
+            .unwrap()
+            .loss_db
     };
     assert!(loss(MulticastModel::Msw) < loss(MulticastModel::Maw));
 }
