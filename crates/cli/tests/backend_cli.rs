@@ -202,8 +202,8 @@ fn topology_flags_without_graph_backend_are_rejected() {
 
 /// Geometry no constructor accepts is an `error:` line and exit 1 from
 /// every command that builds a backend — never a panic (exit 101) —
-/// and all three commands give the same message, because `Scenario`
-/// validates for all of them. `--backend graph -k 65` is legal: its
+/// and both commands give the same message, because `Scenario`
+/// validates for both. `--backend graph -k 65` is legal: its
 /// occupancy is not u64-masked.
 #[test]
 fn illegal_geometry_is_an_error_not_a_panic_on_every_backend_command() {
@@ -229,7 +229,7 @@ fn illegal_geometry_is_an_error_not_a_panic_on_every_backend_command() {
             "no middle stage",
         ),
     ];
-    let commands: [&[&str]; 3] = [&["sim"], &["serve"], &["serve", "--listen", "127.0.0.1:0"]];
+    let commands: [&[&str]; 2] = [&["sim"], &["serve", "--listen", "127.0.0.1:0"]];
     for command in commands {
         for (geo, flags, needle) in rows {
             let out = wdmcast()
@@ -384,28 +384,109 @@ fn serve_listen_on_an_occupied_port_fails_with_context() {
     drop(squatter);
 }
 
-/// `Opts::parse` ignores unknown flags, so the removed `--serve-mode`
+/// `Opts::parse` ignores unknown flags, so every flag of a removed mode
 /// must be refused by name — otherwise `--serve-mode threads` would
-/// silently run the reactor.
+/// silently run the reactor, and `serve --kill-middle 0` serve
+/// unfaulted. Each in-process `serve` flag names its replacements.
 #[test]
 fn removed_serving_layer_flag_is_rejected_loudly() {
-    for args in [
-        &["serve", "--listen", "127.0.0.1:0", "--n", "2", "--r", "4"][..],
-        &["bench-net", "--connect", "127.0.0.1:1"][..],
-    ] {
+    const SERVE: [&str; 7] = ["serve", "--listen", "127.0.0.1:0", "--n", "2", "--r", "4"];
+    let rows: [(&[&str], [&str; 2], &str); 9] = [
+        (
+            &SERVE,
+            ["--serve-mode", "threads"],
+            "reactor is the only serving layer",
+        ),
+        (
+            &["bench-net", "--connect", "127.0.0.1:1"],
+            ["--serve-mode", "threads"],
+            "reactor is the only serving layer",
+        ),
+        (&SERVE, ["--kill-middle", "0"], "wdmcast fault"),
+        (&SERVE, ["--fault-rate", "1.5"], "wdmcast sim --faulted"),
+        (&SERVE, ["--mttr", "1.0"], "wdmcast fault"),
+        (&SERVE, ["--rate", "6"], "benchmark/"),
+        (&SERVE, ["--horizon", "10"], "benchmark/"),
+        (&SERVE, ["--json", "/dev/null"], "wdmcast fault"),
+        (&SERVE, ["--snapshot-ms", "50"], "wdmcast fault"),
+    ];
+    for (args, flag, needle) in rows {
         let out = wdmcast()
             .args(args)
-            .args(["--serve-mode", "threads"])
+            .args(flag)
             .output()
             .expect("spawn wdmcast");
-        assert!(!out.status.success(), "{args:?} accepted --serve-mode");
+        assert!(!out.status.success(), "{args:?} accepted {flag:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("--serve-mode was removed")
-                && stderr.contains("reactor is the only serving layer"),
-            "{args:?}: {stderr}"
+            stderr.contains(&format!("{} was removed", flag[0])) && stderr.contains(needle),
+            "{args:?} {flag:?}: {stderr}"
         );
     }
+}
+
+/// The in-process `serve` mode is gone: without `--listen` the command
+/// refuses and names what replaced it.
+#[test]
+fn serve_without_listen_names_its_replacements() {
+    let out = wdmcast()
+        .args(["serve", "--n", "2", "--r", "4"])
+        .output()
+        .expect("spawn wdmcast");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for needle in [
+        "--listen",
+        "wdmcast fault",
+        "wdmcast sim --faulted",
+        "benchmark/",
+    ] {
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
+    }
+}
+
+/// `wdmcast fault` drives a listening server with in-band fault
+/// frames: one spare middle above the Theorem 1 bound (m = 6 + 1 at
+/// n=2, r=4) rides out a kill with zero blocks, the repair is seen, a
+/// middle the fabric does not have is refused, and the server still
+/// drains clean.
+#[test]
+fn fault_command_kills_and_repairs_a_served_middle() {
+    let fabric = ["--n", "2", "--r", "4", "-k", "1", "--m", "7"];
+    let (mut server, addr) = spawn_server("fault", &fabric);
+    let addr_arg = addr.to_string();
+    let fault = |flag: &str, list: &str| {
+        wdmcast()
+            .args(["fault", "--connect", &addr_arg, flag, list])
+            .output()
+            .expect("spawn wdmcast")
+    };
+    let out = fault("--kill-middle", "0,1");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    assert!(
+        stdout.contains("fail    middle switch 1: 0 connections hit"),
+        "{stdout}"
+    );
+    let out = fault("--repair-middle", "1");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("repair  middle switch 1\n"));
+    let out = fault("--kill-middle", "7");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("refused (fatal)"));
+
+    let mut client = NetClient::connect(addr).expect("connect");
+    let conn = MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(2, 0));
+    assert_eq!(client.call(&Request::Connect(conn)).unwrap(), Response::Ok);
+    match client.drain().expect("drain rpc") {
+        Response::DrainReport { clean, summary } => {
+            assert!(clean, "drain not clean");
+            assert_eq!((summary.faults_injected, summary.faults_repaired), (2, 1));
+        }
+        other => panic!("expected DrainReport, got {other:?}"),
+    }
+    let status = server.wait().expect("server exit");
+    assert!(status.success(), "server exited {status:?}");
 }
 
 /// `bench-net` is only the socket smoke's client; without `--connect`

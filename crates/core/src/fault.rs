@@ -81,6 +81,34 @@ impl fmt::Display for Fault {
     }
 }
 
+/// How many of each failable component a fabric has: the index range a
+/// [`Fault`] must fall in to name real hardware. A crossbar has `ports`
+/// modules (its converter banks sit at the ports) and no middle stage;
+/// a graph fabric's nodes are both its modules and its middles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultDomain {
+    /// External ports.
+    pub ports: u32,
+    /// Input (and output) modules.
+    pub modules: u32,
+    /// Middle switches.
+    pub middles: u32,
+}
+
+impl FaultDomain {
+    /// `fault` names a component this fabric has.
+    pub fn contains(&self, fault: &Fault) -> bool {
+        match *fault {
+            Fault::MiddleSwitch(j) | Fault::MiddleConverters(j) => j < self.middles,
+            Fault::InputLink { module, middle } | Fault::MiddleLink { middle, module } => {
+                module < self.modules && middle < self.middles
+            }
+            Fault::InputConverters(a) | Fault::OutputConverters(a) => a < self.modules,
+            Fault::Port(p) => p < self.ports,
+        }
+    }
+}
+
 /// The set of currently failed components.
 ///
 /// Purely a record: failing a component here does not tear anything

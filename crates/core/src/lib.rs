@@ -54,7 +54,7 @@ pub mod stats;
 pub use assignment::MulticastAssignment;
 pub use connection::MulticastConnection;
 pub use error::{AssignmentError, ConnectionError};
-pub use fault::{Fault, FaultSet};
+pub use fault::{Fault, FaultDomain, FaultSet};
 pub use ids::{Endpoint, PortId, WavelengthId};
 pub use model::MulticastModel;
 pub use network::NetworkConfig;

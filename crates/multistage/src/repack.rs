@@ -241,7 +241,7 @@ impl ThreeStageNetwork {
 
     /// One-shot move: make, then break. Convenience for the passive
     /// defragmenter and tests; the two-phase API exists so callers (and
-    /// the sim's fault injector) can race faults between the phases.
+    /// the sim's `Inject` step) can race faults between the phases.
     pub fn move_branch(&mut self, src: Endpoint, from: u32, to: u32) -> Result<(), MoveError> {
         let pending = self.begin_move(src, from, to)?;
         self.commit_move(pending)

@@ -7,14 +7,17 @@
 //! offset  size  field
 //! 0       2     magic  0x57 0x4E ("WN")
 //! 2       1     version (MIN_WIRE_VERSION ..= WIRE_VERSION)
-//! 3       1     kind    (request 0x01–0x06, response 0x81–0x87)
+//! 3       1     kind    (request 0x01–0x08, response 0x81–0x89)
 //! 4       8     request id
 //! 12      4     payload length (≤ MAX_PAYLOAD)
 //! 16      …     payload
 //! ```
 //!
-//! Version 2 adds `BATCH_CONNECT` (0x06) and its `BATCH_REPLY` (0x87);
-//! both are rejected as malformed when carried in a v1 frame. Readers
+//! Version 2 adds `BATCH_CONNECT` (0x06) and its `BATCH_REPLY` (0x87),
+//! and the fault frames `INJECT` (0x07) / `REPAIR` (0x08) with their
+//! `HEALED` (0x88) / `REPAIRED` (0x89) replies; each is rejected as
+//! malformed when carried in a v1 frame. A fault is a tag byte (0–6, in
+//! [`Fault`]'s variant order) and its one or two `u32` indices. Readers
 //! accept every version in the supported range and surface the frame's
 //! version so servers can mirror it in their replies.
 //!
@@ -25,7 +28,7 @@
 
 use crate::protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
 use std::io::{self, Read};
-use wdm_core::{Endpoint, MulticastConnection};
+use wdm_core::{Endpoint, Fault, MulticastConnection};
 use wdm_runtime::MetricsSnapshot;
 
 /// First two bytes of every frame.
@@ -46,6 +49,8 @@ mod kind {
     pub const DRAIN: u8 = 0x04;
     pub const PING: u8 = 0x05;
     pub const BATCH_CONNECT: u8 = 0x06;
+    pub const INJECT: u8 = 0x07;
+    pub const REPAIR: u8 = 0x08;
     pub const OK: u8 = 0x81;
     pub const REJECTED: u8 = 0x82;
     pub const SNAPSHOT_DATA: u8 = 0x83;
@@ -53,6 +58,8 @@ mod kind {
     pub const PONG: u8 = 0x85;
     pub const PROTOCOL_ERROR: u8 = 0x86;
     pub const BATCH_REPLY: u8 = 0x87;
+    pub const HEALED: u8 = 0x88;
+    pub const REPAIRED: u8 = 0x89;
 }
 
 /// Everything that can go wrong on the wire.
@@ -188,6 +195,8 @@ fn is_known_kind(k: u8) -> bool {
             | kind::DRAIN
             | kind::PING
             | kind::BATCH_CONNECT
+            | kind::INJECT
+            | kind::REPAIR
             | kind::OK
             | kind::REJECTED
             | kind::SNAPSHOT_DATA
@@ -195,6 +204,8 @@ fn is_known_kind(k: u8) -> bool {
             | kind::PONG
             | kind::PROTOCOL_ERROR
             | kind::BATCH_REPLY
+            | kind::HEALED
+            | kind::REPAIRED
     )
 }
 
@@ -242,6 +253,35 @@ impl<'a> PayloadReader<'a> {
         Ok(Endpoint::new(port, wavelength))
     }
 
+    fn flag(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::Malformed(format!(
+                "flag must be 0 or 1, got {other}"
+            ))),
+        }
+    }
+
+    fn fault(&mut self) -> Result<Fault, WireError> {
+        Ok(match self.u8()? {
+            0 => Fault::MiddleSwitch(self.u32()?),
+            1 => Fault::InputLink {
+                module: self.u32()?,
+                middle: self.u32()?,
+            },
+            2 => Fault::MiddleLink {
+                middle: self.u32()?,
+                module: self.u32()?,
+            },
+            3 => Fault::InputConverters(self.u32()?),
+            4 => Fault::MiddleConverters(self.u32()?),
+            5 => Fault::OutputConverters(self.u32()?),
+            6 => Fault::Port(self.u32()?),
+            other => return Err(WireError::Malformed(format!("unknown fault tag {other}"))),
+        })
+    }
+
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -268,6 +308,23 @@ fn put_endpoint(buf: &mut Vec<u8>, ep: Endpoint) {
     put_u32(buf, ep.wavelength.0);
 }
 
+fn put_fault(p: &mut Vec<u8>, fault: Fault) {
+    let (tag, a, b) = match fault {
+        Fault::MiddleSwitch(j) => (0, j, None),
+        Fault::InputLink { module, middle } => (1, module, Some(middle)),
+        Fault::MiddleLink { middle, module } => (2, middle, Some(module)),
+        Fault::InputConverters(a) => (3, a, None),
+        Fault::MiddleConverters(j) => (4, j, None),
+        Fault::OutputConverters(b) => (5, b, None),
+        Fault::Port(port) => (6, port, None),
+    };
+    p.push(tag);
+    put_u32(p, a);
+    if let Some(b) = b {
+        put_u32(p, b);
+    }
+}
+
 fn put_connection(p: &mut Vec<u8>, conn: &MulticastConnection) {
     put_endpoint(p, conn.source());
     put_u32(p, conn.fanout() as u32);
@@ -285,9 +342,9 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// When `req` is a [`Request::BatchConnect`] and `version < 2`: batch
-/// frames do not exist in wire v1, so encoding one would produce a
-/// frame no v1 peer can parse.
+/// When `req` is a [`Request::BatchConnect`], [`Request::Inject`] or
+/// [`Request::Repair`] and `version < 2`: those frames do not exist in
+/// wire v1, so encoding one would produce a frame no v1 peer can parse.
 pub fn encode_request_v(version: u8, id: u64, req: &Request) -> Vec<u8> {
     let payload_len = match req {
         Request::Connect(conn) => 8 + 4 + 8 * conn.fanout(),
@@ -315,6 +372,14 @@ pub fn encode_request_v(version: u8, id: u64, req: &Request) -> Vec<u8> {
             }
             kind::BATCH_CONNECT
         }
+        Request::Inject(fault) | Request::Repair(fault) => {
+            assert!(version >= 2, "fault frames require wire v2");
+            put_fault(p, *fault);
+            match req {
+                Request::Inject(_) => kind::INJECT,
+                _ => kind::REPAIR,
+            }
+        }
     });
     buf
 }
@@ -329,8 +394,9 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// When `resp` is a [`Response::Batch`] and `version < 2`, or a batch
-/// item is anything but `Ok`/`Rejected`.
+/// When `resp` is a [`Response::Batch`], [`Response::Healed`] or
+/// [`Response::Repaired`] and `version < 2`, or a batch item is anything
+/// but `Ok`/`Rejected`.
 pub fn encode_response_v(version: u8, id: u64, resp: &Response) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN);
     encode_response_into(&mut buf, version, id, resp);
@@ -375,6 +441,22 @@ pub(crate) fn encode_response_into(buf: &mut Vec<u8>, version: u8, id: u64, resp
                 }
             }
             kind::BATCH_REPLY
+        }
+        Response::Healed {
+            hit,
+            healed,
+            failed,
+        } => {
+            assert!(version >= 2, "fault replies require wire v2");
+            for n in [hit, healed, failed] {
+                put_u32(p, *n);
+            }
+            kind::HEALED
+        }
+        Response::Repaired(was_down) => {
+            assert!(version >= 2, "fault replies require wire v2");
+            p.push(u8::from(*was_down));
+            kind::REPAIRED
         }
     });
 }
@@ -488,6 +570,19 @@ pub(crate) fn decode_request_parts(
             }
             Request::BatchConnect(conns)
         }
+        kind::INJECT | kind::REPAIR => {
+            if version < 2 {
+                return Err(WireError::Malformed(
+                    "fault frames do not exist in wire v1".into(),
+                ));
+            }
+            let fault = p.fault()?;
+            if kind == kind::INJECT {
+                Request::Inject(fault)
+            } else {
+                Request::Repair(fault)
+            }
+        }
         other => {
             return Err(WireError::Malformed(format!(
                 "frame kind {other:#04x} is not a request"
@@ -515,15 +610,7 @@ pub fn decode_response(frame: &RawFrame) -> Result<Response, WireError> {
             Response::Snapshot(snap)
         }
         kind::DRAIN_REPORT => {
-            let clean = match p.u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "clean flag must be 0 or 1, got {other}"
-                    )))
-                }
-            };
+            let clean = p.flag()?;
             let json = p.string()?;
             let summary = MetricsSnapshot::from_json(&json)
                 .map_err(|e| WireError::Malformed(format!("summary json: {e}")))?;
@@ -559,6 +646,17 @@ pub fn decode_response(frame: &RawFrame) -> Result<Response, WireError> {
             }
             Response::Batch(items)
         }
+        kind::HEALED | kind::REPAIRED if frame.version < 2 => {
+            return Err(WireError::Malformed(
+                "fault replies do not exist in wire v1".into(),
+            ));
+        }
+        kind::HEALED => Response::Healed {
+            hit: p.u32()?,
+            healed: p.u32()?,
+            failed: p.u32()?,
+        },
+        kind::REPAIRED => Response::Repaired(p.flag()?),
         other => {
             return Err(WireError::Malformed(format!(
                 "frame kind {other:#04x} is not a response"
@@ -840,9 +938,119 @@ mod tests {
         ));
     }
 
+    /// One fault of each of the seven variants.
+    fn every_fault(a: u32, b: u32) -> [Fault; 7] {
+        [
+            Fault::MiddleSwitch(a),
+            Fault::InputLink {
+                module: a,
+                middle: b,
+            },
+            Fault::MiddleLink {
+                middle: a,
+                module: b,
+            },
+            Fault::InputConverters(a),
+            Fault::MiddleConverters(a),
+            Fault::OutputConverters(a),
+            Fault::Port(a),
+        ]
+    }
+
+    #[test]
+    fn fault_frames_roundtrip_every_variant() {
+        for fault in every_fault(3, u32::MAX) {
+            for req in [Request::Inject(fault), Request::Repair(fault)] {
+                assert_eq!(roundtrip_request(&req), req);
+            }
+        }
+        for resp in [
+            Response::Healed {
+                hit: 4,
+                healed: 3,
+                failed: 1,
+            },
+            Response::Repaired(true),
+            Response::Repaired(false),
+        ] {
+            assert_eq!(roundtrip_response(&resp), resp);
+        }
+    }
+
+    /// A fault payload that is not one whole fault — unknown tag, cut
+    /// short, trailing bytes — or a fault frame in wire v1 is a typed
+    /// error, never a panic.
+    #[test]
+    fn malformed_fault_frames_are_wire_errors() {
+        let frame = |version, payload: Vec<u8>| RawFrame {
+            version,
+            kind: kind::INJECT,
+            id: 1,
+            payload,
+        };
+        let link = |frame: RawFrame| {
+            let mut p = frame.payload.clone();
+            put_fault(
+                &mut p,
+                Fault::InputLink {
+                    module: 1,
+                    middle: 2,
+                },
+            );
+            RawFrame {
+                payload: p,
+                ..frame
+            }
+        };
+        let whole = link(frame(WIRE_VERSION, Vec::new()));
+        assert!(decode_request(&whole).is_ok());
+        let mut unknown_tag = whole.clone();
+        unknown_tag.payload[0] = 7;
+        let mut truncated = whole.clone();
+        truncated.payload.truncate(5);
+        let mut trailing = whole.clone();
+        trailing.payload.push(0);
+        let v1 = link(frame(1, Vec::new()));
+        for bad in [
+            unknown_tag,
+            truncated,
+            trailing,
+            v1,
+            frame(WIRE_VERSION, vec![]),
+        ] {
+            assert!(
+                matches!(decode_request(&bad), Err(WireError::Malformed(_))),
+                "{bad:?}"
+            );
+        }
+        for resp in [
+            Response::Repaired(true),
+            Response::Healed {
+                hit: 0,
+                healed: 0,
+                failed: 0,
+            },
+        ] {
+            let mut bytes = encode_response(1, &resp);
+            bytes[2] = 1;
+            let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
+            assert!(matches!(
+                decode_response(&frame),
+                Err(WireError::Malformed(_))
+            ));
+        }
+        let mut bytes = encode_response(1, &Response::Repaired(true));
+        *bytes.last_mut().unwrap() = 2;
+        let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
+        assert!(matches!(
+            decode_response(&frame),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
     /// Strategy: an arbitrary legal request.
     fn arb_request() -> impl Strategy<Value = Request> {
-        (0u8..5, 0u32..64, 0u32..4, 1usize..6).prop_map(|(kind, port, wl, fanout)| match kind {
+        (0u8..7, 0u32..64, 0u32..4, 1usize..6).prop_map(|(kind, port, wl, fanout)| match kind {
             0 => {
                 // Distinct ports guarantee a structurally legal
                 // connection.
@@ -852,6 +1060,8 @@ mod tests {
             1 => Request::Disconnect(Endpoint::new(port, wl)),
             2 => Request::Snapshot,
             3 => Request::Drain,
+            4 => Request::Inject(every_fault(port, wl)[fanout]),
+            5 => Request::Repair(every_fault(wl, port)[fanout - 1]),
             _ => Request::Ping,
         })
     }

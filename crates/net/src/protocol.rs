@@ -1,21 +1,23 @@
 //! The request/response vocabulary of the wire protocol.
 //!
 //! A remote controller speaks four verbs to the switch — `Connect`,
-//! `Disconnect`, `Snapshot`, `Drain` — plus a `Ping` health probe. Every
+//! `Disconnect`, `Snapshot`, `Drain` — plus a `Ping` health probe, and
+//! an operator two more: `Inject` and `Repair` a component fault. Every
 //! refusal carries a [`RejectReason`] mirroring the runtime's error
 //! taxonomy: transient `Busy`, hard `Blocked` (the theorems' event),
 //! repair-gated `ComponentDown`, plus the serving-layer-only `Draining`
 //! and `Backpressure` refusals a remote client needs to tell apart from
 //! fabric behaviour.
 
-use wdm_core::{Endpoint, MulticastConnection, RejectClass};
+use wdm_core::{Endpoint, Fault, MulticastConnection, RejectClass};
 use wdm_runtime::{MetricsSnapshot, RequestOutcome};
 use wdm_workload::TraceEvent;
 
 /// Current wire-format version, carried in every frame header.
 ///
 /// Version 2 adds the [`Request::BatchConnect`] / [`Response::Batch`]
-/// frames. Negotiation is per-frame and server-driven: a server accepts
+/// frames and the fault frames ([`Request::Inject`] / [`Request::Repair`]
+/// and their [`Response::Healed`] / [`Response::Repaired`] replies). Negotiation is per-frame and server-driven: a server accepts
 /// any version in [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] and answers
 /// each frame *in the version it arrived with*, so a v1 client (which
 /// hard-rejects any other version byte) keeps working against a v2
@@ -44,6 +46,16 @@ pub enum Request {
     /// batch path and answers with one [`Response::Batch`] carrying a
     /// verdict per connection, in order.
     BatchConnect(Vec<MulticastConnection>),
+    /// Fail a component and heal the connections it carried (wire v2),
+    /// after every frame this connection sent earlier; the server
+    /// answers [`Response::Healed`]. A fault naming a component the
+    /// served fabric does not have is refused as
+    /// [`RejectReason::Fatal`], and after a drain as
+    /// [`RejectReason::Draining`].
+    Inject(Fault),
+    /// Repair a component (wire v2); answered [`Response::Repaired`],
+    /// refused as [`Request::Inject`] is.
+    Repair(Fault),
 }
 
 impl From<&TraceEvent> for Request {
@@ -76,7 +88,8 @@ pub enum RejectReason {
     Backpressure,
     /// Disconnect for a source the server never admitted.
     UnknownSource,
-    /// Structural error (malformed request reached the fabric).
+    /// Structural error (malformed request reached the fabric), or a
+    /// fault frame naming a component the served fabric does not have.
     Fatal,
     /// The server is shedding load under sustained blocking pressure;
     /// retry later — pressure subsides as connections depart.
@@ -183,6 +196,20 @@ pub enum Response {
     /// v2), in request order. Items are only ever [`Response::Ok`] or
     /// [`Response::Rejected`].
     Batch(Vec<Response>),
+    /// Answer to [`Request::Inject`] (wire v2): live connections the
+    /// fault evicted, how many were re-admitted on surviving hardware,
+    /// and how many were lost.
+    Healed {
+        /// Connections the fault evicted.
+        hit: u32,
+        /// Evictees re-admitted.
+        healed: u32,
+        /// Evictees the degraded fabric could not re-admit.
+        failed: u32,
+    },
+    /// Answer to [`Request::Repair`] (wire v2): whether the component
+    /// was down.
+    Repaired(bool),
 }
 
 impl Response {

@@ -10,6 +10,10 @@
 //! ([`crate::reactor`]) in production, `wdm-sim`'s `NetSim` in tests —
 //! and the engine sits behind the [`Engine`] seam.
 //!
+//! **Faults.** An `Inject` or `Repair` frame goes through the engine's
+//! one [`FaultHandle`] after the cycle batch is flushed, so it lands
+//! after every frame its connection sent earlier ([`apply_fault`]).
+//!
 //! **Output cap.** `Ping` and `Snapshot` are answered outside the
 //! in-flight cap, so a peer that pipelines them and never reads could
 //! grow its write queue without bound. Over [`MAX_QUEUED_OUTPUT`] the
@@ -32,7 +36,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use wdm_core::MulticastConnection;
 use wdm_runtime::{
-    AdmissionEngine, Backend, MetricsSnapshot, OutcomeCallback, RequestOutcome, RuntimeReport,
+    AdmissionEngine, Backend, FaultHandle, MetricsSnapshot, OutcomeCallback, RequestOutcome,
+    RuntimeReport,
 };
 use wdm_workload::{TimedEvent, TraceEvent};
 
@@ -79,6 +84,8 @@ pub trait Engine: Send + Sync + 'static {
     fn submit(&self, events: Vec<TimedEvent>, callbacks: Vec<OutcomeCallback>);
     /// Live engine telemetry.
     fn snapshot(&self) -> MetricsSnapshot;
+    /// The handle fault frames go through.
+    fn faults(&self) -> FaultHandle<Self::Backend>;
     /// Refuse new work, finish everything queued or parked, report.
     fn drain(self) -> RuntimeReport<Self::Backend>;
 }
@@ -94,8 +101,49 @@ impl<B: Backend> Engine for AdmissionEngine<B> {
         self.snapshot_now()
     }
 
+    fn faults(&self) -> FaultHandle<B> {
+        self.fault_handle()
+    }
+
     fn drain(self) -> RuntimeReport<B> {
         AdmissionEngine::drain(self)
+    }
+}
+
+/// Apply a fault frame through `faults`: the one fault path of the
+/// wire, `wdm-sim`'s `NetSim` and its `simulate`. A fault naming a
+/// component outside the fabric's [`Backend::fault_domain`] is refused
+/// as [`RejectReason::Fatal`] and never reaches the backend.
+///
+/// # Panics
+///
+/// When `req` is not a [`Request::Inject`] or [`Request::Repair`].
+pub fn apply_fault<B: Backend>(faults: &FaultHandle<B>, req: &Request) -> Response {
+    let (Request::Inject(fault) | Request::Repair(fault)) = *req else {
+        panic!("{req:?} is not a fault frame");
+    };
+    if !faults.domain().contains(&fault) {
+        return Response::Rejected {
+            reason: RejectReason::Fatal,
+            detail: format!("{fault} is not a component of the served fabric"),
+        };
+    }
+    if let Request::Repair(_) = req {
+        return Response::Repaired(faults.repair(fault));
+    }
+    let heal = faults.inject(fault);
+    Response::Healed {
+        hit: heal.connections_hit as u32,
+        healed: heal.healed as u32,
+        failed: heal.heal_failed as u32,
+    }
+}
+
+/// What a drained engine answers a request it can no longer serve.
+fn draining() -> Response {
+    Response::Rejected {
+        reason: RejectReason::Draining,
+        detail: "engine is draining".into(),
     }
 }
 
@@ -159,10 +207,15 @@ impl<E: Engine> EngineSlot<E> {
         }
         match self.summary.lock().as_ref() {
             Some((_, summary)) => Response::Snapshot(summary.clone()),
-            None => Response::Rejected {
-                reason: RejectReason::Draining,
-                detail: "engine is draining".into(),
-            },
+            None => draining(),
+        }
+    }
+
+    /// Apply a fault frame to the live engine; refused once drained.
+    fn fault(&self, req: &Request) -> Response {
+        match self.live.read().as_ref() {
+            Some(engine) => apply_fault(&engine.faults(), req),
+            None => draining(),
         }
     }
 }
@@ -402,6 +455,11 @@ impl<E: Engine> Cycle<E> {
             }
             Request::BatchConnect(conns) => {
                 self.push_wire_batch(cs, version, id, conns, now);
+            }
+            fault @ (Request::Inject(_) | Request::Repair(_)) => {
+                // As for a drain: earlier frames reach the engine first.
+                self.flush();
+                cs.respond(version, id, &self.slot.fault(&fault));
             }
         }
         if self.batch.events.len() >= self.max_coalesce {

@@ -2,7 +2,7 @@
 //! [`ReactorServer`] must yield the fixed **per-index verdict
 //! transcript** pinned in `transcripts/` — for a strict v1 client and a
 //! v2 client, through a drain over the wire, and across mid-script
-//! fault injection and repair. `wdm-sim`'s simulated driver checks the
+//! fault frames (inject and repair, in-band). `wdm-sim`'s simulated driver checks the
 //! same literals under seeded schedules. A mismatch prints the
 //! entry-by-entry diff, which CI keeps as an artifact.
 
@@ -12,10 +12,10 @@ mod transcripts;
 
 use transcripts::{
     assert_transcript, conformance_backend, conformance_script, fault_backend, fault_script,
-    pinned_fault_transcript, pinned_transcript, run_script, Driver, Step,
+    pinned_fault_transcript, pinned_transcript, run_script, Driver,
 };
 use wdm_net::{ClientConfig, NetClient, ReactorConfig, ReactorServer, Request, Response};
-use wdm_runtime::{Backend, EngineBuilder, FaultHandle, RuntimeReport};
+use wdm_runtime::{Backend, EngineBuilder, RuntimeReport};
 
 /// A [`ReactorServer`] and one client connection to it.
 struct Sockets<B: Backend> {
@@ -35,9 +35,8 @@ impl<B: Backend> Driver<B> for Sockets<B> {
 
 /// Run `script` against `backend` behind a [`ReactorServer`],
 /// sequentially on one connection speaking `wire_version`.
-fn run_over_sockets<B: Backend>(backend: B, wire_version: u8, script: &[Step]) -> Vec<String> {
+fn run_over_sockets<B: Backend>(backend: B, wire_version: u8, script: &[Request]) -> Vec<String> {
     let engine = EngineBuilder::new().shards(2).start(backend);
-    let handle: FaultHandle<B> = engine.fault_handle();
     let server =
         ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).expect("bind");
     let config = ClientConfig {
@@ -45,7 +44,7 @@ fn run_over_sockets<B: Backend>(backend: B, wire_version: u8, script: &[Step]) -
         ..ClientConfig::default()
     };
     let client = NetClient::connect_with(server.local_addr(), config).expect("client connects");
-    run_script(Sockets { server, client }, &handle, script)
+    run_script(Sockets { server, client }, script)
 }
 
 #[test]
@@ -62,8 +61,8 @@ fn conformance_script_yields_the_pinned_transcript() {
 }
 
 /// Fault conformance: a three-stage fabric with one middle switch of
-/// slack loses a middle switch mid-script, serves through the degraded
-/// window, and is repaired — the heal outcome and the verdicts before,
+/// slack loses a middle switch mid-script to a fault frame, serves
+/// through the degraded window, and is repaired — the heal outcome and the verdicts before,
 /// during, and after are pinned.
 #[test]
 fn fault_injection_script_yields_the_pinned_transcript() {

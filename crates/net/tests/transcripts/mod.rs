@@ -15,7 +15,7 @@ use wdm_core::{Endpoint, Fault, MulticastConnection, MulticastModel, NetworkConf
 use wdm_fabric::CrossbarSession;
 use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
 use wdm_net::{Request, Response};
-use wdm_runtime::{Backend, FaultHandle, RuntimeReport};
+use wdm_runtime::{Backend, RuntimeReport};
 
 /// Normalize a response to its comparable essence: the verdict and any
 /// integer counters, never free text or wall-clock values.
@@ -30,6 +30,12 @@ pub fn fingerprint(resp: &Response) -> String {
             let inner: Vec<String> = items.iter().map(fingerprint).collect();
             format!("batch:[{}]", inner.join(","))
         }
+        Response::Healed {
+            hit,
+            healed,
+            failed,
+        } => format!("inject:hit={hit}:healed={healed}:failed={failed}"),
+        Response::Repaired(was_down) => format!("repair:{was_down}"),
         Response::DrainReport { clean, summary } => format!(
             "drain:clean={clean}:offered={}:admitted={}:blocked={}:departed={}:\
              skipped={}:orphaned={}:component_down={}",
@@ -44,17 +50,6 @@ pub fn fingerprint(resp: &Response) -> String {
     }
 }
 
-/// One step of a deterministic conformance script.
-pub enum Step {
-    /// A wire round trip whose fingerprint lands in the transcript.
-    Call(Request),
-    /// Out-of-band fault injection at a quiescent point; the heal
-    /// outcome's counters land in the transcript.
-    Inject(Fault),
-    /// Out-of-band repair; the repaired flag lands in the transcript.
-    Repair(Fault),
-}
-
 /// A server driven through one client connection.
 pub trait Driver<B: Backend> {
     /// One round trip: send `req`, wait for its response.
@@ -63,29 +58,14 @@ pub trait Driver<B: Backend> {
     fn finish(self) -> RuntimeReport<B>;
 }
 
-/// Run `script` through `driver` and return the transcript of
-/// fingerprints plus the final report's comparable counters.
-pub fn run_script<B: Backend>(
-    mut driver: impl Driver<B>,
-    handle: &FaultHandle<B>,
-    script: &[Step],
-) -> Vec<String> {
-    let mut transcript = Vec::with_capacity(script.len() + 1);
-    for step in script {
-        match step {
-            Step::Call(req) => transcript.push(fingerprint(&driver.call(req))),
-            Step::Inject(fault) => {
-                let heal = handle.inject(*fault);
-                transcript.push(format!(
-                    "inject:hit={}:healed={}:failed={}",
-                    heal.connections_hit, heal.healed, heal.heal_failed
-                ));
-            }
-            Step::Repair(fault) => {
-                transcript.push(format!("repair:{}", handle.repair(*fault)));
-            }
-        }
-    }
+/// Run `script` through `driver`, one round trip per request, and
+/// return the transcript of fingerprints plus the final report's
+/// comparable counters.
+pub fn run_script<B: Backend>(mut driver: impl Driver<B>, script: &[Request]) -> Vec<String> {
+    let mut transcript: Vec<String> = script
+        .iter()
+        .map(|req| fingerprint(&driver.call(req)))
+        .collect();
     let report = driver.finish();
     transcript.push(format!(
         "report:clean={}:offered={}:admitted={}:blocked={}:departed={}:panics={}",
@@ -141,43 +121,43 @@ pub fn conformance_backend() -> CrossbarSession {
 /// duplicate-source rejection, that skip pairing, readmission after
 /// release, a wire batch with a per-item rejection (v2 only), a drain
 /// over the wire, and post-drain refusals.
-pub fn conformance_script(wire_version: u8) -> Vec<Step> {
+pub fn conformance_script(wire_version: u8) -> Vec<Request> {
     let a = unicast(0, 0, 1, 0);
     let b = unicast(2, 0, 3, 0);
     let mut script = vec![
-        Step::Call(Request::Ping),
-        Step::Call(Request::Connect(a.clone())),
-        Step::Call(Request::Connect(b.clone())),
+        Request::Ping,
+        Request::Connect(a.clone()),
+        Request::Connect(b.clone()),
         // Source (1,1) never connected at all: Fatal.
-        Step::Call(Request::Disconnect(Endpoint::new(1, 1))),
+        Request::Disconnect(Endpoint::new(1, 1)),
         // Source (0,0) is already lit: rejected, deterministically.
-        Step::Call(Request::Connect(unicast(0, 0, 3, 0))),
+        Request::Connect(unicast(0, 0, 3, 0)),
         // Skipped: pairs the rejected duplicate, A stays lit.
-        Step::Call(Request::Disconnect(a.source())),
+        Request::Disconnect(a.source()),
         // ... and this one actually departs A.
-        Step::Call(Request::Disconnect(a.source())),
+        Request::Disconnect(a.source()),
         // Released source readmits.
-        Step::Call(Request::Connect(a.clone())),
-        Step::Call(Request::Disconnect(a.source())),
-        Step::Call(Request::Disconnect(b.source())),
+        Request::Connect(a.clone()),
+        Request::Disconnect(a.source()),
+        Request::Disconnect(b.source()),
     ];
     if wire_version >= 2 {
         // Batch: second item repeats the first item's source, so the
         // engine's per-source FIFO resolves [Ok, Rejected]; the first
         // disconnect pairs the rejected item, the second departs.
-        script.push(Step::Call(Request::BatchConnect(vec![
+        script.push(Request::BatchConnect(vec![
             unicast(1, 0, 2, 0),
             unicast(1, 0, 3, 0),
-        ])));
-        script.push(Step::Call(Request::Disconnect(Endpoint::new(1, 0))));
-        script.push(Step::Call(Request::Disconnect(Endpoint::new(1, 0))));
+        ]));
+        script.push(Request::Disconnect(Endpoint::new(1, 0)));
+        script.push(Request::Disconnect(Endpoint::new(1, 0)));
     }
-    script.push(Step::Call(Request::Drain));
+    script.push(Request::Drain);
     // Post-drain: admissions refused as Draining, drain idempotent,
     // snapshot still answers.
-    script.push(Step::Call(Request::Connect(a)));
-    script.push(Step::Call(Request::Drain));
-    script.push(Step::Call(Request::Snapshot));
+    script.push(Request::Connect(a));
+    script.push(Request::Drain);
+    script.push(Request::Snapshot);
     script
 }
 
@@ -226,25 +206,25 @@ pub fn fault_backend() -> ThreeStageNetwork {
     ThreeStageNetwork::new(p, Construction::MswDominant, MulticastModel::Msw)
 }
 
-/// Fault conformance: the fabric loses a middle switch mid-script,
-/// serves through the degraded window, and is repaired (run on wire
-/// v2).
-pub fn fault_script() -> Vec<Step> {
+/// Fault conformance: the fabric loses a middle switch mid-script by
+/// an in-band fault frame, serves through the degraded window, and is
+/// repaired (run on wire v2).
+pub fn fault_script() -> Vec<Request> {
     vec![
-        Step::Call(Request::Connect(unicast(0, 0, 4, 0))),
-        Step::Call(Request::Connect(unicast(1, 0, 5, 0))),
-        // Quiescent point: both responses are in hand, so the backend
+        Request::Connect(unicast(0, 0, 4, 0)),
+        Request::Connect(unicast(1, 0, 5, 0)),
+        // In-band: the frame lands after both connects, so the backend
         // holds exactly these two connections when the switch dies.
-        Step::Inject(Fault::MiddleSwitch(0)),
+        Request::Inject(Fault::MiddleSwitch(0)),
         // One spare above the bound: the degraded fabric still admits.
-        Step::Call(Request::Connect(unicast(2, 0, 6, 0))),
-        Step::Call(Request::Disconnect(Endpoint::new(0, 0))),
-        Step::Call(Request::Disconnect(Endpoint::new(1, 0))),
-        Step::Repair(Fault::MiddleSwitch(0)),
-        Step::Call(Request::Connect(unicast(3, 0, 7, 0))),
-        Step::Call(Request::Disconnect(Endpoint::new(2, 0))),
-        Step::Call(Request::Disconnect(Endpoint::new(3, 0))),
-        Step::Call(Request::Drain),
+        Request::Connect(unicast(2, 0, 6, 0)),
+        Request::Disconnect(Endpoint::new(0, 0)),
+        Request::Disconnect(Endpoint::new(1, 0)),
+        Request::Repair(Fault::MiddleSwitch(0)),
+        Request::Connect(unicast(3, 0, 7, 0)),
+        Request::Disconnect(Endpoint::new(2, 0)),
+        Request::Disconnect(Endpoint::new(3, 0)),
+        Request::Drain,
     ]
 }
 

@@ -13,10 +13,12 @@
 //! paper's Theorems 1–2 prove impossible when `m` meets the bound — and
 //! is counted as a hard block.
 
-use wdm_core::{Endpoint, Fault, MulticastConnection, Reject};
+use wdm_core::{Endpoint, Fault, FaultDomain, MulticastConnection, Reject};
 use wdm_fabric::CrossbarSession;
 use wdm_graph::GraphNetwork;
-use wdm_multistage::{AwgClosNetwork, ConcurrentThreeStage, RepackReport, ThreeStageNetwork};
+use wdm_multistage::{
+    AwgClosNetwork, ConcurrentThreeStage, RepackReport, ThreeStageNetwork, ThreeStageParams,
+};
 
 /// Whether a backend can rearrange existing routes to admit a blocked
 /// request.
@@ -76,6 +78,16 @@ fn evict_victims<B, T, E: std::fmt::Debug>(
         disconnect(backend, c.source()).expect("victim is live");
     }
     victims
+}
+
+/// The components of a three-stage geometry: `n·r` ports, `r` modules
+/// a side, `m` middles.
+fn clos_domain(p: ThreeStageParams) -> FaultDomain {
+    FaultDomain {
+        ports: p.n * p.r,
+        modules: p.r,
+        middles: p.m,
+    }
 }
 
 /// A switch implementation the admission engine can drive.
@@ -169,6 +181,14 @@ pub trait Backend: Send + Sync + 'static {
         false
     }
 
+    /// The components this fabric has. A fault frame naming anything
+    /// outside it is refused before it reaches the backend; the default
+    /// (a backend that does not say) has none, so it takes no fault
+    /// frames.
+    fn fault_domain(&self) -> FaultDomain {
+        FaultDomain::default()
+    }
+
     /// Deep-verify internal consistency; returns human-readable findings
     /// (empty = consistent). May be expensive — called at drain, not on
     /// the admission path.
@@ -254,6 +274,16 @@ impl Backend for CrossbarSession {
         CrossbarSession::repair_fault(self, fault)
     }
 
+    fn fault_domain(&self) -> FaultDomain {
+        // Converter banks sit at the ports; there is no middle stage.
+        let ports = self.network().ports;
+        FaultDomain {
+            ports,
+            modules: ports,
+            middles: 0,
+        }
+    }
+
     fn check(&self) -> Vec<String> {
         // Builds the fabric from the live assignment, shines light
         // through it and demands exact delivery.
@@ -324,6 +354,10 @@ impl Backend for ThreeStageNetwork {
         ThreeStageNetwork::repair_fault(self, fault)
     }
 
+    fn fault_domain(&self) -> FaultDomain {
+        clos_domain(self.params())
+    }
+
     fn check(&self) -> Vec<String> {
         self.check_consistency()
     }
@@ -372,6 +406,10 @@ impl Backend for ConcurrentThreeStage {
 
     fn repair_fault(&mut self, fault: Fault) -> bool {
         ConcurrentThreeStage::repair_fault(self, fault)
+    }
+
+    fn fault_domain(&self) -> FaultDomain {
+        clos_domain(self.params())
     }
 
     fn check(&self) -> Vec<String> {
@@ -457,6 +495,10 @@ impl Backend for AwgClosNetwork {
         AwgClosNetwork::repair_fault(self, fault)
     }
 
+    fn fault_domain(&self) -> FaultDomain {
+        clos_domain(self.params())
+    }
+
     fn check(&self) -> Vec<String> {
         self.check_consistency()
     }
@@ -509,6 +551,16 @@ impl Backend for GraphNetwork {
 
     fn repair_fault(&mut self, fault: Fault) -> bool {
         GraphNetwork::repair_fault(self, fault)
+    }
+
+    fn fault_domain(&self) -> FaultDomain {
+        // Nodes are both the modules and the middles.
+        let nodes = self.topology().nodes();
+        FaultDomain {
+            ports: self.ports_per_node() * nodes,
+            modules: nodes,
+            middles: nodes,
+        }
     }
 
     fn check(&self) -> Vec<String> {
@@ -574,6 +626,10 @@ impl Backend for Box<dyn Backend> {
 
     fn repair_fault(&mut self, fault: Fault) -> bool {
         (**self).repair_fault(fault)
+    }
+
+    fn fault_domain(&self) -> FaultDomain {
+        (**self).fault_domain()
     }
 
     fn check(&self) -> Vec<String> {

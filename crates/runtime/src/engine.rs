@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wdm_core::{Endpoint, Fault, MulticastConnection, Reject};
+use wdm_core::{Endpoint, Fault, FaultDomain, MulticastConnection, Reject};
 use wdm_workload::{TimedEvent, TraceEvent};
 
 /// When the engine may rearrange existing routes to admit a connect
@@ -108,8 +108,6 @@ pub struct RuntimeConfig {
     pub max_backoff: Duration,
     /// Wall-clock budget per request, retries included.
     pub deadline: Duration,
-    /// Emit a [`MetricsSnapshot`] this often while running.
-    pub snapshot_every: Option<Duration>,
     /// Whether (and how hard) to rearrange existing routes when a
     /// connect hard-blocks below the nonblocking bound.
     pub repack: RepackPolicy,
@@ -131,7 +129,6 @@ impl Default for RuntimeConfig {
             initial_backoff: Duration::from_micros(20),
             max_backoff: Duration::from_millis(2),
             deadline: Duration::from_secs(5),
-            snapshot_every: None,
             repack: RepackPolicy::Off,
             overload: None,
         }
@@ -255,8 +252,6 @@ pub struct RuntimeReport<B> {
     pub backend: B,
     /// Final counters/histograms after all shards quiesced.
     pub summary: MetricsSnapshot,
-    /// Periodic snapshots, if `snapshot_every` was set.
-    pub snapshots: Vec<MetricsSnapshot>,
     /// Backend consistency findings (empty = healthy).
     pub consistency: Vec<String>,
     /// First few error messages noted by the shards.
@@ -272,20 +267,11 @@ impl<B> RuntimeReport<B> {
     pub fn is_clean(&self) -> bool {
         self.worker_panics == 0 && self.summary.fatal == 0 && self.consistency.is_empty()
     }
-
-    /// The most recent point-in-time view of the run: the last periodic
-    /// snapshot when the observer emitted any, otherwise the final
-    /// summary. Runs whose snapshot interval exceeded their duration
-    /// produce no periodic snapshots, so `snapshots.last().unwrap()`
-    /// would panic — this accessor is always safe.
-    pub fn last_snapshot(&self) -> &MetricsSnapshot {
-        self.snapshots.last().unwrap_or(&self.summary)
-    }
 }
 
 /// Bounded seqlock retries for a lock-free gauge read against a
 /// concurrent backend; past this the (possibly torn) values are
-/// accepted rather than stalling the observer behind a paused commit.
+/// accepted rather than stalling the snapshot behind a paused commit.
 const MAX_SNAPSHOT_RETRIES: u32 = 64;
 
 /// Read the `(active, middle_loads)` gauges from a backend held under
@@ -404,11 +390,6 @@ impl<B: Backend> EngineCore<B> {
         self.metrics.snapshot(elapsed_secs, active, loads)
     }
 
-    /// Clone of the backend handle, for observers that poll gauges.
-    fn backend_arc(&self) -> Arc<RwLock<B>> {
-        Arc::clone(&self.backend)
-    }
-
     /// Reclaim the backend and produce the final report. Every
     /// [`ShardCore`] minted from this core must have been dropped;
     /// [`FaultHandle`]s may live on (they hold the backend weakly).
@@ -425,7 +406,6 @@ impl<B: Backend> EngineCore<B> {
         RuntimeReport {
             backend,
             summary,
-            snapshots: Vec::new(),
             consistency,
             errors: self.metrics.errors(),
             worker_panics: 0,
@@ -525,15 +505,12 @@ pub struct AdmissionEngine<B: Backend> {
     draining: AtomicBool,
     /// One retry thread per shard, in shard order.
     retriers: Vec<JoinHandle<()>>,
-    observer: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
-    snapshots: Arc<Mutex<Vec<MetricsSnapshot>>>,
     started: Instant,
 }
 
 impl<B: Backend> AdmissionEngine<B> {
     /// Take ownership of `backend` and set up the shards and their retry
-    /// threads (plus the snapshot observer when configured). Reached
-    /// through [`EngineBuilder::start`].
+    /// threads. Reached through [`EngineBuilder::start`].
     fn start_with(backend: B, config: RuntimeConfig) -> Self {
         let core = EngineCore::new(backend);
         let started = Instant::now();
@@ -562,37 +539,11 @@ impl<B: Backend> AdmissionEngine<B> {
             })
             .collect();
 
-        let snapshots = Arc::new(Mutex::new(Vec::new()));
-        let observer = config.snapshot_every.map(|every| {
-            let stop = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&stop);
-            let backend = core.backend_arc();
-            let metrics = Arc::clone(&core.metrics);
-            let log = Arc::clone(&snapshots);
-            let handle = std::thread::Builder::new()
-                .name("wdm-observer".into())
-                .spawn(move || {
-                    while !flag.load(Ordering::Relaxed) {
-                        std::thread::sleep(every);
-                        let (active, loads) = {
-                            let b = backend.read();
-                            read_gauges(&*b, &metrics)
-                        };
-                        let snap = metrics.snapshot(started.elapsed().as_secs_f64(), active, loads);
-                        log.lock().push(snap);
-                    }
-                })
-                .expect("spawn observer");
-            (stop, handle)
-        });
-
         AdmissionEngine {
             core,
             shards: Shards(shards),
             draining: AtomicBool::new(false),
             retriers,
-            observer,
-            snapshots,
             started,
         }
     }
@@ -751,13 +702,8 @@ impl<B: Backend> AdmissionEngine<B> {
             }
         }
         drop(shards);
-        if let Some((stop, handle)) = self.observer.take() {
-            stop.store(true, Ordering::Relaxed);
-            let _ = handle.join();
-        }
 
         let mut report = self.core.finish(self.started.elapsed().as_secs_f64());
-        report.snapshots = std::mem::take(&mut *self.snapshots.lock());
         report.worker_panics = worker_panics;
         report
     }
@@ -823,12 +769,6 @@ impl EngineBuilder {
         self.config.max_retries = max_retries;
         self.config.initial_backoff = initial_backoff;
         self.config.max_backoff = max_backoff;
-        self
-    }
-
-    /// Emit a periodic [`MetricsSnapshot`] while running.
-    pub fn observe_every(mut self, every: Duration) -> Self {
-        self.config.snapshot_every = Some(every);
         self
     }
 
@@ -937,6 +877,14 @@ impl<B: Backend> FaultHandle<B> {
             }
         }
         outcome
+    }
+
+    /// The components of the fabric behind this handle (none once the
+    /// engine is drained).
+    pub fn domain(&self) -> FaultDomain {
+        self.backend
+            .upgrade()
+            .map_or_else(FaultDomain::default, |b| b.read().fault_domain())
     }
 
     /// Repair `fault`; `true` if it was failed before. Already-lost
@@ -1476,48 +1424,6 @@ mod tests {
         assert_eq!(report.summary.admitted, connects);
         assert_eq!(report.summary.departed, report.summary.admitted);
         assert_eq!(report.summary.active, 0);
-    }
-
-    #[test]
-    fn snapshot_observer_emits() {
-        let backend = CrossbarSession::new(NetworkConfig::new(8, 2), MulticastModel::Msw);
-        let engine = EngineBuilder::new()
-            .shards(2)
-            .observe_every(Duration::from_millis(5))
-            .start(backend);
-        let events = DynamicTraffic::new(
-            NetworkConfig::new(8, 2),
-            MulticastModel::Msw,
-            4.0,
-            1.0,
-            2,
-            3,
-        )
-        .generate(40.0);
-        engine.run_events(events);
-        std::thread::sleep(Duration::from_millis(30));
-        let report = engine.drain();
-        assert!(!report.snapshots.is_empty());
-        let last = report.last_snapshot();
-        assert!(last.elapsed_secs > 0.0);
-    }
-
-    #[test]
-    fn last_snapshot_without_observer_falls_back_to_summary() {
-        // Snapshot interval longer than the run: no periodic snapshots.
-        // last_snapshot must degrade gracefully instead of panicking.
-        let engine = engine_on_crossbar(1);
-        let _ = engine.submit(TimedEvent {
-            time: 0.0,
-            event: TraceEvent::Connect(MulticastConnection::unicast(
-                Endpoint::new(0, 0),
-                Endpoint::new(1, 0),
-            )),
-        });
-        let report = engine.drain();
-        assert!(report.snapshots.is_empty());
-        assert_eq!(report.last_snapshot(), &report.summary);
-        assert_eq!(report.last_snapshot().admitted, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!         read side:  ConcurrentAdmission      │
 //!                     (lock-free CAS commits)  │
 //!                          ▼                   ▼
-//!                  drain() ──▶ RuntimeReport { summary, snapshots, … }
+//!                  drain() ──▶ RuntimeReport { summary, backend, … }
 //! ```
 //!
 //! * [`Backend`] abstracts the two switch implementations behind one
@@ -47,8 +47,8 @@
 //! * [`RuntimeMetrics`] / [`MetricsSnapshot`] provide lock-free counters,
 //!   log-bucketed latency and holding-time histograms, per-wavelength and
 //!   per-middle-switch gauges, and a serializable snapshot stream.
-//! * [`FaultHandle`] / [`FaultInjector`] fail components mid-run
-//!   ([`Fault`] names them). Injection tears down the connections that
+//! * [`FaultHandle`] fails and repairs components mid-run ([`Fault`]
+//!   names them; a `wdm-net` server takes them as fault frames). Injection tears down the connections that
 //!   traversed the dead component and re-admits them on surviving
 //!   hardware in the same critical section — the *self-healing* the Clos
 //!   sparing margin `m ≥ bound + f` provisions for.
@@ -80,7 +80,6 @@
 mod backend;
 mod clock;
 mod engine;
-mod injector;
 mod metrics;
 
 pub use backend::{Backend, ConcurrentAdmission, RepackStats, RepackSupport};
@@ -90,7 +89,6 @@ pub use engine::{
     OverloadControl, RepackPolicy, RequestOutcome, RuntimeConfig, RuntimeReport, ShardCore,
     SubmitOutcome,
 };
-pub use injector::{FaultInjector, InjectionRecord};
 pub use metrics::{LogHistogram, MetricsSnapshot, RuntimeMetrics};
-pub use wdm_core::{Fault, FaultSet};
+pub use wdm_core::{Fault, FaultDomain, FaultSet};
 pub use wdm_core::{Reject, RejectClass};

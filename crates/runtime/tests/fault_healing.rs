@@ -376,3 +376,63 @@ fn fault_worker_panic_is_never_clean() {
     );
     assert_eq!(report.summary.admitted, 1, "the healthy shard drained");
 }
+
+/// Each backend's `fault_domain` names exactly its own components: a
+/// fault one past any index is outside it, the last index inside. The
+/// crossbar has no middle stage; a graph's nodes are its modules and
+/// middles.
+#[test]
+fn fault_domain_names_exactly_the_fabric() {
+    use wdm_core::{FaultDomain, NetworkConfig};
+    use wdm_graph::{GraphNetwork, GraphTopology, Splitting};
+    let clos = ThreeStageNetwork::new(
+        ThreeStageParams::new(2, 7, 4, 1),
+        Construction::MswDominant,
+        MulticastModel::Msw,
+    );
+    let ring = GraphTopology::Ring { nodes: 5 }.build();
+    let graph = GraphNetwork::new(ring, 2, 1, Splitting::Hierarchy, MulticastModel::Msw);
+    let xbar = CrossbarSession::new(NetworkConfig::new(8, 2), MulticastModel::Msw);
+    let domain = |ports, modules, middles| FaultDomain {
+        ports,
+        modules,
+        middles,
+    };
+    assert_eq!(clos.fault_domain(), domain(8, 4, 7));
+    assert_eq!(graph.fault_domain(), domain(10, 5, 5));
+    assert_eq!(xbar.fault_domain(), domain(8, 8, 0));
+    let d = clos.fault_domain();
+    for (inside, outside) in [
+        (Fault::MiddleSwitch(6), Fault::MiddleSwitch(7)),
+        (Fault::MiddleConverters(6), Fault::MiddleConverters(7)),
+        (Fault::Port(7), Fault::Port(8)),
+        (Fault::InputConverters(3), Fault::InputConverters(4)),
+        (Fault::OutputConverters(3), Fault::OutputConverters(4)),
+        (
+            Fault::InputLink {
+                module: 3,
+                middle: 6,
+            },
+            Fault::InputLink {
+                module: 4,
+                middle: 6,
+            },
+        ),
+        (
+            Fault::MiddleLink {
+                middle: 6,
+                module: 3,
+            },
+            Fault::MiddleLink {
+                middle: 7,
+                module: 3,
+            },
+        ),
+    ] {
+        assert!(
+            d.contains(&inside) && !d.contains(&outside),
+            "{inside} / {outside}"
+        );
+    }
+    assert!(!xbar.fault_domain().contains(&Fault::MiddleSwitch(0)));
+}

@@ -58,10 +58,6 @@ impl<B: Backend> SimEngine<B> {
         }
     }
 
-    pub(crate) fn fault_handle(&self) -> FaultHandle<B> {
-        self.core.fault_handle()
-    }
-
     /// A submit's slices: its jobs split by shard in submission order,
     /// non-empty, in shard order.
     pub(crate) fn split(&self, jobs: Vec<Job>) -> Vec<(usize, Vec<Job>)> {
@@ -121,6 +117,10 @@ impl<B: Backend> Engine for SimEngine<B> {
 
     fn snapshot(&self) -> MetricsSnapshot {
         self.core.snapshot(self.shards.secs())
+    }
+
+    fn faults(&self) -> FaultHandle<B> {
+        self.core.fault_handle()
     }
 
     /// Retry everything parked, jumping the clock, until idle.

@@ -21,8 +21,9 @@
 //! * **Retry(s)** — shard `s`'s retry thread wakes: if its earliest
 //!   parked connect is not yet due the virtual clock moves on to it,
 //!   then every due one is retried. Submitters keep running meanwhile.
-//! * **Inject** — the next scripted fault fires through a real
-//!   [`FaultHandle`].
+//! * **Inject** — the next scripted fault request (`Inject` or `Repair`)
+//!   fires through a real [`FaultHandle`], by the serving core's
+//!   [`apply_fault`].
 //!
 //! At every step the scheduler picks among the enabled steps with one
 //! [`ChoiceStream`] decision. No wall clock, no threads, no sockets —
@@ -33,15 +34,16 @@
 //! [`ShardCore`]: wdm_runtime::ShardCore
 //! [`FaultHandle`]: wdm_runtime::FaultHandle
 //! [`NetSim`]: crate::NetSim
+//! [`apply_fault`]: wdm_net::serving::apply_fault
 
 use crate::engine::{source_port, Job, SimEngine};
 use crate::schedule::ChoiceStream;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use wdm_net::serving::Engine;
+use wdm_net::serving::{apply_fault, Engine};
+use wdm_net::Request;
 use wdm_runtime::{Backend, OutcomeCallback, RequestOutcome, RuntimeConfig, RuntimeReport};
-use wdm_workload::chaos::{FaultAction, TimedFault};
 use wdm_workload::TimedEvent;
 
 /// How the executor resolves scheduling choices.
@@ -71,8 +73,8 @@ pub struct SimParams {
     ///
     /// [`ShardCore::handle_batch`]: wdm_runtime::ShardCore::handle_batch
     pub batch: usize,
-    /// Engine tunables (deadline, backoff, retry budget). `workers` and
-    /// `snapshot_every` are ignored — the executor owns scheduling.
+    /// Engine tunables (deadline, backoff, retry budget). `workers` is
+    /// ignored — the executor owns scheduling.
     pub runtime: RuntimeConfig,
 }
 
@@ -107,15 +109,16 @@ struct Submitter {
     slices: VecDeque<(usize, Vec<Job>)>,
 }
 
-/// Run `trace` (and scripted `faults`) against `backend` under one
-/// deterministic interleaving. A fault becomes eligible once every
+/// Run `trace` (and scripted `faults`, each an `Inject` or `Repair`
+/// request at a trace time) against `backend` under one deterministic
+/// interleaving. A fault becomes eligible once every
 /// submitter's next event is at or past its timestamp (or the trace is
 /// exhausted); the scheduler decides exactly when it fires within its
 /// eligibility window.
 pub fn simulate<B: Backend>(
     backend: B,
     trace: &[TimedEvent],
-    faults: &[TimedFault],
+    faults: &[(f64, Request)],
     params: &SimParams,
     mut sched: Scheduler<'_>,
 ) -> SimRun<B> {
@@ -130,7 +133,7 @@ pub fn simulate<B: Backend>(
     };
     let engine = SimEngine::new(backend, k, params.runtime.clone());
     let shards = &engine.shards;
-    let handle = engine.fault_handle();
+    let handle = engine.faults();
     let outcomes: Arc<Mutex<Vec<Option<RequestOutcome>>>> =
         Arc::new(Mutex::new(vec![None; trace.len()]));
     // A Fibonacci hash of the source port (node) picks the submitter,
@@ -179,7 +182,7 @@ pub fn simulate<B: Backend>(
             .min()
             .copied();
         if let Some(fault) = faults.get(next_fault) {
-            if earliest.is_none_or(|i| trace[i].time >= fault.time) {
+            if earliest.is_none_or(|i| trace[i].time >= fault.0) {
                 actions.push(Action::Inject);
             }
         }
@@ -210,7 +213,7 @@ pub fn simulate<B: Backend>(
                     // window — but never past a fault's eligibility
                     // point, so the injection fires at the same trace
                     // position whatever the window.
-                    let fault_at = faults.get(next_fault).map(|f| f.time);
+                    let fault_at = faults.get(next_fault).map(|f| f.0);
                     let mut jobs = Vec::new();
                     while let Some(&i) = sub.events.front() {
                         let full =
@@ -230,14 +233,7 @@ pub fn simulate<B: Backend>(
             }
             Action::Retry(s) => shards.retry(s),
             Action::Inject => {
-                match faults[next_fault].action {
-                    FaultAction::Fail(f) => {
-                        handle.inject(f);
-                    }
-                    FaultAction::Repair(f) => {
-                        handle.repair(f);
-                    }
-                }
+                apply_fault(&handle, &faults[next_fault].1);
                 next_fault += 1;
             }
         }

@@ -20,10 +20,11 @@ use std::fmt;
 use wdm_core::Fault;
 use wdm_graph::{GraphTopology, Splitting};
 use wdm_multistage::Construction;
+use wdm_net::Request;
 use wdm_runtime::{Backend, RepackPolicy, RuntimeConfig};
 use wdm_workload::adversarial::{AdversarialGen, Geometry};
 use wdm_workload::hotspot::HotspotGen;
-use wdm_workload::{close_trace, FaultAction, TimedEvent, TimedFault};
+use wdm_workload::{close_trace, TimedEvent};
 
 /// Which construction the simulated engine drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +114,7 @@ impl Scenario {
 
     /// The seed's fault script: one mid-trace component failure and its
     /// repair two-thirds in. Empty when the scenario is fault-free.
-    pub fn faults(&self, seed: u64, trace: &[TimedEvent]) -> Result<Vec<TimedFault>, String> {
+    pub fn faults(&self, seed: u64, trace: &[TimedEvent]) -> Result<Vec<(f64, Request)>, String> {
         Ok(self.resolve()?.faults(seed, trace))
     }
 
@@ -127,7 +128,7 @@ impl Scenario {
     pub fn violations_for(
         &self,
         trace: &[TimedEvent],
-        faults: &[TimedFault],
+        faults: &[(f64, Request)],
         choices: &mut ChoiceStream,
     ) -> Result<Vec<Violation>, String> {
         Ok(self.resolve()?.violations_for(trace, faults, choices))
@@ -248,7 +249,7 @@ impl Resolved {
         trace
     }
 
-    fn faults(&self, seed: u64, trace: &[TimedEvent]) -> Vec<TimedFault> {
+    fn faults(&self, seed: u64, trace: &[TimedEvent]) -> Vec<(f64, Request)> {
         if !self.sc.faulted || trace.is_empty() {
             return Vec::new();
         }
@@ -273,14 +274,8 @@ impl Resolved {
             }
         };
         vec![
-            TimedFault {
-                time: trace[trace.len() / 3].time,
-                action: FaultAction::Fail(fault),
-            },
-            TimedFault {
-                time: trace[trace.len() * 2 / 3].time,
-                action: FaultAction::Repair(fault),
-            },
+            (trace[trace.len() / 3].time, Request::Inject(fault)),
+            (trace[trace.len() * 2 / 3].time, Request::Repair(fault)),
         ]
     }
 
@@ -301,7 +296,7 @@ impl Resolved {
     fn violations_for(
         &self,
         trace: &[TimedEvent],
-        faults: &[TimedFault],
+        faults: &[(f64, Request)],
         choices: &mut ChoiceStream,
     ) -> Vec<Violation> {
         let run = simulate(

@@ -1,7 +1,7 @@
 //! # wdm-sim — deterministic simulation & conformance harness
 //!
 //! FoundationDB-style simulation testing for the concurrent WDM
-//! admission stack: the sharded engine, the fault injector, and the
+//! admission stack: the sharded engine, its fault path, and the
 //! wire-protocol serving path all run as *cooperatively scheduled
 //! tasks* in one thread over a virtual clock, with every
 //! nondeterministic choice drawn from a single `u64` seed. A failure is

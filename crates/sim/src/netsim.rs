@@ -22,7 +22,7 @@ use std::time::Duration;
 use wdm_net::codec::{decode_response, read_frame};
 use wdm_net::serving::{EngineSlot, ReactorConfig, ReactorMetrics, ReactorSnapshot, ServingCore};
 use wdm_net::{Response, HEADER_LEN};
-use wdm_runtime::{Backend, FaultHandle, RuntimeConfig, RuntimeReport, ShardCore};
+use wdm_runtime::{Backend, RuntimeConfig, RuntimeReport, ShardCore};
 
 /// Bytes the modelled server → client socket buffer holds.
 const SEND_BUFFER: usize = 64 * 1024;
@@ -104,7 +104,6 @@ pub struct NetSim<B: Backend> {
     core: ServingCore<SimEngine<B>>,
     metrics: Arc<ReactorMetrics>,
     shards: Arc<Shards<B>>,
-    faults: FaultHandle<B>,
     lanes: Vec<Lane>,
 }
 
@@ -114,7 +113,6 @@ impl<B: Backend> NetSim<B> {
     pub fn new(backend: B, shards: usize, runtime: RuntimeConfig) -> Self {
         let engine = SimEngine::new(backend, shards, runtime);
         let shards = Arc::clone(&engine.shards);
-        let faults = engine.fault_handle();
         let slot = Arc::new(EngineSlot::new(engine));
         let metrics = Arc::new(ReactorMetrics::new());
         let serving = ServingCore::new(
@@ -128,7 +126,6 @@ impl<B: Backend> NetSim<B> {
             core: serving,
             metrics,
             shards,
-            faults,
             lanes: Vec::new(),
         }
     }
@@ -304,11 +301,6 @@ impl<B: Backend> NetSim<B> {
     /// Virtual seconds elapsed.
     pub fn virtual_secs(&self) -> f64 {
         self.shards.secs()
-    }
-
-    /// A fault handle on the backend (no-ops once drained).
-    pub fn fault_handle(&self) -> FaultHandle<B> {
-        self.faults.clone()
     }
 
     /// Drain the engine (unless a `Drain` frame did) and report.

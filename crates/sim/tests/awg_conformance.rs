@@ -12,11 +12,11 @@
 
 use wdm_core::Fault;
 use wdm_multistage::awg;
+use wdm_net::Request;
 use wdm_sim::{
     diff_runs, invariant_violations, simulate, BackendKind, ChoiceStream, Scenario, Scheduler,
     SimParams,
 };
-use wdm_workload::{FaultAction, TimedFault};
 
 const N: u32 = 2;
 const R: u32 = 4;
@@ -189,14 +189,8 @@ fn awg_clos_converter_bank_faults_conserve_outcomes() {
             Fault::OutputConverters(module)
         };
         let script = [
-            TimedFault {
-                time: trace[trace.len() / 3].time,
-                action: FaultAction::Fail(fault),
-            },
-            TimedFault {
-                time: trace[trace.len() * 2 / 3].time,
-                action: FaultAction::Repair(fault),
-            },
+            (trace[trace.len() / 3].time, Request::Inject(fault)),
+            (trace[trace.len() * 2 / 3].time, Request::Repair(fault)),
         ];
         let mut choices = ChoiceStream::new(seed);
         let run = simulate(
@@ -231,10 +225,8 @@ fn awg_clos_middle_converter_fault_is_inert() {
     let m = setup.middle_count().unwrap();
     for seed in 0..8u64 {
         let trace = setup.trace(seed).unwrap();
-        let script = [TimedFault {
-            time: trace[trace.len() / 3].time,
-            action: FaultAction::Fail(Fault::MiddleConverters((seed % m as u64) as u32)),
-        }];
+        let fault = Fault::MiddleConverters((seed % m as u64) as u32);
+        let script = [(trace[trace.len() / 3].time, Request::Inject(fault))];
         let mut cs_a = ChoiceStream::new(seed);
         let faulted = simulate(
             setup.build().unwrap(),
@@ -275,10 +267,8 @@ fn awg_clos_spare_margin_rides_out_converter_bank_kill() {
     let mut total_hit = 0u64;
     for seed in 0..16u64 {
         let trace = setup.trace(seed).unwrap();
-        let script = [TimedFault {
-            time: trace[trace.len() / 3].time,
-            action: FaultAction::Fail(Fault::InputConverters((seed % R as u64) as u32)),
-        }];
+        let fault = Fault::InputConverters((seed % R as u64) as u32);
+        let script = [(trace[trace.len() / 3].time, Request::Inject(fault))];
         let mut choices = ChoiceStream::new(seed);
         let run = simulate(
             setup.build().unwrap(),

@@ -9,6 +9,7 @@
 
 use wdm_core::Fault;
 use wdm_multistage::bounds;
+use wdm_net::Request;
 use wdm_sim::{simulate, BackendKind, ChoiceStream, Scenario, Scheduler, SimParams};
 
 /// `kind` on n=2, r=4, k=1 with 40 steps over 4 shards, at its bound.
@@ -21,7 +22,6 @@ fn spare_margin() -> Scenario {
     let at_bound = base(BackendKind::ThreeStage);
     at_bound.middles(at_bound.middle_count().unwrap() + 1)
 }
-use wdm_workload::{FaultAction, TimedFault};
 
 /// Spare margin m = bound + 1 with one mid-trace middle-switch kill:
 /// the surviving stage still meets the bound, so every schedule must
@@ -78,10 +78,8 @@ fn spare_margin_heals_every_victim() {
     assert_eq!(m, bounds::theorem1_min_m(setup.n, setup.r).m + 1);
     for seed in 0..16u64 {
         let trace = setup.trace(seed).unwrap();
-        let kill = TimedFault {
-            time: trace[trace.len() / 3].time,
-            action: FaultAction::Fail(Fault::MiddleSwitch((seed % m as u64) as u32)),
-        };
+        let fault = Fault::MiddleSwitch((seed % m as u64) as u32);
+        let kill = (trace[trace.len() / 3].time, Request::Inject(fault));
         let mut choices = ChoiceStream::new(seed);
         let run = simulate(
             setup.build().unwrap(),

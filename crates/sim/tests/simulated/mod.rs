@@ -4,7 +4,7 @@
 //! `wdm-sim`'s `serving.rs` and tier-1's `tests/every_layer.rs`, each of
 //! which includes `transcripts` at its crate root.
 
-use crate::transcripts::{run_script, Driver, Step};
+use crate::transcripts::{run_script, Driver};
 use wdm_net::codec::encode_request_v;
 use wdm_net::{Request, Response};
 use wdm_runtime::{Backend, RuntimeReport};
@@ -41,10 +41,9 @@ impl<B: Backend> Driver<B> for Simulated<B> {
 pub fn run_simulated<B: Backend>(
     mut sim: NetSim<B>,
     wire_version: u8,
-    script: &[Step],
+    script: &[Request],
     seed: u64,
 ) -> Vec<String> {
-    let handle = sim.fault_handle();
     let lane = sim.lane(1, Peer::Reads);
     let driver = Simulated {
         sim,
@@ -53,5 +52,5 @@ pub fn run_simulated<B: Backend>(
         next_id: 1,
         choices: ChoiceStream::new(seed),
     };
-    run_script(driver, &handle, script)
+    run_script(driver, script)
 }

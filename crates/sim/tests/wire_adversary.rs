@@ -3,13 +3,15 @@
 //! client behaviour run under 64 schedule seeds; after every seed the
 //! run must not have panicked, the backend must be consistent, nothing
 //! may stay lit after the drain, and the outcome conservation laws must
-//! hold.
+//! hold. The same laws bind fault frames racing admissions from other
+//! lanes.
 
-use wdm_core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
+use wdm_core::{Endpoint, Fault, MulticastConnection, MulticastModel, NetworkConfig};
 use wdm_fabric::CrossbarSession;
+use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
 use wdm_net::codec::{encode_request, encode_request_v};
 use wdm_net::serving::MAX_QUEUED_OUTPUT;
-use wdm_net::{Request, Response, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
+use wdm_net::{RejectReason, Request, Response, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
 use wdm_runtime::{Backend, RuntimeConfig, RuntimeReport};
 use wdm_sim::{invariant_violations, ChoiceStream, NetSim, Peer, SimRun, Step};
 
@@ -27,7 +29,7 @@ fn unicast(src: u32, dst: u32) -> MulticastConnection {
 }
 
 /// Step `sim` at random to quiescence, calling `each` after every step.
-fn drive(sim: &mut Sim, seed: u64, mut each: impl FnMut(&Sim)) {
+fn drive<B: Backend>(sim: &mut NetSim<B>, seed: u64, mut each: impl FnMut(&NetSim<B>)) {
     let mut choices = ChoiceStream::new(seed);
     while sim.step_random(&mut choices) {
         each(sim);
@@ -154,7 +156,7 @@ fn polite_lane(sim: &mut Sim) -> usize {
     l
 }
 
-fn sorted_responses(sim: &Sim, l: usize) -> Vec<(u8, u64, Response)> {
+fn sorted_responses<B: Backend>(sim: &NetSim<B>, l: usize) -> Vec<(u8, u64, Response)> {
     let mut got = sim.responses(l).to_vec();
     got.sort_by_key(|(_, id, _)| *id);
     got
@@ -218,4 +220,154 @@ fn hostile_clients_degrade_by_the_taxonomy() {
             assert!(violations.is_empty(), "{name} seed {seed}: {violations:?}");
         }
     }
+}
+
+/// A three-stage fabric (n=2, r=4, k=1) with one middle above the
+/// Theorem 1 bound, behind a fresh simulated server.
+fn spare_clos() -> (NetSim<ThreeStageNetwork>, u32) {
+    let m = bounds::theorem1_min_m(2, 4).m + 1;
+    let params = ThreeStageParams::new(2, m, 4, 1);
+    let net = ThreeStageNetwork::new(params, Construction::MswDominant, MulticastModel::Msw);
+    (NetSim::new(net, 2, RuntimeConfig::default()), m)
+}
+
+fn multicast(src: u32, dsts: [u32; 2]) -> MulticastConnection {
+    MulticastConnection::new(Endpoint::new(src, 0), dsts.map(|d| Endpoint::new(d, 0))).unwrap()
+}
+
+/// Script `reqs` on a fresh lane with window `window`.
+fn scripted_lane<B: Backend>(sim: &mut NetSim<B>, window: usize, reqs: &[Request]) -> usize {
+    let l = sim.lane(window, Peer::Reads);
+    for (id, req) in (1u64..).zip(reqs) {
+        sim.script(l, encode_request(id, req));
+    }
+    l
+}
+
+/// A fault frame waits for every frame its connection sent before it:
+/// a connect and a kill of the middle first-fit routes it through,
+/// read in one chunk, must evict (and heal) that connection.
+#[test]
+fn fault_frame_lands_after_earlier_frames_of_its_connection() {
+    for seed in 0..SEEDS {
+        let (mut sim, _) = spare_clos();
+        let reqs = [
+            Request::Connect(unicast(0, 4)),
+            Request::Inject(Fault::MiddleSwitch(0)),
+            Request::Disconnect(Endpoint::new(0, 0)),
+        ];
+        let l = scripted_lane(&mut sim, 3, &reqs);
+        sim.step(Step::Send(l));
+        sim.step(Step::Send(l));
+        sim.step(Step::Read(l));
+        drive(&mut sim, seed, |_| {});
+        let got = sorted_responses(&sim, l);
+        let healed = Response::Healed {
+            hit: 1,
+            healed: 1,
+            failed: 0,
+        };
+        assert_eq!(got[1].2, healed, "seed {seed}: {got:?}");
+        assert!(sim.finish().is_clean());
+    }
+}
+
+/// A fault frame naming a middle the fabric does not have is refused
+/// before it reaches the backend, and after a drain a fault frame is
+/// refused as `Draining`.
+#[test]
+fn fault_frames_outside_the_fabric_or_after_a_drain_are_refused() {
+    let (mut sim, m) = spare_clos();
+    let reqs = [
+        Request::Inject(Fault::MiddleSwitch(m)),
+        Request::Repair(Fault::Port(8)),
+        Request::Drain,
+        Request::Inject(Fault::MiddleSwitch(0)),
+    ];
+    let l = scripted_lane(&mut sim, 1, &reqs);
+    drive(&mut sim, 0, |_| {});
+    let reasons: Vec<_> = sorted_responses(&sim, l)
+        .into_iter()
+        .filter_map(|(_, _, r)| match r {
+            Response::Rejected { reason, .. } => Some(reason),
+            _ => None,
+        })
+        .collect();
+    use RejectReason::{Draining, Fatal};
+    assert_eq!(reasons, [Fatal, Fatal, Draining]);
+    let report = sim.finish();
+    assert!(
+        report.backend.faults().is_empty(),
+        "{}",
+        report.backend.faults()
+    );
+    assert_eq!(report.summary.faults_injected, 0);
+}
+
+/// Fault frames from one lane race connects and disconnects from two
+/// others, under 64 schedule seeds: no panic, no wedge (every frame is
+/// answered), no wavelength left lit, the conservation laws (orphaned
+/// departures included), and the server's fault counters equal to the
+/// frames it accepted.
+#[test]
+fn fault_frames_race_admissions_across_lanes() {
+    let (mut hit, mut orphaned) = (0, 0);
+    for seed in 0..SEEDS {
+        let (mut sim, m) = spare_clos();
+        let faults = [
+            Request::Inject(Fault::MiddleSwitch(0)),
+            Request::Inject(Fault::Port(5)),
+            Request::Inject(Fault::MiddleSwitch(1)),
+            Request::Inject(Fault::MiddleSwitch(m)),
+            Request::Repair(Fault::MiddleSwitch(0)),
+            Request::Repair(Fault::Port(5)),
+            Request::Repair(Fault::Port(5)),
+            Request::Repair(Fault::MiddleSwitch(1)),
+        ];
+        let churn = |a: u32, b: u32, dsts: [u32; 2]| {
+            let mut reqs = Vec::new();
+            for _ in 0..3 {
+                for src in [a, b] {
+                    reqs.push(Request::Connect(multicast(src, dsts)));
+                    reqs.push(Request::Disconnect(Endpoint::new(src, 0)));
+                }
+            }
+            reqs
+        };
+        let lanes = [
+            scripted_lane(&mut sim, 2, &faults),
+            scripted_lane(&mut sim, 4, &churn(0, 2, [4, 5])),
+            scripted_lane(&mut sim, 4, &churn(1, 3, [6, 7])),
+        ];
+        drive(&mut sim, seed, |_| {});
+        for (l, sent) in lanes.into_iter().zip([faults.len(), 12, 12]) {
+            assert_eq!(sim.responses(l).len(), sent, "seed {seed}: lane {l} wedged");
+        }
+        let (mut injected, mut repaired) = (0, 0);
+        for (_, _, r) in sim.responses(lanes[0]) {
+            match r {
+                Response::Healed { .. } => injected += 1,
+                Response::Repaired(true) => repaired += 1,
+                _ => {}
+            }
+        }
+        let report = sim.finish();
+        let s = &report.summary;
+        assert_eq!((s.faults_injected, s.faults_repaired), (injected, repaired));
+        assert_eq!(s.wavelength_live, [0], "seed {seed}: a wavelength leaked");
+        assert!(report.backend.check_consistency().is_empty(), "seed {seed}");
+        hit += s.connections_hit;
+        orphaned += s.orphaned_departures;
+        let run = SimRun {
+            outcomes: Vec::new(),
+            report,
+            virtual_secs: 0.0,
+        };
+        let violations = invariant_violations(&run, false);
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+    }
+    assert!(
+        hit > 0 && orphaned > 0,
+        "the faults hit nothing: {hit} {orphaned}"
+    );
 }

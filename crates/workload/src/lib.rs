@@ -16,8 +16,6 @@
 //! * [`app_mix`] — the application mixes the paper's introduction
 //!   motivates: video conferencing, video-on-demand, and unicast-heavy
 //!   e-commerce traffic;
-//! * [`chaos`] — timed component failures and repairs (fault traffic for
-//!   the degraded-regime experiments);
 //! * [`partition`] — closing a trace and sharding it by source port into
 //!   per-client lanes for multi-connection network replay.
 //!
@@ -29,14 +27,12 @@
 
 pub mod adversarial;
 pub mod app_mix;
-pub mod chaos;
 pub mod dynamic;
 mod generators;
 pub mod hotspot;
 pub mod partition;
 pub mod trace;
 
-pub use chaos::{ChaosSchedule, FaultAction, TimedFault};
 pub use dynamic::{DynamicTraffic, TimedEvent};
 pub use generators::AssignmentGen;
 pub use hotspot::HotspotGen;

@@ -1,14 +1,12 @@
 //! Concurrent switch-controller demo: run the sharded admission engine
-//! against a three-stage network sized at the Theorem 1 bound, with a
-//! periodic metrics observer emitting snapshots while traffic is live.
+//! against a three-stage network sized at the Theorem 1 bound, polling
+//! live metrics snapshots from the feeding thread while traffic flows.
 //!
-//! This is the library-level equivalent of `wdmcast serve` — it shows
-//! the full runtime lifecycle: start, feed a timed trace, watch the
-//! snapshot stream, then drain and inspect the final report.
+//! This is the engine `wdmcast serve --listen` puts behind its wire
+//! protocol, driven in-process: start, feed a timed trace, poll
+//! snapshots, then drain and inspect the final report.
 //!
 //! Run with: `cargo run --example runtime_server`
-
-use std::time::Duration;
 
 use wdm_multicast::core::MulticastModel;
 use wdm_multicast::multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
@@ -45,19 +43,15 @@ fn main() {
     }));
     println!("offered trace: {} timed events\n", events.len());
 
-    // Four shards, each admitting on this thread, plus a 5 ms snapshot
-    // observer.
-    let engine = EngineBuilder::new()
-        .shards(4)
-        .observe_every(Duration::from_millis(5))
-        .start(ThreeStageNetwork::new(
-            params,
-            Construction::MswDominant,
-            MulticastModel::Msw,
-        ));
+    // Four shards, each admitting on this thread.
+    let engine = EngineBuilder::new().shards(4).start(ThreeStageNetwork::new(
+        params,
+        Construction::MswDominant,
+        MulticastModel::Msw,
+    ));
 
-    // Feed the trace while the engine is live; metrics are readable
-    // concurrently from this thread.
+    // Feed the trace while the engine is live, polling a snapshot after
+    // every chunk.
     for chunk in events.chunks(64) {
         for ev in chunk {
             let _ = engine.submit(ev.clone());
@@ -71,10 +65,7 @@ fn main() {
 
     let report = engine.drain();
     let s = &report.summary;
-    println!(
-        "\nfinal report ({} observer snapshots collected):",
-        report.snapshots.len()
-    );
+    println!("\nfinal report:");
     println!("  offered        {}", s.offered);
     println!("  admitted       {}", s.admitted);
     println!(
