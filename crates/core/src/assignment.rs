@@ -145,6 +145,20 @@ impl MulticastAssignment {
     /// Add a connection, rejecting conflicts and model violations.
     pub fn add(&mut self, conn: MulticastConnection) -> Result<(), AssignmentError> {
         self.check(&conn)?;
+        self.add_checked(conn);
+        Ok(())
+    }
+
+    /// Add a connection that [`check`](Self::check) has accepted against
+    /// the current state, without checking it again — for a caller that
+    /// checks before doing its own work and commits after. Debug builds
+    /// re-run the check.
+    pub fn add_checked(&mut self, conn: MulticastConnection) {
+        debug_assert_eq!(
+            self.check(&conn),
+            Ok(()),
+            "add_checked of an unchecked connection"
+        );
         let src = conn.source();
         let k = self.net.wavelengths;
         self.input_busy.set(src.port.0, src.wavelength.0);
@@ -154,7 +168,6 @@ impl MulticastAssignment {
         }
         self.used_outputs += conn.fanout();
         self.connections.insert(src, conn);
-        Ok(())
     }
 
     /// Remove the connection sourced at `src`, returning it.

@@ -37,7 +37,8 @@
 //!   every mutation; lock-free readers (engine snapshots) retry while
 //!   the counters disagree.
 
-use crate::routing::{find_cover, RoutingCtx};
+use crate::network::Availability;
+use crate::routing::{book_route, find_cover, RoutingCtx, Run};
 use crate::{bounds, Construction, ThreeStageParams};
 use crate::{Branch, Leg, RouteError, RoutedConnection};
 use std::collections::BTreeMap;
@@ -162,14 +163,6 @@ impl std::fmt::Debug for ConcurrentThreeStage {
             .field("faults", &self.faults)
             .finish_non_exhaustive()
     }
-}
-
-/// What one optimistic single-middle commit attempt came to.
-enum CommitOutcome {
-    /// All words committed; the realized branch.
-    Committed(Branch),
-    /// A racing commit invalidated a leg; everything rolled back.
-    Conflict,
 }
 
 impl ConcurrentThreeStage {
@@ -478,52 +471,40 @@ impl ConcurrentThreeStage {
         let src = conn.source();
         let (in_module, _) = self.params.input_module_of(src.port.0);
 
-        // Group destinations by output module (BTreeMap: legs commit in
-        // ascending module order, exactly like the serial router).
-        let mut by_module: BTreeMap<u32, Vec<Endpoint>> = BTreeMap::new();
-        for &d in conn.destinations() {
-            let (om, _) = self.params.output_module_of(d.port.0);
-            by_module.entry(om).or_default().push(d);
-        }
+        // Group destinations by output module: legs commit in ascending
+        // module order, exactly like the serial router.
+        let mut runs = Vec::new();
+        ctx.runs_into(conn.destinations(), &mut runs);
 
         // Optimistic striped path: own stripe only, single-middle covers.
         {
             let mut state = self.stripe(in_module);
-            let mut attempts = 0u32;
-            'attempt: while attempts < MAX_PROBE_ATTEMPTS {
-                attempts += 1;
+            for _ in 0..MAX_PROBE_ATTEMPTS {
                 let mask = self.available_middles_mask(in_module, src.wavelength.0);
-                'probe: for j in bitset::ones(&mask) {
+                let serving = bitset::ones(&mask).find_map(|j| {
                     let in_word = self.input_word(in_module, j).load(Ordering::Acquire);
-                    let Some(wi) =
-                        ctx.branch_wavelength_masked(in_module, in_word, src.wavelength.0)
-                    else {
-                        continue;
+                    let wi = ctx.branch_wavelength(in_module, in_word, src.wavelength.0)?;
+                    let carries = |run: &Run| {
+                        let word = self.middle_word(j, run.module).load(Ordering::Acquire);
+                        ctx.leg_wavelength(j, run.module, word, wi, run.targets)
+                            .is_some()
                     };
-                    for (&om, dests) in &by_module {
-                        let word = self.middle_word(j, om).load(Ordering::Acquire);
-                        if ctx.leg_wavelength_masked(j, om, word, wi, dests).is_none() {
-                            continue 'probe;
-                        }
-                    }
-                    // This middle serves the whole fan-out as of the
-                    // probe; validate-and-commit word by word.
-                    match self.commit_single(in_module, j, wi, &by_module) {
-                        CommitOutcome::Committed(branch) => {
-                            let rc = RoutedConnection {
-                                source: src,
-                                branches: vec![branch],
-                            };
-                            state.routed.insert(src, (conn.clone(), rc.clone()));
-                            return Ok(rc);
-                        }
-                        CommitOutcome::Conflict => continue 'attempt,
-                    }
-                }
+                    runs.iter().all(carries).then_some((j, wi))
+                });
                 // No single live middle covers the request right now —
                 // only the exact cover search can answer, and it needs
                 // the world stopped.
-                break;
+                let Some((j, wi)) = serving else { break };
+                // This middle serves the whole fan-out as of the probe;
+                // validate-and-commit word by word.
+                if let Some(branch) = self.commit_single(in_module, j, wi, &runs) {
+                    let rc = RoutedConnection {
+                        source: src,
+                        branches: vec![branch],
+                    };
+                    state.routed.insert(src, (conn.clone(), rc.clone()));
+                    return Ok(rc);
+                }
             }
         }
 
@@ -531,35 +512,30 @@ impl ConcurrentThreeStage {
         // Replicates the serial FirstFit algorithm exactly, so Blocked
         // verdicts (and their `available_middles` counts) match the
         // serial oracle — and CAS livelock can never fabricate one.
-        self.connect_coarse(conn, src, in_module, &by_module)
+        self.connect_coarse(conn, src, in_module, &runs)
     }
 
     /// Commit one single-middle route optimistically. The input word is
     /// stripe-exclusive (plain RMW); each leg word commits by CAS with
     /// wavelength revalidation against the freshly observed word. On an
-    /// unserviceable leg, committed legs roll back newest-first.
-    fn commit_single(
-        &self,
-        module: u32,
-        j: u32,
-        wi: u32,
-        by_module: &BTreeMap<u32, Vec<Endpoint>>,
-    ) -> CommitOutcome {
+    /// unserviceable leg, committed legs roll back newest-first and the
+    /// attempt yields `None`.
+    fn commit_single(&self, module: u32, j: u32, wi: u32, runs: &[Run]) -> Option<Branch> {
         let ctx = self.ctx();
         self.pause(PausePoint::PreCommit { middle: j });
         self.epoch_start();
         self.occupy_input_link(module, j, wi);
-        let mut legs: Vec<Leg> = Vec::with_capacity(by_module.len());
-        for (&om, dests) in by_module {
+        let mut legs: Vec<Leg> = Vec::with_capacity(runs.len());
+        for run in runs {
             self.pause(PausePoint::BeforeLeg {
                 middle: j,
-                out_module: om,
+                out_module: run.module,
                 legs_committed: legs.len() as u32,
             });
-            let word = self.middle_word(j, om);
+            let word = self.middle_word(j, run.module);
             let mut cur = word.load(Ordering::Acquire);
             let committed_wl = loop {
-                let Some(wl) = ctx.leg_wavelength_masked(j, om, cur, wi, dests) else {
+                let Some(wl) = ctx.leg_wavelength(j, run.module, cur, wi, run.targets) else {
                     // A racing commit exhausted this leg: undo the
                     // younger legs first, then the input word.
                     for leg in legs.iter().rev() {
@@ -568,7 +544,7 @@ impl ConcurrentThreeStage {
                     }
                     self.release_input_link(module, j, wi);
                     self.epoch_finish();
-                    return CommitOutcome::Conflict;
+                    return None;
                 };
                 match word.compare_exchange(
                     cur,
@@ -580,85 +556,61 @@ impl ConcurrentThreeStage {
                     Err(now) => cur = now,
                 }
             };
-            legs.push(Leg {
-                out_module: om,
-                wavelength: committed_wl,
-                dests: dests.clone(),
-            });
+            legs.push(run.leg(committed_wl));
         }
         self.active.fetch_add(1, Ordering::AcqRel);
         self.epoch_finish();
-        CommitOutcome::Committed(Branch {
+        Some(Branch {
             middle: j,
             input_wavelength: wi,
             legs,
         })
     }
 
-    /// The all-stripes connect: the serial FirstFit algorithm run under
-    /// a stop-the-world stripe set (single-middle fast probe, then the
-    /// materialized availability list and exact cover search).
+    /// The all-stripes connect: the serial FirstFit cover search run
+    /// under a stop-the-world stripe set.
     fn connect_coarse(
         &self,
         conn: &MulticastConnection,
         src: Endpoint,
         in_module: u32,
-        by_module: &BTreeMap<u32, Vec<Endpoint>>,
+        runs: &[Run],
     ) -> Result<RoutedConnection, RouteError> {
         let mut stripes = self.all_stripes();
         let ctx = self.ctx();
-        let modules: Vec<u32> = by_module.keys().copied().collect();
         let mask = self.available_middles_mask(in_module, src.wavelength.0);
 
         let branch_wl = |j: u32| {
             let word = self.input_word(in_module, j).load(Ordering::Acquire);
-            ctx.branch_wavelength_masked(in_module, word, src.wavelength.0)
+            ctx.branch_wavelength(in_module, word, src.wavelength.0)
         };
-        let leg_wl = |j: u32, om: u32, wi: u32, dests: &[Endpoint]| {
-            let word = self.middle_word(j, om).load(Ordering::Acquire);
-            ctx.leg_wavelength_masked(j, om, word, wi, dests)
+        let leg_wl = |j: u32, run: &Run, wi: u32| {
+            let word = self.middle_word(j, run.module).load(Ordering::Acquire);
+            ctx.leg_wavelength(j, run.module, word, wi, run.targets)
         };
 
-        // Single-middle fast path first — identical probe order to the
-        // serial router, so the chosen (j, wi) matches it exactly.
-        let mut fast_hit: Option<(u32, u32)> = None;
-        'probe: for j in bitset::ones(&mask) {
-            let Some(wi) = branch_wl(j) else { continue };
-            for (&om, dests) in by_module {
-                if leg_wl(j, om, wi, dests).is_none() {
-                    continue 'probe;
+        // The serial cover search over every available middle: its greedy
+        // pass takes the first middle serving every module, so a single
+        // middle is chosen exactly as the serial FirstFit probe chooses it.
+        let available_wi: Vec<(u32, u32)> = bitset::ones(&mask)
+            .filter_map(|j| branch_wl(j).map(|wi| (j, wi)))
+            .collect();
+        let mut serv = BitRows::new(available_wi.len() as u32, runs.len() as u32);
+        for (i, &(j, wi)) in (0u32..).zip(&available_wi) {
+            for (g, run) in (0u32..).zip(runs) {
+                if leg_wl(j, run, wi).is_some() {
+                    serv.set(i, g);
                 }
             }
-            fast_hit = Some((j, wi));
-            break;
         }
-
-        let (available_wi, cover) = if let Some((j, wi)) = fast_hit {
-            (vec![(j, wi)], vec![(j, modules)])
-        } else {
-            let available_wi: Vec<(u32, u32)> = bitset::ones(&mask)
-                .filter_map(|j| branch_wl(j).map(|wi| (j, wi)))
-                .collect();
-            let available: Vec<u32> = available_wi.iter().map(|&(j, _)| j).collect();
-            let serv: Vec<Vec<u32>> = available_wi
-                .iter()
-                .map(|&(j, wi)| {
-                    modules
-                        .iter()
-                        .copied()
-                        .filter(|&om| leg_wl(j, om, wi, &by_module[&om]).is_some())
-                        .collect()
-                })
-                .collect();
-            let Some(cover) = find_cover(&modules, &available, &serv, self.x_limit as usize) else {
-                drop(stripes);
-                self.release_endpoints(conn);
-                return Err(RouteError::Blocked {
-                    available_middles: available.len(),
-                    x_limit: self.x_limit,
-                });
-            };
-            (available_wi, cover)
+        let x = self.x_limit as usize;
+        let Some(cover) = find_cover(&serv, available_wi.len(), runs.len() as u32, x) else {
+            drop(stripes);
+            self.release_endpoints(conn);
+            return Err(RouteError::Blocked {
+                available_middles: available_wi.len(),
+                x_limit: self.x_limit,
+            });
         };
 
         // Commit under the full stripe set: no competitor can interleave,
@@ -666,22 +618,15 @@ impl ConcurrentThreeStage {
         // for lock-free snapshot readers).
         self.epoch_start();
         let mut branches = Vec::with_capacity(cover.len());
-        for (j, legs_modules) in cover {
-            let in_wl = available_wi
-                .iter()
-                .find(|&&(jj, _)| jj == j)
-                .expect("cover switches come from the available list")
-                .1;
+        for (i, leg_runs) in cover {
+            let (j, in_wl) = available_wi[i];
             self.occupy_input_link(in_module, j, in_wl);
-            let mut legs = Vec::with_capacity(legs_modules.len());
-            for om in legs_modules {
-                let wl = leg_wl(j, om, in_wl, &by_module[&om]).expect("cover legs are serviceable");
-                self.middle_word(j, om).fetch_or(1 << wl, Ordering::AcqRel);
-                legs.push(Leg {
-                    out_module: om,
-                    wavelength: wl,
-                    dests: by_module[&om].clone(),
-                });
+            let mut legs = Vec::with_capacity(leg_runs.len());
+            for run in leg_runs.into_iter().map(|g| &runs[g as usize]) {
+                let wl = leg_wl(j, run, in_wl).expect("cover legs are serviceable");
+                self.middle_word(j, run.module)
+                    .fetch_or(1 << wl, Ordering::AcqRel);
+                legs.push(run.leg(wl));
             }
             branches.push(Branch {
                 middle: j,
@@ -734,8 +679,8 @@ impl ConcurrentThreeStage {
         let ctx = self.ctx();
         let mut hit = Vec::new();
         for stripe in self.all_stripes() {
-            for (src, (_, rc)) in &stripe.routed {
-                if ctx.route_uses(src, rc, fault) {
+            for (src, (conn, rc)) in &stripe.routed {
+                if ctx.route_uses(src, rc, conn.destinations(), fault) {
                     hit.push(*src);
                 }
             }
@@ -758,7 +703,7 @@ impl ConcurrentThreeStage {
     pub fn inject_fault(&mut self, fault: Fault) -> bool {
         let fresh = self.faults.fail(fault);
         if fresh {
-            self.apply_fault_to_masks(fault, false);
+            self.rederive_availability();
         }
         fresh
     }
@@ -767,32 +712,18 @@ impl ConcurrentThreeStage {
     pub fn repair_fault(&mut self, fault: Fault) -> bool {
         let was_failed = self.faults.repair(fault);
         if was_failed {
-            self.apply_fault_to_masks(fault, true);
+            self.rederive_availability();
         }
         was_failed
     }
 
-    fn apply_fault_to_masks(&mut self, fault: Fault, up: bool) {
-        match fault {
-            Fault::MiddleSwitch(j) if j < self.params.m => {
-                let word = &self.live_middles[(j / 64) as usize];
-                if up {
-                    word.fetch_or(1u64 << (j % 64), Ordering::AcqRel);
-                } else {
-                    word.fetch_and(!(1u64 << (j % 64)), Ordering::AcqRel);
-                }
-            }
-            Fault::InputLink { module, middle }
-                if module < self.params.r && middle < self.params.m =>
-            {
-                if up {
-                    self.links_up.set(module, middle);
-                } else {
-                    self.links_up.clear(module, middle);
-                }
-            }
-            _ => {}
-        }
+    /// Recompute the fault rows after the fault set changed.
+    fn rederive_availability(&mut self) {
+        let (input, middle) = (&self.input_links, &self.middle_links);
+        let (input, middle) = (bitset::load_words(input), bitset::load_words(middle));
+        let fresh = Availability::derive(self.params, &input, &middle, &self.faults);
+        self.live_middles = fresh.live_middles.into_iter().map(AtomicU64::new).collect();
+        self.links_up = AtomicBitRows::from_bitrows(&fresh.links_up);
     }
 
     /// Recompute every word from the routed connections and compare with
@@ -827,32 +758,8 @@ impl ConcurrentThreeStage {
                     }
                     dst_busy.set(d.port.0, d.wavelength.0);
                 }
-                for b in &rc.branches {
-                    let bit = 1u64 << b.input_wavelength;
-                    let slot = &mut in_links[a as usize * m as usize + b.middle as usize];
-                    if *slot & bit != 0 {
-                        problems.push(format!(
-                            "double-booked input link {a}→{} λ{}",
-                            b.middle,
-                            b.input_wavelength + 1
-                        ));
-                    }
-                    *slot |= bit;
-                    for leg in &b.legs {
-                        let bit = 1u64 << leg.wavelength;
-                        let slot = &mut mid_links
-                            [b.middle as usize * r as usize + leg.out_module as usize];
-                        if *slot & bit != 0 {
-                            problems.push(format!(
-                                "double-booked middle link {}→{} λ{}",
-                                b.middle,
-                                leg.out_module,
-                                leg.wavelength + 1
-                            ));
-                        }
-                        *slot |= bit;
-                    }
-                }
+                let words = (&mut in_links[..], &mut mid_links[..]);
+                book_route(self.params, a, rc, words, &mut problems);
             }
         }
         let live_in: Vec<u64> = self
@@ -871,46 +778,27 @@ impl ConcurrentThreeStage {
         if live_mid != mid_links {
             problems.push("middle link words out of sync".into());
         }
-        let mut free_in = BitRows::new(r * k, m);
-        let mut not_full = BitRows::new(r, m);
-        for a in 0..r {
-            for j in 0..m {
-                let mask = in_links[a as usize * m as usize + j as usize];
-                for w in 0..k {
-                    if mask & (1 << w) == 0 {
-                        free_in.set(a * k + w, j);
-                    }
-                }
-                if mask.count_ones() < k {
-                    not_full.set(a, j);
-                }
-            }
-        }
-        if free_in != self.free_in.to_bitrows() {
-            problems.push("free-wavelength middle masks out of sync".into());
-        }
-        if not_full != self.not_full.to_bitrows() {
-            problems.push("not-full middle masks out of sync".into());
-        }
-        let mut live_middles = bitset::filled_words(m);
-        for j in 0..m {
-            if self.faults.middle_down(j) {
-                bitset::clear_bit(&mut live_middles, j);
-            }
-        }
-        if live_middles != bitset::load_words(&self.live_middles) {
-            problems.push("live-middle mask out of sync with fault set".into());
-        }
-        let mut links_up = BitRows::filled(r, m);
-        for a in 0..r {
-            for j in 0..m {
-                if self.faults.input_link_down(a, j) {
-                    links_up.clear(a, j);
-                }
-            }
-        }
-        if links_up != self.links_up.to_bitrows() {
-            problems.push("input-link-up mask out of sync with fault set".into());
+        let fresh = Availability::derive(self.params, &in_links, &mid_links, &self.faults);
+        let rows = [
+            (
+                fresh.free_in == self.free_in.to_bitrows(),
+                "free-wavelength middle masks",
+            ),
+            (
+                fresh.not_full == self.not_full.to_bitrows(),
+                "not-full middle masks",
+            ),
+            (
+                fresh.live_middles == bitset::load_words(&self.live_middles),
+                "live-middle mask",
+            ),
+            (
+                fresh.links_up == self.links_up.to_bitrows(),
+                "input-link-up mask",
+            ),
+        ];
+        for (_, what) in rows.iter().filter(|(same, _)| !same) {
+            problems.push(format!("{what} out of sync"));
         }
         if src_busy != self.src_busy.to_bitrows() {
             problems.push("source endpoint claims out of sync".into());

@@ -25,16 +25,6 @@ pub struct DestinationMultiset {
 }
 
 impl DestinationMultiset {
-    /// The empty multiset over `r` output switches with wavelength bound
-    /// `k`.
-    pub fn new(r: u32, k: u32) -> Self {
-        assert!(k > 0, "wavelength bound must be positive");
-        DestinationMultiset {
-            k,
-            counts: vec![0; r as usize],
-        }
-    }
-
     /// Build from explicit multiplicities (each must be ≤ k).
     pub fn from_counts(k: u32, counts: Vec<u32>) -> Self {
         assert!(counts.iter().all(|&c| c <= k), "multiplicity exceeds k");
@@ -51,11 +41,6 @@ impl DestinationMultiset {
         self.counts.is_empty()
     }
 
-    /// `true` iff `r == 0` (no output switches tracked).
-    pub fn is_empty_domain(&self) -> bool {
-        self.counts.is_empty()
-    }
-
     /// The wavelength bound `k`.
     pub fn k(&self) -> u32 {
         self.k
@@ -64,28 +49,6 @@ impl DestinationMultiset {
     /// Multiplicity of output switch `p`.
     pub fn multiplicity(&self, p: u32) -> u32 {
         self.counts[p as usize]
-    }
-
-    /// Add one connection toward output switch `p`.
-    ///
-    /// Panics when `p` is already saturated — the caller must check
-    /// [`is_saturated`](Self::is_saturated) first (links have only `k`
-    /// wavelengths).
-    pub fn add(&mut self, p: u32) {
-        assert!(
-            self.counts[p as usize] < self.k,
-            "output switch {p} already saturated"
-        );
-        self.counts[p as usize] += 1;
-    }
-
-    /// Remove one connection toward output switch `p`.
-    pub fn remove(&mut self, p: u32) {
-        assert!(
-            self.counts[p as usize] > 0,
-            "output switch {p} has no connections"
-        );
-        self.counts[p as usize] -= 1;
     }
 
     /// `true` iff all `k` wavelengths toward `p` are busy.
@@ -158,33 +121,6 @@ impl fmt::Display for DestinationMultiset {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn add_remove_multiplicity() {
-        let mut m = DestinationMultiset::new(4, 2);
-        m.add(1);
-        m.add(1);
-        assert_eq!(m.multiplicity(1), 2);
-        assert!(m.is_saturated(1));
-        m.remove(1);
-        assert!(!m.is_saturated(1));
-        assert_eq!(m.total_connections(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "saturated")]
-    fn add_beyond_k_panics() {
-        let mut m = DestinationMultiset::new(2, 1);
-        m.add(0);
-        m.add(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no connections")]
-    fn remove_below_zero_panics() {
-        let mut m = DestinationMultiset::new(2, 1);
-        m.remove(0);
-    }
 
     #[test]
     fn cardinality_counts_only_saturated() {

@@ -19,7 +19,7 @@
 //!   the middle→output wavelength (it must arrive on the destination
 //!   wavelength).
 
-use crate::routing::{find_cover, RoutingCtx};
+use crate::routing::{book_route, find_cover, lowest, RoutingCtx, Run};
 use crate::{bounds, Construction, DestinationMultiset, ThreeStageParams};
 use serde::{Deserialize, Serialize};
 use wdm_core::bitset::{self, BitRows, EndpointMap};
@@ -107,15 +107,27 @@ impl From<RouteError> for Reject {
     }
 }
 
-/// One middle→output-module hop of a routed connection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One middle→output-module hop of a routed connection. It names the
+/// destinations it delivers by position: the run `first..end` of the
+/// connection's port-sorted destination list ([`Leg::dests`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Leg {
     /// Output module served through this leg.
     pub out_module: u32,
     /// Wavelength occupied on the middle→output link.
     pub wavelength: u32,
-    /// Destination endpoints delivered inside that output module.
-    pub dests: Vec<Endpoint>,
+    /// Index of the leg's first destination in the destination list.
+    pub first: u32,
+    /// One past the index of the leg's last destination.
+    pub end: u32,
+}
+
+impl Leg {
+    /// This leg's destinations, out of the connection's destination
+    /// list `dests` ([`MulticastConnection::destinations`]).
+    pub fn dests<'a>(&self, dests: &'a [Endpoint]) -> &'a [Endpoint] {
+        &dests[self.first as usize..self.end as usize]
+    }
 }
 
 /// One input→middle branch of a routed connection, with its legs.
@@ -173,39 +185,99 @@ pub struct ThreeStageNetwork {
     /// converter can move a signal at most `d` wavelength slots — the
     /// *limited-range conversion* extension studied by later literature.
     conversion_range: Option<u32>,
-    /// Busy-wavelength bitmask per input-module→middle link: `[r][m]`.
-    pub(crate) input_links: Vec<Vec<u64>>,
-    /// Busy-wavelength bitmask per middle→output-module link: `[m][r]`.
-    pub(crate) middle_links: Vec<Vec<u64>>,
-    /// Free-middle mask per `(input module, wavelength)` — row
-    /// `module·k + w`, bit `j` set iff wavelength `w` is free on the
-    /// link `module→j`. The MSW-dominant availability probe.
-    free_in: BitRows,
-    /// Not-full mask per input module — bit `j` set iff the link
-    /// `module→j` still has a free wavelength. The MAW-dominant probe.
-    not_full: BitRows,
-    /// Bit `j` set iff middle switch `j` is not failed.
-    live_middles: Vec<u64>,
-    /// Bit `j` of row `module` set iff the input link `module→j` is not
-    /// severed.
-    links_up: BitRows,
-    /// The paper's `M_j` per middle switch (kept in sync with
-    /// `middle_links`).
-    pub(crate) multisets: Vec<DestinationMultiset>,
+    /// Busy-wavelength bitmask per input-module→middle link, row-major
+    /// `[module·m + j]`.
+    input_links: Vec<u64>,
+    /// Busy-wavelength bitmask per middle→output-module link, row-major
+    /// `[j·r + module]`. Its popcounts are the paper's `M_j`.
+    middle_links: Vec<u64>,
+    /// Kept in step with the link words and the fault set.
+    avail: Availability,
     /// Endpoint-level bookkeeping and model enforcement.
     assignment: MulticastAssignment,
     pub(crate) routed: EndpointMap<RoutedConnection>,
     /// Failed components the router must skip.
     pub(crate) faults: FaultSet,
-    /// `connect`'s reused scratch: `(output module, start, end)` runs of
-    /// the destination list, and the availability mask.
-    groups: Vec<(u32, usize, usize)>,
-    mask: Vec<u64>,
+    /// `connect`'s reused scratch (see `fill_rows`).
+    runs: Vec<Run>,
+    probe: Vec<u64>,
     /// Storage of torn-down routes handed back through
     /// [`Self::recycle`], reused by later commits.
     spare_branches: Spares<Branch>,
     spare_legs: Spares<Leg>,
-    spare_dests: Spares<Endpoint>,
+}
+
+/// The packed availability rows of the middle stage: bit `j` of every
+/// row stands for middle switch `j` (see DESIGN.md, *Availability rows*).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Availability {
+    /// Row `module·k + λ`: λ is free on the input link `module→j`.
+    pub free_in: BitRows,
+    /// Row `module`: the input link `module→j` has a free wavelength.
+    pub not_full: BitRows,
+    /// Row `module·k + λ`: λ is free on the up link `j→module` of a live `j`.
+    free_out: BitRows,
+    /// Middle `j` has not failed.
+    pub live_middles: Vec<u64>,
+    /// Row `module`: the input link `module→j` is not severed.
+    pub links_up: BitRows,
+    /// Row `module`: the middle link `j→module` is not severed.
+    out_links_up: BitRows,
+}
+
+impl Availability {
+    /// The rows as the link words (row-major, see `ThreeStageNetwork`)
+    /// and the fault set define them.
+    pub(crate) fn derive(
+        p: ThreeStageParams,
+        input: &[u64],
+        middle: &[u64],
+        faults: &FaultSet,
+    ) -> Self {
+        let (r, m, k) = (p.r, p.m, p.k);
+        let mut live_middles = bitset::filled_words(m);
+        let [mut links_up, mut out_links_up] = [(); 2].map(|_| BitRows::filled(r, m));
+        for fault in faults.iter() {
+            match *fault {
+                Fault::MiddleSwitch(j) if j < m => bitset::clear_bit(&mut live_middles, j),
+                Fault::InputLink { module, middle } if module < r && middle < m => {
+                    links_up.clear(module, middle)
+                }
+                Fault::MiddleLink { middle, module } if module < r && middle < m => {
+                    out_links_up.clear(module, middle)
+                }
+                _ => {}
+            }
+        }
+        // Start all free and clear what is busy or down: cheap when idle.
+        let [mut free_in, mut free_out] = [(); 2].map(|_| BitRows::filled(r * k, m));
+        let mut not_full = BitRows::filled(r, m);
+        let all = u64::MAX >> (64 - k);
+        for a in 0..r {
+            for j in 0..m {
+                let out_up = bitset::test_bit(&live_middles, j) && out_links_up.get(a, j);
+                let busy_in = input[(a * m + j) as usize];
+                let busy_out = if out_up {
+                    middle[(j * r + a) as usize]
+                } else {
+                    all
+                };
+                bitset::ones(&[busy_in]).for_each(|w| free_in.clear(a * k + w, j));
+                bitset::ones(&[busy_out]).for_each(|w| free_out.clear(a * k + w, j));
+                if busy_in == all {
+                    not_full.clear(a, j);
+                }
+            }
+        }
+        Availability {
+            free_in,
+            not_full,
+            free_out,
+            live_middles,
+            links_up,
+            out_links_up,
+        }
+    }
 }
 
 /// Emptied vectors bucketed by capacity class: bucket `c` holds vectors
@@ -239,6 +311,21 @@ impl<T> Spares<T> {
     }
 }
 
+/// Append to `out` the union of the rows `module·k + w` of `free` over
+/// the wavelengths `w` in `wavelengths`.
+fn union_rows(out: &mut Vec<u64>, free: &BitRows, module: u32, k: u32, wavelengths: u64) {
+    if wavelengths.is_power_of_two() {
+        return out.extend_from_slice(free.row(module * k + wavelengths.trailing_zeros()));
+    }
+    let start = out.len();
+    out.resize(start + free.words_per_row(), 0);
+    for w in bitset::ones(&[wavelengths]) {
+        for (o, f) in out[start..].iter_mut().zip(free.row(module * k + w)) {
+            *o |= f;
+        }
+    }
+}
+
 impl ThreeStageNetwork {
     /// Create an idle network. The fan-out limit `x` defaults to the
     /// optimizer of the construction's own nonblocking bound.
@@ -252,28 +339,26 @@ impl ThreeStageNetwork {
             Construction::MswDominant => bounds::theorem1_min_m(params.n, params.r).x,
             Construction::MawDominant => bounds::theorem2_min_m(params.n, params.r, params.k).x,
         };
+        let input_links = vec![0; params.r as usize * params.m as usize];
+        let middle_links = vec![0; params.m as usize * params.r as usize];
+        let faults = FaultSet::new();
         ThreeStageNetwork {
+            avail: Availability::derive(params, &input_links, &middle_links, &faults),
             params,
             construction,
             output_model,
             x_limit: x,
             strategy: SelectionStrategy::FirstFit,
             conversion_range: None,
-            input_links: vec![vec![0; params.m as usize]; params.r as usize],
-            middle_links: vec![vec![0; params.r as usize]; params.m as usize],
-            free_in: BitRows::filled(params.r * params.k, params.m),
-            not_full: BitRows::filled(params.r, params.m),
-            live_middles: bitset::filled_words(params.m),
-            links_up: BitRows::filled(params.r, params.m),
-            multisets: vec![DestinationMultiset::new(params.r, params.k); params.m as usize],
+            input_links,
+            middle_links,
             assignment: MulticastAssignment::new(params.network(), output_model),
             routed: EndpointMap::new(params.network()),
-            faults: FaultSet::new(),
-            groups: Vec::new(),
-            mask: Vec::new(),
+            faults,
+            runs: Vec::new(),
+            probe: Vec::new(),
             spare_branches: Spares(Vec::new()),
             spare_legs: Spares(Vec::new()),
-            spare_dests: Spares(Vec::new()),
         }
     }
 
@@ -349,9 +434,11 @@ impl ThreeStageNetwork {
         self.routed.len()
     }
 
-    /// The destination multiset `M_j` of middle switch `j`.
-    pub fn multiset(&self, j: u32) -> &DestinationMultiset {
-        &self.multisets[j as usize]
+    /// The destination multiset `M_j` of middle switch `j`, read off its
+    /// link words.
+    pub fn multiset(&self, j: u32) -> DestinationMultiset {
+        let counts = (0..self.params.r).map(|p| self.middle_word(j, p).count_ones());
+        DestinationMultiset::from_counts(self.params.k, counts.collect())
     }
 
     /// The routed form of the connection sourced at `src`, if any.
@@ -378,7 +465,7 @@ impl ThreeStageNetwork {
     pub fn inject_fault(&mut self, fault: Fault) -> bool {
         let fresh = self.faults.fail(fault);
         if fresh {
-            self.apply_fault_to_masks(fault, false);
+            self.rederive_availability();
         }
         fresh
     }
@@ -387,35 +474,16 @@ impl ThreeStageNetwork {
     pub fn repair_fault(&mut self, fault: Fault) -> bool {
         let was_failed = self.faults.repair(fault);
         if was_failed {
-            self.apply_fault_to_masks(fault, true);
+            self.rederive_availability();
         }
         was_failed
     }
 
-    /// Keep the packed availability masks in sync with the fault set.
-    /// Only middle-switch and input-link faults affect the *availability*
-    /// of a middle; out-of-range indices touch nothing (the fault set
-    /// accepts foreign vocabulary).
-    fn apply_fault_to_masks(&mut self, fault: Fault, up: bool) {
-        match fault {
-            Fault::MiddleSwitch(j) if j < self.params.m => {
-                if up {
-                    bitset::set_bit(&mut self.live_middles, j);
-                } else {
-                    bitset::clear_bit(&mut self.live_middles, j);
-                }
-            }
-            Fault::InputLink { module, middle }
-                if module < self.params.r && middle < self.params.m =>
-            {
-                if up {
-                    self.links_up.set(module, middle);
-                } else {
-                    self.links_up.clear(module, middle);
-                }
-            }
-            _ => {}
-        }
+    /// Recompute the availability rows after a fault change (rare, so a
+    /// from-scratch pass beats per-kind bookkeeping).
+    fn rederive_availability(&mut self) {
+        let (input, middle) = (&self.input_links, &self.middle_links);
+        self.avail = Availability::derive(self.params, input, middle, &self.faults);
     }
 
     /// Live connections whose realized route traverses `fault` — the
@@ -423,9 +491,19 @@ impl ThreeStageNetwork {
     pub fn connections_through(&self, fault: &Fault) -> Vec<Endpoint> {
         self.routed
             .iter()
-            .filter(|(src, rc)| self.ctx().route_uses(src, rc, fault))
+            .filter(|(&src, rc)| {
+                self.ctx()
+                    .route_uses(&src, rc, self.destinations_of(src), fault)
+            })
             .map(|(&src, _)| src)
             .collect()
+    }
+
+    /// The destination list the legs of `src`'s route index into.
+    pub(crate) fn destinations_of(&self, src: Endpoint) -> &[Endpoint] {
+        self.assignment
+            .connection_at(src)
+            .map_or(&[], MulticastConnection::destinations)
     }
 
     /// Packed mask of the middle switches reachable by a new connection
@@ -436,19 +514,14 @@ impl ThreeStageNetwork {
     /// incrementally maintained free-wavelength (or not-full), live-middle
     /// and live-link words — no per-middle scan.
     pub fn available_middles_mask(&self, module: u32, src_wl: u32) -> Vec<u64> {
-        self.available_words(module, src_wl).collect()
-    }
-
-    /// The words of [`Self::available_middles_mask`], unmaterialized.
-    fn available_words(&self, module: u32, src_wl: u32) -> impl Iterator<Item = u64> + '_ {
         let base = match self.construction {
-            Construction::MswDominant => self.free_in.row(module * self.params.k + src_wl),
-            Construction::MawDominant => self.not_full.row(module),
+            Construction::MswDominant => self.avail.free_in.row(module * self.params.k + src_wl),
+            Construction::MawDominant => self.avail.not_full.row(module),
         };
-        base.iter()
-            .zip(&self.live_middles)
-            .zip(self.links_up.row(module))
-            .map(|((&free, &live), &link)| free & live & link)
+        let live = base.iter().zip(&self.avail.live_middles);
+        let up = live.zip(self.avail.links_up.row(module));
+        up.map(|((&free, &live), &link)| free & live & link)
+            .collect()
     }
 
     /// Middle switches reachable by a new connection from input module
@@ -461,9 +534,11 @@ impl ThreeStageNetwork {
     /// Try to route `conn`. On success the connection is committed and its
     /// realized route returned.
     ///
-    /// Borrows the request: a rejected probe (the hot path under
-    /// contention) copies nothing; the single clone happens at the
-    /// commit point.
+    /// The probe reads Theorem 1's two availability sets off packed rows
+    /// (`fill_rows`); only when no single middle serves does the
+    /// `x`-middle cover search run. Borrows the request: a rejected probe
+    /// (the hot path under contention) copies nothing; the single clone
+    /// happens at the commit point.
     pub fn connect(&mut self, conn: &MulticastConnection) -> Result<&RoutedConnection, RouteError> {
         self.assignment.check(conn)?;
         if let Some(fault) = self.ctx().component_down(conn) {
@@ -471,105 +546,34 @@ impl ThreeStageNetwork {
         }
         let src = conn.source();
         let (in_module, _) = self.params.input_module_of(src.port.0);
-        let dests = conn.destinations();
+        self.fill_rows(in_module, src.wavelength.0, conn.destinations());
 
-        // Group destinations by output module. They are sorted by port,
-        // so each module's destinations are one contiguous ascending run
-        // and the runs come in ascending module order.
-        self.groups.clear();
-        for (i, d) in dests.iter().enumerate() {
-            let (om, _) = self.params.output_module_of(d.port.0);
-            match self.groups.last_mut() {
-                Some((last, _, end)) if *last == om => *end = i + 1,
-                _ => self.groups.push((om, i, i + 1)),
-            }
-        }
-
-        // Fast path (FirstFit): `find_cover`'s greedy pass commits the
-        // *first* switch attaining maximal gain, and no gain can exceed
-        // the number of requested output modules — so the first available
-        // middle that services every module is exactly the switch
-        // FirstFit would pick. Probe the packed mask lazily (a handful of
-        // AND/popcount words plus per-candidate wavelength checks) instead
-        // of materializing the full service matrix. Falls through to the
-        // general cover search only when no single middle covers the
-        // request.
-        let mut fast_hit = None;
-        if matches!(self.strategy, SelectionStrategy::FirstFit) {
-            let mut mask = std::mem::take(&mut self.mask);
-            mask.clear();
-            mask.extend(self.available_words(in_module, src.wavelength.0));
-            fast_hit = bitset::ones(&mask).find_map(|j| {
-                let wi = self.branch_wavelength(in_module, j, src.wavelength.0)?;
-                let serves = |&(om, s, e): &(u32, usize, usize)| {
-                    self.leg_wavelength(j, om, wi, &dests[s..e]).is_some()
-                };
-                self.groups.iter().all(serves).then_some((j, wi))
-            });
-            self.mask = mask;
-        }
+        // `find_cover`'s greedy pass commits the first candidate of
+        // maximal gain, and no gain exceeds the number of requested
+        // modules: the first middle set in every row is FirstFit's pick.
+        let first_fit = self.strategy == SelectionStrategy::FirstFit;
+        let single = first_fit.then(|| self.first_fit()).flatten();
         let mut branches;
-        if let Some((j, wi)) = fast_hit {
+        if let Some(j) = single {
+            let wi = self.branch_wavelength(in_module, j, src.wavelength.0);
             branches = self.spare_branches.take(1);
-            branches.push(self.commit_branch(in_module, j, wi, dests, 0..self.groups.len()));
+            let runs = 0..self.runs.len() as u32;
+            branches.push(self.commit_branch(in_module, j, wi.expect("in the input row"), runs));
         } else {
-            // Availability (with the input-link wavelength each middle
-            // would use), ordered by the selection strategy (ties in the
-            // cover search resolve to earlier entries).
-            let mut available_wi: Vec<(u32, u32)> = self
-                .available_middles(in_module, src.wavelength.0)
-                .into_iter()
-                .filter_map(|j| {
-                    self.branch_wavelength(in_module, j, src.wavelength.0)
-                        .map(|wi| (j, wi))
-                })
-                .collect();
-            match self.strategy {
-                SelectionStrategy::FirstFit => {}
-                SelectionStrategy::Pack => available_wi.sort_by_key(|&(j, _)| {
-                    std::cmp::Reverse(self.multisets[j as usize].total_connections())
-                }),
-                SelectionStrategy::Spread => available_wi
-                    .sort_by_key(|&(j, _)| self.multisets[j as usize].total_connections()),
-            }
-            // The cover search names each requested module by the index of
-            // its run in `self.groups` — an order-preserving relabelling, so
-            // it picks exactly what it would pick on the module numbers.
-            let runs: Vec<u32> = (0..self.groups.len() as u32).collect();
-            let available: Vec<u32> = available_wi.iter().map(|&(j, _)| j).collect();
-            let serv: Vec<Vec<u32>> = available_wi
-                .iter()
-                .map(|&(j, wi)| {
-                    let serves = |&(om, s, e): &(u32, usize, usize)| {
-                        self.leg_wavelength(j, om, wi, &dests[s..e]).is_some()
-                    };
-                    runs.iter()
-                        .copied()
-                        .filter(|&g| serves(&self.groups[g as usize]))
-                        .collect()
-                })
-                .collect();
-            let cover = find_cover(&runs, &available, &serv, self.x_limit as usize).ok_or(
-                RouteError::Blocked {
-                    available_middles: available.len(),
-                    x_limit: self.x_limit,
-                },
-            )?;
+            let (available, serv) = self.candidates(in_module, src.wavelength.0);
+            let (runs, x) = (self.runs.len() as u32, self.x_limit as usize);
+            let blocked = RouteError::Blocked {
+                available_middles: available.len(),
+                x_limit: self.x_limit,
+            };
+            let cover = find_cover(&serv, available.len(), runs, x).ok_or(blocked)?;
             branches = self.spare_branches.take(cover.len());
-            for (j, legs) in cover {
-                let in_wl = available_wi
-                    .iter()
-                    .find(|&&(jj, _)| jj == j)
-                    .expect("cover switches come from the available list")
-                    .1;
-                let legs = legs.into_iter().map(|g| g as usize);
-                branches.push(self.commit_branch(in_module, j, in_wl, dests, legs));
+            for (i, runs) in cover {
+                let (j, wi) = available[i];
+                branches.push(self.commit_branch(in_module, j, wi, runs.into_iter()));
             }
         }
-
-        self.assignment
-            .add(conn.clone())
-            .expect("checked before routing");
+        self.assignment.add_checked(conn.clone());
         self.routed.insert(
             src,
             RoutedConnection {
@@ -580,31 +584,129 @@ impl ThreeStageNetwork {
         Ok(&self.routed[&src])
     }
 
-    /// Occupy `module→j` on `in_wl` and one leg per run `self.groups[g]`.
+    /// Group `dests` into runs and fill the request's rows: first the
+    /// middles a branch from `module` reaches (an up link, a wavelength
+    /// it may occupy), then per run the middles that can carry its leg.
+    fn fill_rows(&mut self, module: u32, src_wl: u32, dests: &[Endpoint]) {
+        let mut runs = std::mem::take(&mut self.runs);
+        let mut rows = std::mem::take(&mut self.probe);
+        let (ctx, k) = (self.ctx(), self.params.k);
+        ctx.runs_into(dests, &mut runs);
+        rows.clear();
+        let branch = ctx.branch_targets(module, src_wl);
+        let avail = &self.avail;
+        if branch == ctx.all_wavelengths() {
+            rows.extend_from_slice(avail.not_full.row(module));
+        } else {
+            union_rows(&mut rows, &avail.free_in, module, k, branch);
+        }
+        for (word, up) in rows.iter_mut().zip(avail.links_up.row(module)) {
+            *word &= up;
+        }
+        // MSW middles keep the source wavelength; MAW middles reach any,
+        // but with limited reach or a dark bank are checked one by one.
+        let reach = match self.construction {
+            Construction::MswDominant => 1 << src_wl,
+            Construction::MawDominant => ctx.all_wavelengths(),
+        };
+        for run in &runs {
+            let targets = run.targets & reach;
+            union_rows(&mut rows, &avail.free_out, run.module, k, targets);
+        }
+        if self.construction == Construction::MawDominant {
+            let (base, legs) = rows.split_at_mut(avail.free_in.words_per_row());
+            let per_middle = |j: u32| {
+                self.conversion_range.is_some()
+                    || (!self.faults.is_empty() && self.faults.middle_converters_down(j))
+            };
+            for j in bitset::ones(base).filter(|&j| per_middle(j)) {
+                let wi = self
+                    .branch_wavelength(module, j, src_wl)
+                    .expect("in the input row");
+                for (run, row) in runs.iter().zip(legs.chunks_mut(base.len())) {
+                    if self
+                        .leg_wavelength(j, run.module, wi, run.targets)
+                        .is_none()
+                    {
+                        bitset::clear_bit(row, j);
+                    }
+                }
+            }
+        }
+        self.runs = runs;
+        self.probe = rows;
+    }
+
+    /// The FirstFit single-middle pick: the lowest middle set in the
+    /// input row and in every leg row.
+    fn first_fit(&self) -> Option<u32> {
+        let w = self.avail.free_in.words_per_row();
+        let (base, legs) = self.probe.split_at(w);
+        if legs.is_empty() {
+            return None;
+        }
+        (0..w).find_map(|i| {
+            let word = legs.chunks(w).fold(base[i], |acc, row| acc & row[i]);
+            (word != 0).then(|| i as u32 * 64 + word.trailing_zeros())
+        })
+    }
+
+    /// The cover search's candidates — the live middles of the input row
+    /// with their input wavelengths, in strategy order — and their
+    /// service rows over the runs.
+    fn candidates(&self, module: u32, src_wl: u32) -> (Vec<(u32, u32)>, BitRows) {
+        let w = self.avail.free_in.words_per_row();
+        let (base, legs) = self.probe.split_at(w);
+        let live: Vec<u64> = base
+            .iter()
+            .zip(&self.avail.live_middles)
+            .map(|(b, l)| b & l)
+            .collect();
+        let mut available: Vec<(u32, u32)> = bitset::ones(&live)
+            .map(|j| {
+                (
+                    j,
+                    self.branch_wavelength(module, j, src_wl)
+                        .expect("in the input row"),
+                )
+            })
+            .collect();
+        let load = |&(j, _): &(u32, u32)| self.load(j);
+        match self.strategy {
+            SelectionStrategy::FirstFit => {}
+            SelectionStrategy::Pack => available.sort_by_key(|c| std::cmp::Reverse(load(c))),
+            SelectionStrategy::Spread => available.sort_by_key(load),
+        }
+        let mut serv = BitRows::new(available.len() as u32, self.runs.len() as u32);
+        for (i, &(j, _)) in (0u32..).zip(&available) {
+            for (g, row) in (0u32..).zip(legs.chunks(w)) {
+                if bitset::test_bit(row, j) {
+                    serv.set(i, g);
+                }
+            }
+        }
+        (available, serv)
+    }
+
+    /// Occupy `module→j` on `in_wl` and one leg per run of `runs`
+    /// (indices into `self.runs`).
     fn commit_branch(
         &mut self,
         module: u32,
         j: u32,
         in_wl: u32,
-        dests: &[Endpoint],
-        runs: impl ExactSizeIterator<Item = usize>,
+        runs: impl ExactSizeIterator<Item = u32>,
     ) -> Branch {
         self.occupy_input_link(module, j, in_wl);
+        // Every run's row holds `j`: each leg has an up link and a target.
+        let reach = self.ctx().middle_reach(j, in_wl);
         let mut legs = self.spare_legs.take(runs.len());
         for g in runs {
-            let (om, s, e) = self.groups[g];
-            let wl = self
-                .leg_wavelength(j, om, in_wl, &dests[s..e])
-                .expect("cover legs are serviceable");
-            self.middle_links[j as usize][om as usize] |= 1 << wl;
-            self.multisets[j as usize].add(om);
-            let mut leg_dests = self.spare_dests.take(e - s);
-            leg_dests.extend_from_slice(&dests[s..e]);
-            legs.push(Leg {
-                out_module: om,
-                wavelength: wl,
-                dests: leg_dests,
-            });
+            let run = self.runs[g as usize];
+            let free = run.targets & reach & !self.middle_word(j, run.module);
+            let wl = lowest(free).expect("cover legs are serviceable");
+            self.occupy_middle_link(j, run.module, wl);
+            legs.push(run.leg(wl));
         }
         Branch {
             middle: j,
@@ -616,19 +718,55 @@ impl ThreeStageNetwork {
     /// Mark wavelength `wl` busy on the input link `module→j`, keeping
     /// the packed availability masks in sync.
     pub(crate) fn occupy_input_link(&mut self, module: u32, j: u32, wl: u32) {
-        self.input_links[module as usize][j as usize] |= 1 << wl;
-        self.free_in.clear(module * self.params.k + wl, j);
-        if self.input_links[module as usize][j as usize].count_ones() >= self.params.k {
-            self.not_full.clear(module, j);
+        let busy = &mut self.input_links[(module * self.params.m + j) as usize];
+        *busy |= 1 << wl;
+        self.avail.free_in.clear(module * self.params.k + wl, j);
+        if busy.count_ones() >= self.params.k {
+            self.avail.not_full.clear(module, j);
         }
     }
 
     /// Free wavelength `wl` on the input link `module→j`, keeping the
     /// packed availability masks in sync.
     pub(crate) fn release_input_link(&mut self, module: u32, j: u32, wl: u32) {
-        self.input_links[module as usize][j as usize] &= !(1 << wl);
-        self.free_in.set(module * self.params.k + wl, j);
-        self.not_full.set(module, j);
+        self.input_links[(module * self.params.m + j) as usize] &= !(1 << wl);
+        self.avail.free_in.set(module * self.params.k + wl, j);
+        self.avail.not_full.set(module, j);
+    }
+
+    /// Mark wavelength `wl` busy on the middle link `j→p`, keeping the
+    /// output rows in sync.
+    pub(crate) fn occupy_middle_link(&mut self, j: u32, p: u32, wl: u32) {
+        let busy = &mut self.middle_links[(j * self.params.r + p) as usize];
+        *busy |= 1 << wl;
+        self.avail.free_out.clear(p * self.params.k + wl, j);
+    }
+
+    /// Free wavelength `wl` on the middle link `j→p`, keeping the output
+    /// rows in sync (a faulted link or middle stays clear).
+    pub(crate) fn release_middle_link(&mut self, j: u32, p: u32, wl: u32) {
+        self.middle_links[(j * self.params.r + p) as usize] &= !(1 << wl);
+        let avail = &mut self.avail;
+        if bitset::test_bit(&avail.live_middles, j) && avail.out_links_up.get(p, j) {
+            avail.free_out.set(p * self.params.k + wl, j);
+        }
+    }
+
+    /// The busy mask of the input link `module→j`.
+    pub(crate) fn input_word(&self, module: u32, j: u32) -> u64 {
+        self.input_links[(module * self.params.m + j) as usize]
+    }
+
+    /// The busy mask of the middle link `j→p`.
+    pub(crate) fn middle_word(&self, j: u32, p: u32) -> u64 {
+        self.middle_links[(j * self.params.r + p) as usize]
+    }
+
+    /// The connections through middle `j` (`Σ_p` of `M_j`).
+    pub(crate) fn load(&self, j: u32) -> u64 {
+        let r = self.params.r as usize;
+        let words = &self.middle_links[j as usize * r..(j as usize + 1) * r];
+        words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Tear down the connection sourced at `src`, freeing every wavelength
@@ -641,9 +779,7 @@ impl ThreeStageNetwork {
         for b in &routed.branches {
             self.release_input_link(in_module, b.middle, b.input_wavelength);
             for leg in &b.legs {
-                self.middle_links[b.middle as usize][leg.out_module as usize] &=
-                    !(1 << leg.wavelength);
-                self.multisets[b.middle as usize].remove(leg.out_module);
+                self.release_middle_link(b.middle, leg.out_module, leg.wavelength);
             }
         }
         self.assignment
@@ -653,15 +789,12 @@ impl ThreeStageNetwork {
     }
 
     /// Hand back a route [`Self::disconnect`] returned, so later commits
-    /// reuse its `Branch`, `Leg` and destination storage instead of
-    /// allocating. A caller that drops every torn-down route here keeps
-    /// a steady churn free of route allocations.
+    /// reuse its `Branch` and `Leg` storage instead of allocating. A
+    /// caller that drops every torn-down route here keeps a steady churn
+    /// free of route allocations.
     pub fn recycle(&mut self, route: RoutedConnection) {
         let mut branches = route.branches;
-        for mut b in branches.drain(..) {
-            for leg in b.legs.drain(..) {
-                self.spare_dests.give(leg.dests);
-            }
+        for b in branches.drain(..) {
             self.spare_legs.give(b.legs);
         }
         self.spare_branches.give(branches);
@@ -671,32 +804,22 @@ impl ThreeStageNetwork {
     /// would occupy, or `None` if no free wavelength is reachable from
     /// the source wavelength.
     pub(crate) fn branch_wavelength(&self, module: u32, j: u32, src_wl: u32) -> Option<u32> {
-        let mask = self.input_links[module as usize][j as usize];
-        self.ctx().branch_wavelength_masked(module, mask, src_wl)
+        self.ctx()
+            .branch_wavelength(module, self.input_word(module, j), src_wl)
     }
 
     /// The wavelength a leg from middle `j` to output module `om` would
-    /// occupy for a branch arriving at `j` on `wi`, or `None` if the link
-    /// cannot carry it — considering the middle converter's reach
-    /// (`wi → wl`) and the output module's converters (`wl → dest λ`).
-    pub(crate) fn leg_wavelength(
-        &self,
-        j: u32,
-        om: u32,
-        wi: u32,
-        dests: &[Endpoint],
-    ) -> Option<u32> {
-        let mask = self.middle_links[j as usize][om as usize];
-        self.ctx().leg_wavelength_masked(j, om, mask, wi, dests)
+    /// occupy for a branch arriving at `j` on `wi` and a run with leg
+    /// targets `targets`, or `None` if the link cannot carry it.
+    pub(crate) fn leg_wavelength(&self, j: u32, om: u32, wi: u32, targets: u64) -> Option<u32> {
+        self.ctx()
+            .leg_wavelength(j, om, self.middle_word(j, om), wi, targets)
     }
 
     /// Per-middle-switch connection totals (for load-balance analysis of
     /// the selection strategies): `loads[j] = Σ_p multiplicity(p in M_j)`.
     pub fn middle_loads(&self) -> Vec<u64> {
-        self.multisets
-            .iter()
-            .map(|m| m.total_connections())
-            .collect()
+        (0..self.params.m).map(|j| self.load(j)).collect()
     }
 
     /// Load-imbalance measure across the middle stage: `max − min` of
@@ -709,38 +832,17 @@ impl ThreeStageNetwork {
         }
     }
 
-    /// Recompute every link mask and multiset from the routed connections
-    /// and compare with the live state. Returns violations (empty =
+    /// Recompute every link mask from the routed connections and compare
+    /// with the live state. Returns violations (empty =
     /// consistent). Used by tests and debug assertions.
     pub fn check_consistency(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut in_links = vec![vec![0u64; self.params.m as usize]; self.params.r as usize];
-        let mut mid_links = vec![vec![0u64; self.params.r as usize]; self.params.m as usize];
+        let mut in_links = vec![0u64; self.input_links.len()];
+        let mut mid_links = vec![0u64; self.middle_links.len()];
         for (src, rc) in &self.routed {
             let (a, _) = self.params.input_module_of(src.port.0);
-            for b in &rc.branches {
-                let bit = 1u64 << b.input_wavelength;
-                if in_links[a as usize][b.middle as usize] & bit != 0 {
-                    problems.push(format!(
-                        "double-booked input link {a}→{} λ{}",
-                        b.middle,
-                        b.input_wavelength + 1
-                    ));
-                }
-                in_links[a as usize][b.middle as usize] |= bit;
-                for leg in &b.legs {
-                    let bit = 1u64 << leg.wavelength;
-                    if mid_links[b.middle as usize][leg.out_module as usize] & bit != 0 {
-                        problems.push(format!(
-                            "double-booked middle link {}→{} λ{}",
-                            b.middle,
-                            leg.out_module,
-                            leg.wavelength + 1
-                        ));
-                    }
-                    mid_links[b.middle as usize][leg.out_module as usize] |= bit;
-                }
-            }
+            let words = (&mut in_links[..], &mut mid_links[..]);
+            book_route(self.params, a, rc, words, &mut problems);
         }
         if in_links != self.input_links {
             problems.push("input link masks out of sync".into());
@@ -748,48 +850,11 @@ impl ThreeStageNetwork {
         if mid_links != self.middle_links {
             problems.push("middle link masks out of sync".into());
         }
-        // The packed availability masks must agree with a from-scratch
-        // recomputation off the link masks and the fault set.
-        let mut free_in = BitRows::new(self.params.r * self.params.k, self.params.m);
-        let mut not_full = BitRows::new(self.params.r, self.params.m);
-        for a in 0..self.params.r {
-            for j in 0..self.params.m {
-                let mask = in_links[a as usize][j as usize];
-                for w in 0..self.params.k {
-                    if mask & (1 << w) == 0 {
-                        free_in.set(a * self.params.k + w, j);
-                    }
-                }
-                if mask.count_ones() < self.params.k {
-                    not_full.set(a, j);
-                }
-            }
-        }
-        if free_in != self.free_in {
-            problems.push("free-wavelength middle masks out of sync".into());
-        }
-        if not_full != self.not_full {
-            problems.push("not-full middle masks out of sync".into());
-        }
-        let mut live_middles = bitset::filled_words(self.params.m);
-        for j in 0..self.params.m {
-            if self.faults.middle_down(j) {
-                bitset::clear_bit(&mut live_middles, j);
-            }
-        }
-        if live_middles != self.live_middles {
-            problems.push("live-middle mask out of sync with fault set".into());
-        }
-        let mut links_up = BitRows::filled(self.params.r, self.params.m);
-        for a in 0..self.params.r {
-            for j in 0..self.params.m {
-                if self.faults.input_link_down(a, j) {
-                    links_up.clear(a, j);
-                }
-            }
-        }
-        if links_up != self.links_up {
-            problems.push("input-link-up mask out of sync with fault set".into());
+        // The availability rows must agree with a from-scratch derivation
+        // off the link words and the fault set.
+        let fresh = Availability::derive(self.params, &in_links, &mid_links, &self.faults);
+        if fresh != self.avail {
+            problems.push("availability rows out of sync with the links and faults".into());
         }
         // The assignment's owner table must agree with its busy bits, and
         // with the routes on how many connections are live.
@@ -801,20 +866,13 @@ impl ThreeStageNetwork {
         if asg.len() != self.routed.len() {
             problems.push("assignment and routes disagree on the connection count".into());
         }
-        for (j, ms) in self.multisets.iter().enumerate() {
-            for p in 0..self.params.r {
-                let live = self.middle_links[j][p as usize].count_ones();
-                if ms.multiplicity(p) != live {
-                    problems.push(format!(
-                        "multiset M_{j}[{p}] = {} ≠ {live}",
-                        ms.multiplicity(p)
-                    ));
-                }
-            }
-        }
         problems
     }
 }
+
+#[cfg(test)]
+#[path = "probe_sweep.rs"]
+mod probe_sweep;
 
 #[cfg(test)]
 mod tests {
@@ -1237,16 +1295,19 @@ mod tests {
         // Construct a real trap: {0,1}, {2,3}, {0,2}, {1,3} with x=2 and
         // greedy tie-breaking on the first max; any pair from
         // {{0,1},{2,3}} or {{0,2},{1,3}} works, so cover must be found.
-        let modules = [0, 1, 2, 3];
-        let available = [10, 11, 12, 13];
-        let serv = vec![vec![0, 1], vec![2, 3], vec![0, 2], vec![1, 3]];
-        let cover = find_cover(&modules, &available, &serv, 2).unwrap();
+        let mut serv = BitRows::new(4, 4);
+        for (i, served) in [[0, 1], [2, 3], [0, 2], [1, 3]].iter().enumerate() {
+            for &g in served {
+                serv.set(i as u32, g);
+            }
+        }
+        let cover = find_cover(&serv, 4, 4, 2).unwrap();
         let covered: std::collections::BTreeSet<u32> = cover
             .iter()
             .flat_map(|(_, ms)| ms.iter().copied())
             .collect();
         assert_eq!(covered.len(), 4);
         // x=1 is impossible.
-        assert!(find_cover(&modules, &available, &serv, 1).is_none());
+        assert!(find_cover(&serv, 4, 4, 1).is_none());
     }
 }

@@ -231,14 +231,14 @@ impl PhotonicThreeStage {
                 let p = leg.out_module as usize;
                 let in_flat = Endpoint::new(branch.middle, leg.wavelength).flat_index(k);
                 if self.output_model == MulticastModel::Msdw {
-                    let target = leg.dests[0].wavelength;
+                    let target = leg.dests(conn.destinations())[0].wavelength;
                     self.output_modules[p].program_input_converter(
                         &mut self.netlist,
                         in_flat,
                         Some(target),
                     );
                 }
-                for &dest in &leg.dests {
+                for &dest in leg.dests(conn.destinations()) {
                     let (_, local_out) = self.params.output_module_of(dest.port.0);
                     let out_flat = Endpoint::new(local_out, dest.wavelength.0).flat_index(k);
                     self.output_modules[p].set_gate(&mut self.netlist, in_flat, out_flat, true);

@@ -239,10 +239,10 @@ impl PhotonicFiveStage {
                         self.stage5[p].program_input_converter(
                             &mut self.netlist,
                             in_flat,
-                            Some(leg.dests[0].wavelength),
+                            Some(leg.dests(conn.destinations())[0].wavelength),
                         );
                     }
-                    for &dest in &leg.dests {
+                    for &dest in leg.dests(conn.destinations()) {
                         let (_, local_out) = self.outer_params.output_module_of(dest.port.0);
                         let out_flat = Endpoint::new(local_out, dest.wavelength.0).flat_index(k);
                         self.stage5[p].set_gate(&mut self.netlist, in_flat, out_flat, true);
@@ -272,7 +272,7 @@ impl PhotonicFiveStage {
                             mid_out,
                             true,
                         );
-                        for &dest in &leg.dests {
+                        for &dest in leg.dests(conn.destinations()) {
                             let (_, local_out) = self.inner_params.output_module_of(dest.port.0);
                             let in_flat =
                                 Endpoint::new(branch.middle, leg.wavelength).flat_index(k);

@@ -25,7 +25,8 @@
 //! set — the properties wdm-sim's repack oracles check step by step.
 
 use crate::network::{Branch, Leg, RouteError, ThreeStageNetwork};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::routing::Run;
+use std::collections::BTreeSet;
 use wdm_core::{Endpoint, MulticastConnection};
 
 /// Why a make-before-break move could not run (nothing was changed) or
@@ -155,23 +156,20 @@ impl ThreeStageNetwork {
         let wi = self
             .branch_wavelength(in_module, to, src.wavelength.0)
             .ok_or(MoveError::TargetUnavailable { middle: to })?;
+        let dests = self.destinations_of(src);
         let mut legs = Vec::with_capacity(old.legs.len());
         for leg in &old.legs {
-            let wl = self
-                .leg_wavelength(to, leg.out_module, wi, &leg.dests)
+            let targets = self.ctx().leg_targets(leg.out_module, leg.dests(dests));
+            let wavelength = self
+                .leg_wavelength(to, leg.out_module, wi, targets)
                 .ok_or(MoveError::TargetUnavailable { middle: to })?;
-            legs.push(Leg {
-                out_module: leg.out_module,
-                wavelength: wl,
-                dests: leg.dests.clone(),
-            });
+            legs.push(Leg { wavelength, ..*leg });
         }
         // Make: occupy the new capacity and append the new branch in the
         // same step, so the link masks and the routed map never disagree.
         self.occupy_input_link(in_module, to, wi);
         for leg in &legs {
-            self.middle_links[to as usize][leg.out_module as usize] |= 1 << leg.wavelength;
-            self.multisets[to as usize].add(leg.out_module);
+            self.occupy_middle_link(to, leg.out_module, leg.wavelength);
         }
         self.routed
             .get_mut(&src)
@@ -234,8 +232,7 @@ impl ThreeStageNetwork {
         let old = rc.branches.remove(pos);
         self.release_input_link(in_module, middle, old.input_wavelength);
         for leg in &old.legs {
-            self.middle_links[middle as usize][leg.out_module as usize] &= !(1 << leg.wavelength);
-            self.multisets[middle as usize].remove(leg.out_module);
+            self.release_middle_link(middle, leg.out_module, leg.wavelength);
         }
     }
 
@@ -266,17 +263,14 @@ impl ThreeStageNetwork {
         }
         let src = conn.source();
         let (in_module, _) = self.params().input_module_of(src.port.0);
-        let mut by_module: BTreeMap<u32, Vec<Endpoint>> = BTreeMap::new();
-        for &d in conn.destinations() {
-            let (om, _) = self.params().output_module_of(d.port.0);
-            by_module.entry(om).or_default().push(d);
-        }
+        let mut runs = Vec::new();
+        self.ctx().runs_into(conn.destinations(), &mut runs);
 
         // Candidate middles that could carry the whole request once
         // their conflicting branches are moved aside, cheapest first.
         let mut candidates: Vec<(u32, Vec<(Endpoint, u32)>)> = (0..self.params().m)
             .filter_map(|j| {
-                self.blocking_branches(j, in_module, src, &by_module)
+                self.blocking_branches(j, in_module, src, &runs)
                     .map(|b| (j, b))
             })
             .filter(|(_, blockers)| !blockers.is_empty() && blockers.len() as u32 <= budget)
@@ -358,13 +352,11 @@ impl ThreeStageNetwork {
                 if report.moves_committed >= budget {
                     return report;
                 }
-                let here = self.multisets[j as usize].total_connections();
+                let here = self.load(j);
                 let mut targets: Vec<u32> = (0..self.params().m)
-                    .filter(|&t| t != j && self.multisets[t as usize].total_connections() > here)
+                    .filter(|&t| t != j && self.load(t) > here)
                     .collect();
-                targets.sort_by_key(|&t| {
-                    std::cmp::Reverse(self.multisets[t as usize].total_connections())
-                });
+                targets.sort_by_key(|&t| std::cmp::Reverse(self.load(t)));
                 for to in targets {
                     report.moves_attempted += 1;
                     match self.begin_move(src, j, to) {
@@ -384,29 +376,29 @@ impl ThreeStageNetwork {
     }
 
     /// The minimal set of branches on middle `j` whose relocation would
-    /// let `j` carry a new connection from `src` to the modules of
-    /// `by_module` — or `None` if `j` is structurally unable to (dead,
+    /// let `j` carry a new connection from `src` to the output modules of
+    /// `runs` — or `None` if `j` is structurally unable to (dead,
     /// severed, or no single removable conflict per resource).
     fn blocking_branches(
         &self,
         j: u32,
         in_module: u32,
         src: Endpoint,
-        by_module: &BTreeMap<u32, Vec<Endpoint>>,
+        runs: &[Run],
     ) -> Option<Vec<(Endpoint, u32)>> {
         if self.faults.middle_down(j) || self.faults.input_link_down(in_module, j) {
             return None;
         }
-        if by_module
-            .keys()
-            .any(|&om| self.faults.middle_link_down(j, om))
+        if runs
+            .iter()
+            .any(|run| self.faults.middle_link_down(j, run.module))
         {
             return None;
         }
         let mut blockers: Vec<(Endpoint, u32)> = Vec::new();
         let ctx = self.ctx();
         let src_wl = src.wavelength.0;
-        let in_mask = self.input_links[in_module as usize][j as usize];
+        let in_mask = self.input_word(in_module, j);
         // Input side: if the link module→j cannot carry the branch, find
         // one existing branch whose wavelength, once freed, unblocks it.
         let wi = match self.branch_wavelength(in_module, j, src_wl) {
@@ -422,7 +414,7 @@ impl ThreeStageNetwork {
                         .find(|b| {
                             b.middle == j
                                 && ctx
-                                    .branch_wavelength_masked(
+                                    .branch_wavelength(
                                         in_module,
                                         in_mask & !(1 << b.input_wavelength),
                                         src_wl,
@@ -432,17 +424,17 @@ impl ThreeStageNetwork {
                         .map(|b| (s2, b.input_wavelength))
                 })?;
                 blockers.push((owner, j));
-                ctx.branch_wavelength_masked(in_module, in_mask & !(1 << freed_wl), src_wl)?
+                ctx.branch_wavelength(in_module, in_mask & !(1 << freed_wl), src_wl)?
             }
         };
         // Leg side: per requested output module, if the link j→om cannot
         // carry the leg, find one branch whose leg's wavelength unblocks
         // it once freed.
-        for (&om, dests) in by_module {
-            if self.leg_wavelength(j, om, wi, dests).is_some() {
+        for (om, targets) in runs.iter().map(|run| (run.module, run.targets)) {
+            if self.leg_wavelength(j, om, wi, targets).is_some() {
                 continue;
             }
-            let mask = self.middle_links[j as usize][om as usize];
+            let mask = self.middle_word(j, om);
             let owner = self.routed.iter().find_map(|(&s2, rc)| {
                 rc.branches
                     .iter()
@@ -451,13 +443,7 @@ impl ThreeStageNetwork {
                     .find(|l| {
                         l.out_module == om
                             && ctx
-                                .leg_wavelength_masked(
-                                    j,
-                                    om,
-                                    mask & !(1 << l.wavelength),
-                                    wi,
-                                    dests,
-                                )
+                                .leg_wavelength(j, om, mask & !(1 << l.wavelength), wi, targets)
                                 .is_some()
                     })
                     .map(|_| s2)
@@ -513,14 +499,12 @@ impl ThreeStageNetwork {
             .iter()
             .find(|b| b.middle == from)?
             .clone();
-        let branch_modules: BTreeMap<u32, Vec<Endpoint>> = branch
-            .legs
-            .iter()
-            .map(|l| (l.out_module, l.dests.clone()))
-            .collect();
+        let mut branch_runs = Vec::new();
+        self.ctx()
+            .runs_into(self.destinations_of(owner), &mut branch_runs);
+        branch_runs.retain(|run| branch.legs.iter().any(|l| l.out_module == run.module));
         for to in targets {
-            let Some(blockers) = self.blocking_branches(to, o_module, owner, &branch_modules)
-            else {
+            let Some(blockers) = self.blocking_branches(to, o_module, owner, &branch_runs) else {
                 continue;
             };
             // Exactly one displacement keeps the chain at two moves.
@@ -570,10 +554,11 @@ impl ThreeStageNetwork {
         let Some(rc) = self.routed.get(&src) else {
             return false;
         };
+        let all = self.destinations_of(src);
         dests.iter().all(|d| {
             rc.branches
                 .iter()
-                .any(|b| b.legs.iter().any(|l| l.dests.contains(d)))
+                .any(|b| b.legs.iter().any(|l| l.dests(all).contains(d)))
         })
     }
 }

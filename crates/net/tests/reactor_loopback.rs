@@ -14,6 +14,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::thread;
+use std::time::Duration;
 use wdm_core::{Endpoint, MulticastConnection, MulticastModel, NetworkConfig};
 use wdm_fabric::CrossbarSession;
 use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
@@ -260,12 +261,29 @@ fn reactor_v1_client_round_trips_against_v2_server() {
     assert_eq!(report.summary.admitted, 1);
 }
 
+/// The engine's busy deadline in the batch test: its duplicate-source
+/// item parks behind the live connection until the deadline expires it.
+const BATCH_BUSY_DEADLINE: Duration = Duration::from_millis(200);
+
+/// How much longer than that deadline the batch test's client waits for
+/// the reply, so the parked item's verdict never races the read timeout.
+const BATCH_CLIENT_MARGIN: Duration = Duration::from_secs(5);
+
 /// A v2 `BatchConnect` answers with one `Batch` reply whose items line
 /// up index-for-index with the submitted connections.
 #[test]
 fn reactor_batch_connect_round_trips_with_per_item_verdicts() {
-    let server = serve_crossbar(4, 2, ReactorConfig::default());
-    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let backend = CrossbarSession::new(NetworkConfig::new(4, 2), MulticastModel::Msw);
+    let engine = EngineBuilder::new()
+        .deadline(BATCH_BUSY_DEADLINE)
+        .start(backend);
+    let server =
+        ReactorServer::serve(engine, "127.0.0.1:0", ReactorConfig::default()).expect("bind");
+    let config = ClientConfig {
+        timeout: BATCH_BUSY_DEADLINE + BATCH_CLIENT_MARGIN,
+        ..ClientConfig::default()
+    };
+    let mut client = NetClient::connect_with(server.local_addr(), config).expect("connect");
     let conns = vec![
         MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(1, 0)),
         MulticastConnection::unicast(Endpoint::new(2, 0), Endpoint::new(3, 0)),

@@ -632,27 +632,41 @@ impl<B: Backend> AdmissionEngine<B> {
             return Job::refuse(jobs);
         }
         let shards = &self.shards.0;
-        let mut per_shard: Vec<Vec<Job>> = shards.iter().map(|_| Vec::new()).collect();
+        let shard_of = |job: &Job| self.core.shard_of(job.source().port.0, shards.len());
+        // A batch bound for one shard (every batch, with one shard) is
+        // that shard's slice as it is; otherwise each slice is sized once.
+        if let Some(first) = jobs.first().map(shard_of) {
+            if jobs.iter().all(|job| shard_of(job) == first) {
+                return self.admit_slice(&shards[first], jobs);
+            }
+        }
+        let mut sizes = vec![0; shards.len()];
+        jobs.iter().for_each(|job| sizes[shard_of(job)] += 1);
+        let mut per_shard: Vec<Vec<Job>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for job in jobs {
-            let port = job.source().port.0;
-            per_shard[self.core.shard_of(port, shards.len())].push(job);
+            per_shard[shard_of(&job)].push(job);
         }
         let mut outcome = SubmitOutcome::Accepted;
         for (shard, slice) in shards.iter().zip(per_shard) {
-            if slice.is_empty() {
-                continue;
-            }
-            let mut state = shard.lock();
-            if state.dead {
-                outcome = Job::refuse(slice);
-                continue;
-            }
-            let parked = state.core.parked_len();
-            if state.run(|core| core.handle_jobs(slice)) && state.core.parked_len() > parked {
-                shard.retry.notify_one();
+            if !slice.is_empty() && self.admit_slice(shard, slice) == SubmitOutcome::Draining {
+                outcome = SubmitOutcome::Draining;
             }
         }
         outcome
+    }
+
+    /// Run one shard's slice under its lock on this thread; a slice that
+    /// parks a connect wakes the shard's retry thread.
+    fn admit_slice(&self, shard: &Shard<B>, slice: Vec<Job>) -> SubmitOutcome {
+        let mut state = shard.lock();
+        if state.dead {
+            return Job::refuse(slice);
+        }
+        let parked = state.core.parked_len();
+        if state.run(|core| core.handle_jobs(slice)) && state.core.parked_len() > parked {
+            shard.retry.notify_one();
+        }
+        SubmitOutcome::Accepted
     }
 
     /// Non-consuming drain signal: stop accepting new events without

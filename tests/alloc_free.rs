@@ -178,17 +178,17 @@ fn steady_churn_allocates_only_the_assignment_copy() {
 /// Events per engine submit in the engine-path guard.
 const BATCH: usize = 64;
 
-#[test]
-fn engine_submit_allocates_the_assignment_copies_and_a_per_submit_constant() {
+/// Churn a G2 network through an engine of `shards` shards, `BATCH`
+/// events per submit, and return the allocations per submit beyond the
+/// assignment's copy of each admitted connect, as (total, submits).
+fn engine_allocations_per_submit(shards: usize) -> (u64, u64) {
     let bound = bounds::theorem1_min_m(16, 32);
     let params = ThreeStageParams::new(16, bound.m, 32, 8);
     let net = ThreeStageNetwork::new(params, Construction::MswDominant, MulticastModel::Msw);
     let mut rng = StdRng::seed_from_u64(7);
     let slots = slots(params.network().ports, params.k, &mut rng);
     let mut up = vec![false; slots.len()];
-    // One shard: the submit's split is one slice of exactly `BATCH`
-    // jobs, so what the engine allocates per submit is one constant.
-    let engine = EngineBuilder::new().shards(1).start(net);
+    let engine = EngineBuilder::new().shards(shards).start(net);
     let toggle = |i: usize, up: &mut [bool]| {
         let event = if up[i] {
             TraceEvent::Disconnect(slots[i].source())
@@ -202,7 +202,7 @@ fn engine_submit_allocates_the_assignment_copies_and_a_per_submit_constant() {
         assert!(engine.submit_batch(events).is_accepted());
     };
 
-    // Warm up through the peak, as above, and grow the shard's tables.
+    // Warm up through the peak, as above, and grow the shards' tables.
     for chunk in (0..slots.len()).collect::<Vec<_>>().chunks(BATCH) {
         submit(chunk.iter().map(|&i| toggle(i, &mut up)).collect());
     }
@@ -224,7 +224,23 @@ fn engine_submit_allocates_the_assignment_copies_and_a_per_submit_constant() {
     let report = engine.drain();
     assert!(report.is_clean(), "{:?}", report.errors);
     assert_eq!(report.summary.blocked + report.summary.expired, 0);
-    // Per submit: the job list, the per-shard split and its one slice
-    // grown to `BATCH`.
-    assert_eq!(allocs - connects, submits * 7, "{allocs} allocations");
+    (allocs - connects, submits)
+}
+
+#[test]
+fn engine_submit_allocates_the_assignment_copies_and_a_per_submit_constant() {
+    // One shard: every submit is one slice of exactly `BATCH` jobs. Per
+    // submit: the job list only. A batch bound for one shard is that
+    // shard's slice as it is, with no split.
+    let (allocs, submits) = engine_allocations_per_submit(1);
+    assert_eq!(allocs, submits, "{allocs} allocations");
+}
+
+#[test]
+fn two_shard_submit_sizes_each_slice_once() {
+    // Two shards: a submit of `BATCH` random sources spans both. Per
+    // submit: the job list, the per-shard counts, the list of slices and
+    // one slice per shard, each allocated at its exact size.
+    let (allocs, submits) = engine_allocations_per_submit(2);
+    assert_eq!(allocs, 5 * submits, "{allocs} allocations");
 }

@@ -1,11 +1,12 @@
 //! Route pins for the three-stage router, through the facade.
 //!
-//! Two seeded churns hash every route the network realizes (FNV-1a over
-//! middles, wavelengths, legs and destinations) right after each
-//! admission, and pin the running hash with `==`. A router change that
-//! picks a different middle, wavelength or leg split anywhere in the run
-//! — even one that blocks no more than before — moves the hash. Each
-//! churn ends with `check_consistency()` empty.
+//! Three seeded churns hash every route the network realizes (FNV-1a
+//! over middles, wavelengths, legs and destinations) right after each
+//! admission, and each `Blocked` verdict's count of available middles,
+//! and pin the running hash with `==`. A router change that picks a
+//! different middle, wavelength or leg split anywhere in the run — even
+//! one that blocks no more than before — moves the hash. Each churn ends
+//! with `check_consistency()` empty.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,6 +26,9 @@ const G2_MIX: [u32; 20] = [
 struct Pins {
     admitted: u64,
     blocked: u64,
+    /// Admissions routed over more than one middle switch (an `x > 1`
+    /// cover).
+    spanning: u64,
     hash: u64,
 }
 
@@ -33,6 +37,7 @@ impl Pins {
         Pins {
             admitted: 0,
             blocked: 0,
+            spanning: 0,
             hash: 0xcbf2_9ce4_8422_2325,
         }
     }
@@ -54,8 +59,10 @@ impl Pins {
     fn admit(&mut self, net: &ThreeStageNetwork, src: Endpoint) {
         self.admitted += 1;
         let rc = net.route_of(src).expect("admitted connection has a route");
+        let dests = net.assignment().connection_at(src).unwrap().destinations();
         self.mix_endpoint(rc.source);
         self.mix(rc.branches.len() as u32);
+        self.spanning += u64::from(rc.branches.len() > 1);
         for b in &rc.branches {
             self.mix(b.middle);
             self.mix(b.input_wavelength);
@@ -63,17 +70,18 @@ impl Pins {
             for leg in &b.legs {
                 self.mix(leg.out_module);
                 self.mix(leg.wavelength);
-                self.mix(leg.dests.len() as u32);
-                for &d in &leg.dests {
+                self.mix(leg.dests(dests).len() as u32);
+                for &d in leg.dests(dests) {
                     self.mix_endpoint(d);
                 }
             }
         }
     }
 
-    fn block(&mut self) {
+    fn block(&mut self, available_middles: usize) {
         self.blocked += 1;
         self.mix(u32::MAX);
+        self.mix(available_middles as u32);
     }
 
     /// Route `conn`: hash the route on success, count a block, panic on
@@ -84,8 +92,10 @@ impl Pins {
                 self.admit(net, conn.source());
                 true
             }
-            Err(RouteError::Blocked { .. }) => {
-                self.block();
+            Err(RouteError::Blocked {
+                available_middles, ..
+            }) => {
+                self.block(available_middles);
                 false
             }
             Err(e) => panic!("legal request {conn} refused: {e}"),
@@ -178,7 +188,30 @@ fn g2_firstfit_churn_routes_are_pinned() {
         Pins {
             admitted: 10_143,
             blocked: 0,
+            spanning: 0,
             hash: 0x3fa2_87df_157a_de56,
+        }
+    );
+}
+
+/// G2 again, FirstFit, but with `m` well below the Theorem-1 bound: the
+/// router falls through its single-middle probe to the `x`-middle cover
+/// search, and some requests block. Pins the covers and every `Blocked`
+/// verdict's count of available middles.
+#[test]
+fn g2_firstfit_below_bound_covers_and_blocks_are_pinned() {
+    let params = ThreeStageParams::new(16, 12, 32, 8);
+    let mut net = ThreeStageNetwork::new(params, Construction::MswDominant, MulticastModel::Msw);
+    assert!(net.fanout_limit() > 1);
+    let pins = churn(&mut net, 11, 20_000, 300, &G2_MIX, |_, _, _| {});
+    assert!(pins.spanning > 0 && pins.blocked > 0, "{pins:?}");
+    assert_eq!(
+        pins,
+        Pins {
+            admitted: 10_017,
+            blocked: 267,
+            spanning: 2_023,
+            hash: 0xc3ca_71a4_924d_ae1e,
         }
     );
 }
@@ -226,6 +259,7 @@ fn maw_dominant_pack_churn_with_a_middle_fault_is_pinned() {
         Pins {
             admitted: 2_606,
             blocked: 0,
+            spanning: 0,
             hash: 0x3029_3a9f_7753_d02f,
         }
     );
