@@ -12,8 +12,8 @@
 //!
 //! ## Layout
 //!
-//! * [`BigUint`] — unsigned magnitude, little-endian `u64` limbs.
-//! * [`BigInt`] — sign–magnitude wrapper.
+//! * [`BigUint`] — unsigned magnitude, little-endian `u64` limbs. Every
+//!   capacity formula is unsigned, so there is no signed type.
 //!
 //! ## Algorithms
 //!
@@ -37,10 +37,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bigint;
 mod biguint;
 
-pub use bigint::{BigInt, Sign};
 pub use biguint::{BigUint, ParseBigUintError};
 
 /// Convenience: compute `base^exp` for primitive inputs as a [`BigUint`].

@@ -2,7 +2,7 @@
 //! semantics on small values, and satisfy algebraic laws on large ones.
 
 use proptest::prelude::*;
-use wdm_bignum::{BigInt, BigUint, Sign};
+use wdm_bignum::BigUint;
 
 fn big(v: u128) -> BigUint {
     BigUint::from(v)
@@ -167,39 +167,4 @@ proptest! {
     fn bytes_roundtrip_any(a in arb_biguint()) {
         prop_assert_eq!(BigUint::from_bytes_be(&a.to_bytes_be()), a);
     }
-
-    // ---- BigInt ----
-
-    #[test]
-    fn bigint_add_matches_i128(a in any::<i64>(), b in any::<i64>()) {
-        let sum = BigInt::from(a) + BigInt::from(b);
-        let expect = a as i128 + b as i128;
-        prop_assert_eq!(sum.to_string(), expect.to_string());
-    }
-
-    #[test]
-    fn bigint_mul_matches_i128(a in any::<i64>(), b in any::<i64>()) {
-        let prod = BigInt::from(a) * BigInt::from(b);
-        let expect = a as i128 * b as i128;
-        prop_assert_eq!(prod.to_string(), expect.to_string());
-    }
-
-    #[test]
-    fn bigint_neg_involution(a in any::<i64>()) {
-        let x = BigInt::from(a);
-        prop_assert_eq!(-(-x.clone()), x);
-    }
-
-    #[test]
-    fn bigint_sub_antisymmetric(a in any::<i64>(), b in any::<i64>()) {
-        let d1 = BigInt::from(a) - BigInt::from(b);
-        let d2 = BigInt::from(b) - BigInt::from(a);
-        prop_assert_eq!(d1, -d2);
-    }
-}
-
-#[test]
-fn sign_of_difference() {
-    let d = BigInt::from(3i64) - BigInt::from(3i64);
-    assert_eq!(d.sign(), Sign::Zero);
 }

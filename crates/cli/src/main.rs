@@ -109,7 +109,7 @@ COMMANDS:
                                                    prints one heal line per fault
   bench-net   --connect ADDR --n <n> --r <r> -k <λ> [--clients C] [--pipeline W]
               [--batch B] [--rate R] [--horizon T] [--seed X] [--drain true|false]
-              (--batch > 1 ships runs of connects as single wire-v2 BatchConnect frames)
+              (--batch > 1 ships runs of connects as single BatchConnect frames)
                                                    closed-loop load generator: C client threads
                                                    stream a generated trace into a wdm-net server
                                                    and report admissions/sec plus latency
@@ -1105,7 +1105,7 @@ fn cmd_bench_net(opts: &Opts) -> Result<(), String> {
                 let mut out = LaneResult::default();
                 if batch > 1 {
                     // Batched mode: runs of consecutive connects travel as
-                    // one v2 BatchConnect frame each; a disconnect flushes
+                    // one BatchConnect frame each; a disconnect flushes
                     // the run first so per-source ordering is preserved.
                     let flush = |out: &mut LaneResult,
                                  client: &mut NetClient,

@@ -15,8 +15,8 @@
 //! blindly resending a `Connect` that may have been admitted would
 //! double-admit it.
 
-use crate::codec::{encode_request_v, read_response, WireError};
-use crate::protocol::{Request, Response, WIRE_VERSION};
+use crate::codec::{encode_request, read_response, WireError};
+use crate::protocol::{Request, Response};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -43,10 +43,6 @@ pub struct ClientConfig {
     /// de-correlate their retries; the same seed replays the exact same
     /// delays, keeping transport tests and trace replays deterministic.
     pub jitter_seed: u64,
-    /// Wire version stamped on every outgoing frame. Defaults to the
-    /// newest supported ([`WIRE_VERSION`]); set to `1` to speak to (or
-    /// emulate) a v1-only peer. Batch requests require version ≥ 2.
-    pub wire_version: u8,
 }
 
 impl Default for ClientConfig {
@@ -57,7 +53,6 @@ impl Default for ClientConfig {
             retry_backoff: Duration::from_millis(50),
             retry_backoff_cap: Duration::from_secs(1),
             jitter_seed: 0x5EED,
-            wire_version: WIRE_VERSION,
         }
     }
 }
@@ -208,7 +203,7 @@ impl NetClient {
     pub fn send(&mut self, req: &Request) -> Result<u64, NetClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let bytes = encode_request_v(self.config.wire_version, id, req);
+        let bytes = encode_request(id, req);
         for attempt in 0..=self.config.connect_retries {
             match self
                 .stream
@@ -262,11 +257,10 @@ impl NetClient {
         ids.into_iter().map(|id| self.recv(id)).collect()
     }
 
-    /// Submit a whole connect batch as one v2 `BatchConnect` frame and
+    /// Submit a whole connect batch as one `BatchConnect` frame and
     /// unpack the per-connection verdicts (in request order). One frame
     /// each way, one backend lock on the server — the cheapest way to
-    /// offer many connections at once. Requires
-    /// [`ClientConfig::wire_version`] ≥ 2.
+    /// offer many connections at once.
     pub fn connect_batch(
         &mut self,
         conns: Vec<MulticastConnection>,

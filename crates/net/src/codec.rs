@@ -1,32 +1,32 @@
-//! Binary framing: a compact length-prefixed encoding with explicit
-//! versioning and strict malformed-frame rejection.
+//! Binary framing: a compact length-prefixed encoding with one wire
+//! version and strict malformed-frame rejection.
 //!
 //! ## Frame layout (all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //! 0       2     magic  0x57 0x4E ("WN")
-//! 2       1     version (MIN_WIRE_VERSION ..= WIRE_VERSION)
-//! 3       1     kind    (request 0x01–0x08, response 0x81–0x89)
+//! 2       1     version (WIRE_VERSION; any other byte is refused)
+//! 3       1     kind    (one row of the kind table)
 //! 4       8     request id
 //! 12      4     payload length (≤ MAX_PAYLOAD)
 //! 16      …     payload
 //! ```
 //!
-//! Version 2 adds `BATCH_CONNECT` (0x06) and its `BATCH_REPLY` (0x87),
-//! and the fault frames `INJECT` (0x07) / `REPAIR` (0x08) with their
-//! `HEALED` (0x88) / `REPAIRED` (0x89) replies; each is rejected as
-//! malformed when carried in a v1 frame. A fault is a tag byte (0–6, in
-//! [`Fault`]'s variant order) and its one or two `u32` indices. Readers
-//! accept every version in the supported range and surface the frame's
-//! version so servers can mirror it in their replies.
+//! Every kind, with its byte, direction and payload layout, is one row
+//! of a single table: the header check admits exactly its bytes, and
+//! the decoders refuse a kind travelling the wrong way. The codec owns
+//! every payload byte, the engine's metrics snapshot included: `u64`s
+//! little-endian, `f64`s as their bits, lists as a `u32` count and the
+//! items.
 //!
-//! Decoding never panics: every malformed input — wrong magic, unknown
-//! version or kind, oversized or truncated payload, trailing bytes,
-//! structurally invalid connections — comes back as a typed
-//! [`WireError`] the server answers with a `ProtocolError` frame.
+//! Decoding never panics: every malformed input — wrong magic, a version
+//! other than [`WIRE_VERSION`], an unknown kind, oversized or truncated
+//! payload, trailing bytes, structurally invalid connections — comes
+//! back as a typed [`WireError`] the server answers with a
+//! `ProtocolError` frame.
 
-use crate::protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::protocol::{RejectReason, Request, Response, WIRE_VERSION};
 use std::io::{self, Read};
 use wdm_core::{Endpoint, Fault, MulticastConnection};
 use wdm_runtime::MetricsSnapshot;
@@ -42,24 +42,131 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 16;
 
-mod kind {
-    pub const CONNECT: u8 = 0x01;
-    pub const DISCONNECT: u8 = 0x02;
-    pub const SNAPSHOT: u8 = 0x03;
-    pub const DRAIN: u8 = 0x04;
-    pub const PING: u8 = 0x05;
-    pub const BATCH_CONNECT: u8 = 0x06;
-    pub const INJECT: u8 = 0x07;
-    pub const REPAIR: u8 = 0x08;
-    pub const OK: u8 = 0x81;
-    pub const REJECTED: u8 = 0x82;
-    pub const SNAPSHOT_DATA: u8 = 0x83;
-    pub const DRAIN_REPORT: u8 = 0x84;
-    pub const PONG: u8 = 0x85;
-    pub const PROTOCOL_ERROR: u8 = 0x86;
-    pub const BATCH_REPLY: u8 = 0x87;
-    pub const HEALED: u8 = 0x88;
-    pub const REPAIRED: u8 = 0x89;
+/// A frame kind; its discriminant is its byte on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Kind {
+    Connect = 0x01,
+    Disconnect = 0x02,
+    Snapshot = 0x03,
+    Drain = 0x04,
+    Ping = 0x05,
+    BatchConnect = 0x06,
+    Inject = 0x07,
+    Repair = 0x08,
+    Ok = 0x81,
+    Rejected = 0x82,
+    SnapshotData = 0x83,
+    DrainReport = 0x84,
+    Pong = 0x85,
+    ProtocolError = 0x86,
+    BatchReply = 0x87,
+    Healed = 0x88,
+    Repaired = 0x89,
+}
+
+/// Which way a frame kind travels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dir {
+    Request,
+    Response,
+}
+
+/// One row of [`KINDS`]: a kind (its byte and name), its direction and
+/// its payload layout.
+#[derive(Debug)]
+pub(crate) struct Row {
+    pub(crate) kind: Kind,
+    pub(crate) dir: Dir,
+    pub(crate) payload: &'static str,
+}
+
+const fn req(kind: Kind, payload: &'static str) -> Row {
+    Row {
+        kind,
+        dir: Dir::Request,
+        payload,
+    }
+}
+
+const fn resp(kind: Kind, payload: &'static str) -> Row {
+    Row {
+        kind,
+        dir: Dir::Response,
+        payload,
+    }
+}
+
+/// Every frame kind of the wire. The header check admits exactly these
+/// bytes, the decoders refuse a row travelling the other way and name
+/// its layout when a payload does not fit it, and DESIGN §wire's kind
+/// table is checked against it. An endpoint is a `u32` port and a `u32`
+/// wavelength, a string a `u32` length and UTF-8, metrics the
+/// [`MetricsSnapshot`] fields in declaration order (a `u64` each, an
+/// `f64` as its bits, a list as a `u32` count and its `u64`s).
+pub(crate) const KINDS: [Row; 17] = [
+    req(
+        Kind::Connect,
+        "connection: endpoint, u32 fanout, fanout × endpoint",
+    ),
+    req(Kind::Disconnect, "source endpoint"),
+    req(Kind::Snapshot, "empty"),
+    req(Kind::Drain, "empty"),
+    req(Kind::Ping, "empty"),
+    req(Kind::BatchConnect, "u32 count, count × connection"),
+    req(Kind::Inject, "fault: u8 tag 0–6, one or two u32"),
+    req(Kind::Repair, "fault: u8 tag 0–6, one or two u32"),
+    resp(Kind::Ok, "empty"),
+    resp(Kind::Rejected, "verdict: u8 reason, string detail"),
+    resp(Kind::SnapshotData, "metrics"),
+    resp(Kind::DrainReport, "u8 clean flag, metrics"),
+    resp(Kind::Pong, "empty"),
+    resp(Kind::ProtocolError, "string message"),
+    resp(
+        Kind::BatchReply,
+        "u32 count, count × (u8 0 = Ok, or verdict)",
+    ),
+    resp(Kind::Healed, "u32 hit, u32 healed, u32 failed"),
+    resp(Kind::Repaired, "u8 was-down flag"),
+];
+
+/// The row of kind byte `byte`; `UnknownKind` if the table has none.
+fn row_of(byte: u8) -> Result<&'static Row, WireError> {
+    KINDS
+        .iter()
+        .find(|r| r.kind as u8 == byte)
+        .ok_or(WireError::UnknownKind(byte))
+}
+
+impl Row {
+    /// Refuse a frame of this row travelling other than `dir`.
+    fn expect(&self, dir: Dir) -> Result<(), WireError> {
+        if self.dir == dir {
+            return Ok(());
+        }
+        let (kind, dir) = (self.kind, format!("{dir:?}").to_lowercase());
+        Err(WireError::Malformed(format!(
+            "frame kind {:#04x} ({kind:?}) is not a {dir}",
+            kind as u8
+        )))
+    }
+
+    /// `e`, from a payload of this row, with the layout it missed.
+    fn explain(&self, e: WireError) -> WireError {
+        match e {
+            WireError::Malformed(m) => WireError::Malformed(format!(
+                "{m} (a {:?} payload is {})",
+                self.kind, self.payload
+            )),
+            other => other,
+        }
+    }
+
+    /// A row the table lists but the decoders have no arm for (a codec
+    /// test keeps this unreachable).
+    fn no_arm(&self) -> WireError {
+        WireError::Malformed(format!("no decoder for {:?}", self.kind))
+    }
 }
 
 /// Everything that can go wrong on the wire.
@@ -71,7 +178,7 @@ pub enum WireError {
     Closed,
     /// Frame did not start with [`MAGIC`].
     BadMagic([u8; 2]),
-    /// Frame declared a version this peer does not speak.
+    /// Frame declared a version other than [`WIRE_VERSION`].
     UnsupportedVersion(u8),
     /// Unknown frame kind byte.
     UnknownKind(u8),
@@ -120,10 +227,10 @@ impl From<io::Error> for WireError {
 /// parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFrame {
-    /// Wire version the frame was sent in. Servers answer in the same
-    /// version so strict v1 peers never see a version byte they reject.
+    /// Wire version the frame was sent in ([`WIRE_VERSION`] for every
+    /// frame the header check admits).
     pub version: u8,
-    /// Frame kind byte (see the `kind` constants).
+    /// Frame kind byte.
     pub kind: u8,
     /// Request id this frame belongs to.
     pub id: u64,
@@ -152,12 +259,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, WireError> {
             Err(e) => return Err(e.into()),
         }
     }
-    let (version, kind, id, len) = check_header(&header)?;
+    let (row, id, len) = check_header(&header)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(RawFrame {
-        version,
-        kind,
+        version: WIRE_VERSION,
+        kind: row.kind as u8,
         id,
         payload,
     })
@@ -165,48 +272,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<RawFrame, WireError> {
 
 /// The one frame-header check, shared by [`read_frame`] and the serving
 /// core's assembler: magic → version → kind → payload cap, from the
-/// first [`HEADER_LEN`] bytes alone. Returns `(version, kind, id, len)`.
-pub(crate) fn check_header(header: &[u8]) -> Result<(u8, u8, u64, usize), WireError> {
+/// first [`HEADER_LEN`] bytes alone. Returns `(kind row, id, len)`.
+pub(crate) fn check_header(header: &[u8]) -> Result<(&'static Row, u64, usize), WireError> {
     if header[0..2] != MAGIC {
         return Err(WireError::BadMagic([header[0], header[1]]));
     }
-    let version = header[2];
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version));
+    if header[2] != WIRE_VERSION {
+        return Err(WireError::UnsupportedVersion(header[2]));
     }
-    let kind = header[3];
-    if !is_known_kind(kind) {
-        return Err(WireError::UnknownKind(kind));
-    }
+    let row = row_of(header[3])?;
     let id = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
     let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
     if len as usize > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
     }
-    Ok((version, kind, id, len as usize))
-}
-
-fn is_known_kind(k: u8) -> bool {
-    matches!(
-        k,
-        kind::CONNECT
-            | kind::DISCONNECT
-            | kind::SNAPSHOT
-            | kind::DRAIN
-            | kind::PING
-            | kind::BATCH_CONNECT
-            | kind::INJECT
-            | kind::REPAIR
-            | kind::OK
-            | kind::REJECTED
-            | kind::SNAPSHOT_DATA
-            | kind::DRAIN_REPORT
-            | kind::PONG
-            | kind::PROTOCOL_ERROR
-            | kind::BATCH_REPLY
-            | kind::HEALED
-            | kind::REPAIRED
-    )
+    Ok((row, id, len as usize))
 }
 
 /// Strict little-endian payload reader: every accessor checks bounds,
@@ -240,6 +320,18 @@ impl<'a> PayloadReader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
+    /// A `u32` count of items at least `item_len` bytes each, checked
+    /// against the payload before anything is allocated for them.
+    fn count(&mut self, item_len: usize, what: &str) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(item_len) > self.buf.len() - self.pos {
+            return Err(WireError::Malformed(format!(
+                "{what} of {n} larger than the payload could hold"
+            )));
+        }
+        Ok(n)
+    }
+
     fn string(&mut self) -> Result<String, WireError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -263,6 +355,15 @@ impl<'a> PayloadReader<'a> {
         }
     }
 
+    fn connection(&mut self) -> Result<MulticastConnection, WireError> {
+        let source = self.endpoint()?;
+        let n = self.count(8, "fanout")?;
+        let dests = (0..n)
+            .map(|_| self.endpoint())
+            .collect::<Result<Vec<_>, _>>()?;
+        MulticastConnection::new(source, dests).map_err(|e| WireError::Malformed(e.to_string()))
+    }
+
     fn fault(&mut self) -> Result<Fault, WireError> {
         Ok(match self.u8()? {
             0 => Fault::MiddleSwitch(self.u32()?),
@@ -279,6 +380,16 @@ impl<'a> PayloadReader<'a> {
             5 => Fault::OutputConverters(self.u32()?),
             6 => Fault::Port(self.u32()?),
             other => return Err(WireError::Malformed(format!("unknown fault tag {other}"))),
+        })
+    }
+
+    fn verdict(&mut self) -> Result<Response, WireError> {
+        Ok(match self.u8()? {
+            0 => Response::Ok,
+            code => Response::Rejected {
+                reason: reject_reason(code)?,
+                detail: self.string()?,
+            },
         })
     }
 
@@ -333,130 +444,202 @@ fn put_connection(p: &mut Vec<u8>, conn: &MulticastConnection) {
     }
 }
 
-/// Encode a request into a complete frame at [`WIRE_VERSION`].
-pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    encode_request_v(WIRE_VERSION, id, req)
+fn put_verdict(p: &mut Vec<u8>, reason: RejectReason, detail: &str) {
+    p.push(reject_code(reason));
+    put_string(p, detail);
 }
 
-/// [`encode_request`] with an explicit version byte.
-///
-/// # Panics
-///
-/// When `req` is a [`Request::BatchConnect`], [`Request::Inject`] or
-/// [`Request::Repair`] and `version < 2`: those frames do not exist in
-/// wire v1, so encoding one would produce a frame no v1 peer can parse.
-pub fn encode_request_v(version: u8, id: u64, req: &Request) -> Vec<u8> {
+/// How one [`MetricsSnapshot`] field crosses the wire: a `u64`
+/// little-endian, an `f64` as its bits, a list as a `u32` count and its
+/// `u64`s.
+trait Field: Sized {
+    fn put(&self, p: &mut Vec<u8>);
+    fn read(r: &mut PayloadReader<'_>) -> Result<Self, WireError>;
+}
+
+impl Field for u64 {
+    fn put(&self, p: &mut Vec<u8>) {
+        p.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn read(r: &mut PayloadReader<'_>) -> Result<Self, WireError> {
+        Ok(u64::from_le_bytes(r.take(8)?.try_into().expect("8")))
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, p: &mut Vec<u8>) {
+        self.to_bits().put(p);
+    }
+
+    fn read(r: &mut PayloadReader<'_>) -> Result<Self, WireError> {
+        u64::read(r).map(f64::from_bits)
+    }
+}
+
+impl Field for Vec<u64> {
+    fn put(&self, p: &mut Vec<u8>) {
+        put_u32(p, self.len() as u32);
+        self.iter().for_each(|v| v.put(p));
+    }
+
+    fn read(r: &mut PayloadReader<'_>) -> Result<Self, WireError> {
+        let n = r.count(8, "list")?;
+        (0..n).map(|_| u64::read(r)).collect()
+    }
+}
+
+/// `put_metrics` and `PayloadReader::metrics` from one list of the
+/// [`MetricsSnapshot`] fields, in wire order. The exhaustive
+/// destructuring and struct literal make a field missing from the list
+/// a compile error.
+macro_rules! metrics_codec {
+    ($($field:ident),* $(,)?) => {
+        fn put_metrics(p: &mut Vec<u8>, m: &MetricsSnapshot) {
+            let MetricsSnapshot { $($field),* } = m;
+            $($field.put(p);)*
+        }
+
+        impl PayloadReader<'_> {
+            fn metrics(&mut self) -> Result<MetricsSnapshot, WireError> {
+                Ok(MetricsSnapshot { $($field: Field::read(self)?),* })
+            }
+        }
+    };
+}
+
+metrics_codec!(
+    elapsed_secs,
+    offered,
+    admitted,
+    blocked,
+    retried,
+    expired,
+    departed,
+    skipped_departures,
+    component_down,
+    faults_injected,
+    faults_repaired,
+    connections_hit,
+    healed,
+    heal_failed,
+    orphaned_departures,
+    fatal,
+    overloaded,
+    repack_moves_attempted,
+    repack_moves_committed,
+    repack_moves_aborted,
+    snapshot_retries,
+    active,
+    blocking_probability,
+    p50_admit_ns,
+    p99_admit_ns,
+    mean_admit_ns,
+    p99_heal_ns,
+    p99_repack_ns,
+    mean_holding,
+    wavelength_live,
+    middle_loads,
+);
+
+/// Encode a request into a complete frame.
+pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
     let payload_len = match req {
         Request::Connect(conn) => 8 + 4 + 8 * conn.fanout(),
         Request::Disconnect(_) => 8,
         _ => 0,
     };
     let mut buf = Vec::with_capacity(HEADER_LEN + payload_len);
-    put_frame(&mut buf, version, id, |p| match req {
+    put_frame(&mut buf, id, |p| match req {
         Request::Connect(conn) => {
             put_connection(p, conn);
-            kind::CONNECT
+            Kind::Connect
         }
         Request::Disconnect(src) => {
             put_endpoint(p, *src);
-            kind::DISCONNECT
+            Kind::Disconnect
         }
-        Request::Snapshot => kind::SNAPSHOT,
-        Request::Drain => kind::DRAIN,
-        Request::Ping => kind::PING,
+        Request::Snapshot => Kind::Snapshot,
+        Request::Drain => Kind::Drain,
+        Request::Ping => Kind::Ping,
         Request::BatchConnect(conns) => {
-            assert!(version >= 2, "BatchConnect requires wire v2");
             put_u32(p, conns.len() as u32);
             for conn in conns {
                 put_connection(p, conn);
             }
-            kind::BATCH_CONNECT
+            Kind::BatchConnect
         }
-        Request::Inject(fault) | Request::Repair(fault) => {
-            assert!(version >= 2, "fault frames require wire v2");
+        Request::Inject(fault) => {
             put_fault(p, *fault);
-            match req {
-                Request::Inject(_) => kind::INJECT,
-                _ => kind::REPAIR,
-            }
+            Kind::Inject
+        }
+        Request::Repair(fault) => {
+            put_fault(p, *fault);
+            Kind::Repair
         }
     });
     buf
 }
 
-/// Encode a response into a complete frame at [`WIRE_VERSION`].
-pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
-    encode_response_v(WIRE_VERSION, id, resp)
-}
-
-/// [`encode_response`] with an explicit version byte (servers mirror
-/// the version of the request frame they are answering).
+/// Encode a response into a complete frame.
 ///
 /// # Panics
 ///
-/// When `resp` is a [`Response::Batch`], [`Response::Healed`] or
-/// [`Response::Repaired`] and `version < 2`, or a batch item is anything
-/// but `Ok`/`Rejected`.
-pub fn encode_response_v(version: u8, id: u64, resp: &Response) -> Vec<u8> {
+/// When `resp` is a [`Response::Batch`] with an item that is neither
+/// `Ok` nor `Rejected`.
+pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN);
-    encode_response_into(&mut buf, version, id, resp);
+    encode_response_into(&mut buf, id, resp);
     buf
 }
 
-/// [`encode_response_v`] appended to `buf` — how the serving core
-/// encodes a verdict straight into a connection's output queue.
-pub(crate) fn encode_response_into(buf: &mut Vec<u8>, version: u8, id: u64, resp: &Response) {
-    put_frame(buf, version, id, |p| match resp {
-        Response::Ok => kind::OK,
+/// [`encode_response`] appended to `buf` — how the serving core encodes
+/// a verdict straight into a connection's output queue.
+pub(crate) fn encode_response_into(buf: &mut Vec<u8>, id: u64, resp: &Response) {
+    put_frame(buf, id, |p| match resp {
+        Response::Ok => Kind::Ok,
         Response::Rejected { reason, detail } => {
-            p.push(reject_code(*reason));
-            put_string(p, detail);
-            kind::REJECTED
+            put_verdict(p, *reason, detail);
+            Kind::Rejected
         }
         Response::Snapshot(snap) => {
-            put_string(p, &snap.to_json());
-            kind::SNAPSHOT_DATA
+            put_metrics(p, snap);
+            Kind::SnapshotData
         }
         Response::DrainReport { clean, summary } => {
             p.push(u8::from(*clean));
-            put_string(p, &summary.to_json());
-            kind::DRAIN_REPORT
+            put_metrics(p, summary);
+            Kind::DrainReport
         }
-        Response::Pong => kind::PONG,
+        Response::Pong => Kind::Pong,
         Response::ProtocolError { message } => {
             put_string(p, message);
-            kind::PROTOCOL_ERROR
+            Kind::ProtocolError
         }
         Response::Batch(items) => {
-            assert!(version >= 2, "Batch response requires wire v2");
             put_u32(p, items.len() as u32);
             for item in items {
                 match item {
                     Response::Ok => p.push(0),
-                    Response::Rejected { reason, detail } => {
-                        p.push(reject_code(*reason));
-                        put_string(p, detail);
-                    }
+                    Response::Rejected { reason, detail } => put_verdict(p, *reason, detail),
                     other => panic!("batch items are Ok/Rejected, got {other:?}"),
                 }
             }
-            kind::BATCH_REPLY
+            Kind::BatchReply
         }
         Response::Healed {
             hit,
             healed,
             failed,
         } => {
-            assert!(version >= 2, "fault replies require wire v2");
             for n in [hit, healed, failed] {
                 put_u32(p, *n);
             }
-            kind::HEALED
+            Kind::Healed
         }
         Response::Repaired(was_down) => {
-            assert!(version >= 2, "fault replies require wire v2");
             p.push(u8::from(*was_down));
-            kind::REPAIRED
+            Kind::Repaired
         }
     });
 }
@@ -465,17 +648,16 @@ pub(crate) fn encode_response_into(buf: &mut Vec<u8>, version: u8, id: u64, resp
 /// `payload` writes after it, which returns the frame's kind. Kind and
 /// length are patched into the header once the payload is written, so
 /// header and payload share one buffer.
-fn put_frame(buf: &mut Vec<u8>, version: u8, id: u64, payload: impl FnOnce(&mut Vec<u8>) -> u8) {
-    debug_assert!((MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version));
+fn put_frame(buf: &mut Vec<u8>, id: u64, payload: impl FnOnce(&mut Vec<u8>) -> Kind) {
     let start = buf.len();
     buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&[version, 0]);
+    buf.extend_from_slice(&[WIRE_VERSION, 0]);
     buf.extend_from_slice(&id.to_le_bytes());
     buf.extend_from_slice(&[0; 4]);
     let kind = payload(buf);
     let len = buf.len() - start - HEADER_LEN;
     debug_assert!(len <= MAX_PAYLOAD);
-    buf[start + 3] = kind;
+    buf[start + 3] = kind as u8;
     buf[start + 12..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
@@ -510,84 +692,35 @@ fn reject_reason(code: u8) -> Result<RejectReason, WireError> {
     })
 }
 
-fn read_connection(
-    p: &mut PayloadReader<'_>,
-    payload_len: usize,
-) -> Result<MulticastConnection, WireError> {
-    let source = p.endpoint()?;
-    let n = p.u32()?;
-    // Destination ports are unique, so fanout can never exceed the 2^32
-    // port space; bound the allocation by the payload.
-    if (n as usize).saturating_mul(8) > payload_len {
-        return Err(WireError::Malformed(format!(
-            "fanout {n} larger than the payload could hold"
-        )));
-    }
-    let mut dests = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        dests.push(p.endpoint()?);
-    }
-    MulticastConnection::new(source, dests).map_err(|e| WireError::Malformed(e.to_string()))
-}
-
-/// Parse a raw frame as a request. Response kinds are rejected, and so
-/// are v2-only kinds arriving in a v1 frame.
+/// Parse a raw frame as a request. Response kinds are rejected.
 pub fn decode_request(frame: &RawFrame) -> Result<Request, WireError> {
-    decode_request_parts(frame.version, frame.kind, &frame.payload)
+    decode_request_parts(row_of(frame.kind)?, &frame.payload)
 }
 
 /// [`decode_request`] over a frame's parts, so the serving core can parse
 /// a payload where it lies in its read buffer.
-pub(crate) fn decode_request_parts(
-    version: u8,
-    kind: u8,
-    payload: &[u8],
-) -> Result<Request, WireError> {
+pub(crate) fn decode_request_parts(row: &Row, payload: &[u8]) -> Result<Request, WireError> {
+    row.expect(Dir::Request)?;
+    parse_request(row, payload).map_err(|e| row.explain(e))
+}
+
+fn parse_request(row: &Row, payload: &[u8]) -> Result<Request, WireError> {
     let mut p = PayloadReader::new(payload);
-    let req = match kind {
-        kind::CONNECT => Request::Connect(read_connection(&mut p, payload.len())?),
-        kind::DISCONNECT => Request::Disconnect(p.endpoint()?),
-        kind::SNAPSHOT => Request::Snapshot,
-        kind::DRAIN => Request::Drain,
-        kind::PING => Request::Ping,
-        kind::BATCH_CONNECT => {
-            if version < 2 {
-                return Err(WireError::Malformed(
-                    "batch connect does not exist in wire v1".into(),
-                ));
-            }
-            let n = p.u32()?;
+    let req = match row.kind {
+        Kind::Connect => Request::Connect(p.connection()?),
+        Kind::Disconnect => Request::Disconnect(p.endpoint()?),
+        Kind::Snapshot => Request::Snapshot,
+        Kind::Drain => Request::Drain,
+        Kind::Ping => Request::Ping,
+        Kind::BatchConnect => {
             // Each connection needs ≥ 16 payload bytes (src + fanout +
-            // one destination); bound the allocation by the payload.
-            if (n as usize).saturating_mul(16) > payload.len() {
-                return Err(WireError::Malformed(format!(
-                    "batch of {n} larger than the payload could hold"
-                )));
-            }
-            let mut conns = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                conns.push(read_connection(&mut p, payload.len())?);
-            }
-            Request::BatchConnect(conns)
+            // one destination).
+            let n = p.count(16, "batch")?;
+            Request::BatchConnect((0..n).map(|_| p.connection()).collect::<Result<_, _>>()?)
         }
-        kind::INJECT | kind::REPAIR => {
-            if version < 2 {
-                return Err(WireError::Malformed(
-                    "fault frames do not exist in wire v1".into(),
-                ));
-            }
-            let fault = p.fault()?;
-            if kind == kind::INJECT {
-                Request::Inject(fault)
-            } else {
-                Request::Repair(fault)
-            }
-        }
-        other => {
-            return Err(WireError::Malformed(format!(
-                "frame kind {other:#04x} is not a request"
-            )))
-        }
+        Kind::Inject => Request::Inject(p.fault()?),
+        Kind::Repair => Request::Repair(p.fault()?),
+        _ => return Err(row.no_arm()),
     };
     p.finish()?;
     Ok(req)
@@ -595,73 +728,36 @@ pub(crate) fn decode_request_parts(
 
 /// Parse a raw frame as a response. Request kinds are rejected.
 pub fn decode_response(frame: &RawFrame) -> Result<Response, WireError> {
-    let mut p = PayloadReader::new(&frame.payload);
-    let resp = match frame.kind {
-        kind::OK => Response::Ok,
-        kind::REJECTED => {
-            let reason = reject_reason(p.u8()?)?;
-            let detail = p.string()?;
-            Response::Rejected { reason, detail }
-        }
-        kind::SNAPSHOT_DATA => {
-            let json = p.string()?;
-            let snap = MetricsSnapshot::from_json(&json)
-                .map_err(|e| WireError::Malformed(format!("snapshot json: {e}")))?;
-            Response::Snapshot(snap)
-        }
-        kind::DRAIN_REPORT => {
-            let clean = p.flag()?;
-            let json = p.string()?;
-            let summary = MetricsSnapshot::from_json(&json)
-                .map_err(|e| WireError::Malformed(format!("summary json: {e}")))?;
-            Response::DrainReport { clean, summary }
-        }
-        kind::PONG => Response::Pong,
-        kind::PROTOCOL_ERROR => Response::ProtocolError {
+    let row = row_of(frame.kind)?;
+    row.expect(Dir::Response)?;
+    parse_response(row, &frame.payload).map_err(|e| row.explain(e))
+}
+
+fn parse_response(row: &Row, payload: &[u8]) -> Result<Response, WireError> {
+    let mut p = PayloadReader::new(payload);
+    let resp = match row.kind {
+        Kind::Ok => Response::Ok,
+        Kind::Rejected => p.verdict()?,
+        Kind::SnapshotData => Response::Snapshot(p.metrics()?),
+        Kind::DrainReport => Response::DrainReport {
+            clean: p.flag()?,
+            summary: p.metrics()?,
+        },
+        Kind::Pong => Response::Pong,
+        Kind::ProtocolError => Response::ProtocolError {
             message: p.string()?,
         },
-        kind::BATCH_REPLY => {
-            if frame.version < 2 {
-                return Err(WireError::Malformed(
-                    "batch reply does not exist in wire v1".into(),
-                ));
-            }
-            let n = p.u32()?;
-            if (n as usize) > frame.payload.len() {
-                return Err(WireError::Malformed(format!(
-                    "batch of {n} larger than the payload could hold"
-                )));
-            }
-            let mut items = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let code = p.u8()?;
-                items.push(if code == 0 {
-                    Response::Ok
-                } else {
-                    Response::Rejected {
-                        reason: reject_reason(code)?,
-                        detail: p.string()?,
-                    }
-                });
-            }
-            Response::Batch(items)
+        Kind::BatchReply => {
+            let n = p.count(1, "batch")?;
+            Response::Batch((0..n).map(|_| p.verdict()).collect::<Result<_, _>>()?)
         }
-        kind::HEALED | kind::REPAIRED if frame.version < 2 => {
-            return Err(WireError::Malformed(
-                "fault replies do not exist in wire v1".into(),
-            ));
-        }
-        kind::HEALED => Response::Healed {
+        Kind::Healed => Response::Healed {
             hit: p.u32()?,
             healed: p.u32()?,
             failed: p.u32()?,
         },
-        kind::REPAIRED => Response::Repaired(p.flag()?),
-        other => {
-            return Err(WireError::Malformed(format!(
-                "frame kind {other:#04x} is not a response"
-            )))
-        }
+        Kind::Repaired => Response::Repaired(p.flag()?),
+        _ => return Err(row.no_arm()),
     };
     p.finish()?;
     Ok(resp)
@@ -683,63 +779,185 @@ pub fn read_response(r: &mut impl Read) -> Result<(u64, Response), WireError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
     use std::io::Cursor;
     use wdm_runtime::RuntimeMetrics;
 
-    fn roundtrip_request(req: &Request) -> Request {
-        let bytes = encode_request(7, req);
-        let mut cur = Cursor::new(bytes);
-        let (id, back) = read_request(&mut cur).expect("decodes");
-        assert_eq!(id, 7);
-        back
-    }
-
-    fn roundtrip_response(resp: &Response) -> Response {
-        let bytes = encode_response(9, resp);
-        let mut cur = Cursor::new(bytes);
-        let (id, back) = read_response(&mut cur).expect("decodes");
-        assert_eq!(id, 9);
-        back
-    }
-
-    #[test]
-    fn fixed_frames_roundtrip() {
-        for req in [Request::Snapshot, Request::Drain, Request::Ping] {
-            assert_eq!(roundtrip_request(&req), req);
+    /// A snapshot decoded from bytes drawn from `seed`: every scalar
+    /// arbitrary bits (NaNs included), each list 0–9 items.
+    fn metrics_from_seed(seed: u64) -> MetricsSnapshot {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = Vec::new();
+        (0..29).for_each(|_| rng.next_u64().put(&mut p));
+        for _ in 0..2 {
+            let list: Vec<u64> = (0..rng.gen_range(0..10)).map(|_| rng.next_u64()).collect();
+            list.put(&mut p);
         }
-        let conn = MulticastConnection::new(
-            Endpoint::new(3, 1),
-            [Endpoint::new(0, 0), Endpoint::new(7, 1)],
-        )
-        .unwrap();
-        let req = Request::Connect(conn);
-        assert_eq!(roundtrip_request(&req), req);
-        let req = Request::Disconnect(Endpoint::new(5, 0));
-        assert_eq!(roundtrip_request(&req), req);
+        let mut r = PayloadReader::new(&p);
+        let m = r.metrics().expect("29 scalars and two lists");
+        r.finish().expect("nothing left over");
+        m
     }
 
-    #[test]
-    fn responses_roundtrip() {
-        let m = RuntimeMetrics::new(2);
-        let snap = m.snapshot(1.5, 3, vec![1, 2, 0]);
-        for resp in [
-            Response::Ok,
-            Response::Pong,
-            Response::Rejected {
-                reason: RejectReason::Blocked,
-                detail: "middle stage exhausted".into(),
+    /// Sample `i` of the 17 kinds (requests 0–7, responses 8–16, in
+    /// table order) as a whole frame, the rest of it drawn from `x`.
+    fn frame_of(i: usize, x: u64) -> Vec<u8> {
+        let (port, wl, fanout) = ((x % 64) as u32, (x >> 8) as u32 % 4, 1 + (x >> 16) % 5);
+        // Distinct ports make a structurally legal connection.
+        let conn = |port: u32| {
+            let dests = (1..=fanout as u32).map(|j| Endpoint::new(port + j, wl));
+            MulticastConnection::new(Endpoint::new(port, wl), dests).unwrap()
+        };
+        let fault = [
+            Fault::MiddleSwitch(port),
+            Fault::InputLink {
+                module: port,
+                middle: wl,
             },
-            Response::Snapshot(snap.clone()),
-            Response::DrainReport {
-                clean: true,
-                summary: snap,
+            Fault::MiddleLink {
+                middle: wl,
+                module: port,
             },
-            Response::ProtocolError {
-                message: "bad magic".into(),
-            },
-        ] {
-            assert_eq!(roundtrip_response(&resp), resp);
+            Fault::InputConverters(port),
+            Fault::MiddleConverters(wl),
+            Fault::OutputConverters(port),
+            Fault::Port(port),
+        ][(x >> 24) as usize % 7];
+        let rejected = Response::Rejected {
+            reason: reject_reason(1 + (x >> 32) as u8 % 8).unwrap(),
+            detail: format!("detail {x}"),
+        };
+        let request = |req| encode_request(x, &req);
+        let response = |resp| encode_response(x, &resp);
+        match i % 17 {
+            0 => request(Request::Connect(conn(port))),
+            1 => request(Request::Disconnect(Endpoint::new(port, wl))),
+            2 => request(Request::Snapshot),
+            3 => request(Request::Drain),
+            4 => request(Request::Ping),
+            5 => request(Request::BatchConnect(
+                (0..fanout as u32).map(|j| conn(port + 8 * j)).collect(),
+            )),
+            6 => request(Request::Inject(fault)),
+            7 => request(Request::Repair(fault)),
+            8 => response(Response::Ok),
+            9 => response(rejected),
+            10 => response(Response::Snapshot(metrics_from_seed(x))),
+            11 => response(Response::DrainReport {
+                clean: x & 1 == 0,
+                summary: metrics_from_seed(x),
+            }),
+            12 => response(Response::Pong),
+            13 => response(Response::ProtocolError {
+                message: format!("bad frame {x}"),
+            }),
+            14 => response(Response::Batch(
+                (0..fanout)
+                    .map(|j| match (x >> j) & 1 {
+                        0 => Response::Ok,
+                        _ => rejected.clone(),
+                    })
+                    .collect(),
+            )),
+            15 => response(Response::Healed {
+                hit: x as u32,
+                healed: (x >> 32) as u32,
+                failed: (x >> 16) as u32,
+            }),
+            _ => response(Response::Repaired(x & 1 == 1)),
         }
+    }
+
+    /// Decode `frame` in its row's direction and encode the result
+    /// again.
+    fn reencode(frame: &RawFrame) -> Result<Vec<u8>, WireError> {
+        match row_of(frame.kind)?.dir {
+            Dir::Request => decode_request(frame).map(|r| encode_request(frame.id, &r)),
+            Dir::Response => decode_response(frame).map(|r| encode_response(frame.id, &r)),
+        }
+    }
+
+    fn frame(kind: Kind, payload: Vec<u8>) -> RawFrame {
+        RawFrame {
+            version: WIRE_VERSION,
+            kind: kind as u8,
+            id: 1,
+            payload,
+        }
+    }
+
+    /// The kind table and the codec's arms agree: every row is produced
+    /// by an encoder arm and decodes back through a decoder arm in its
+    /// direction only, and the header check admits exactly the table's
+    /// bytes. A row added to the table without both arms fails here.
+    #[test]
+    fn every_table_kind_has_an_encode_and_a_decode_arm() {
+        let mut encoded = Vec::new();
+        for i in 0..17 {
+            let bytes = frame_of(i, 0x0102_0304_0506_0708);
+            let frame = read_frame(&mut Cursor::new(&bytes)).expect("a table kind");
+            assert_eq!(reencode(&frame), Ok(bytes), "kind {:#04x}", frame.kind);
+            encoded.push(frame.kind);
+        }
+        for row in &KINDS {
+            assert!(
+                encoded.contains(&(row.kind as u8)),
+                "{row:?}: no encoder arm or sample"
+            );
+            let wrong_way = match row.dir {
+                Dir::Request => decode_response(&frame(row.kind, vec![])).err(),
+                Dir::Response => decode_request(&frame(row.kind, vec![])).err(),
+            };
+            assert!(
+                matches!(&wrong_way, Some(WireError::Malformed(m)) if m.contains("is not a")),
+                "{row:?}: {wrong_way:?}"
+            );
+        }
+        for b in 0..=u8::MAX {
+            assert_eq!(row_of(b).is_ok(), encoded.contains(&b), "{b:#04x}");
+        }
+    }
+
+    /// DESIGN §wire's kind table is [`KINDS`], row for row: byte, name,
+    /// direction and payload layout.
+    #[test]
+    fn design_kind_table_matches_the_codec_table() {
+        let design = include_str!("../../../DESIGN.md");
+        let rows: Vec<Vec<&str>> = design
+            .lines()
+            .skip_while(|l| !l.starts_with("| byte | kind | direction | payload |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.trim_matches('|').split(" | ").map(str::trim).collect())
+            .collect();
+        let want: Vec<Vec<String>> = KINDS
+            .iter()
+            .map(|r| {
+                vec![
+                    format!("`{:#04x}`", r.kind as u8),
+                    format!("`{:?}`", r.kind),
+                    format!("{:?}", r.dir).to_lowercase(),
+                    r.payload.to_string(),
+                ]
+            })
+            .collect();
+        assert_eq!(rows, want, "DESIGN.md §wire kind table");
+    }
+
+    /// The snapshot payload is the fields in declaration order: 29
+    /// eight-byte scalars, then each list as a count and its items.
+    #[test]
+    fn snapshot_payload_is_field_by_field() {
+        let snap = RuntimeMetrics::new(2).snapshot(1.5, 3, vec![1, 2, 0]);
+        let bytes = encode_response(1, &Response::Snapshot(snap.clone()));
+        let payload = &bytes[HEADER_LEN..];
+        assert_eq!(payload.len(), 29 * 8 + (4 + 2 * 8) + (4 + 3 * 8));
+        assert_eq!(payload[..8], 1.5f64.to_bits().to_le_bytes());
+        assert_eq!(payload[21 * 8..22 * 8], 3u64.to_le_bytes(), "active");
+        assert_eq!(payload[29 * 8..29 * 8 + 4], 2u32.to_le_bytes());
+        let back = read_response(&mut Cursor::new(&bytes)).unwrap();
+        assert_eq!(back, (1, Response::Snapshot(snap)));
     }
 
     #[test]
@@ -766,12 +984,14 @@ mod tests {
             read_frame(&mut Cursor::new(bad)).unwrap_err(),
             WireError::BadMagic(_)
         ));
-        let mut bad = good.clone();
-        bad[2] = 99;
-        assert_eq!(
-            read_frame(&mut Cursor::new(bad)).unwrap_err(),
-            WireError::UnsupportedVersion(99)
-        );
+        for v in [0, 1, 2, WIRE_VERSION + 1, 99] {
+            let mut bad = good.clone();
+            bad[2] = v;
+            assert_eq!(
+                read_frame(&mut Cursor::new(bad)).unwrap_err(),
+                WireError::UnsupportedVersion(v)
+            );
+        }
         let mut bad = good.clone();
         bad[3] = 0x77;
         assert_eq!(
@@ -786,338 +1006,104 @@ mod tests {
         );
     }
 
+    /// Payloads that do not fit their row — zero fanout, a fanout, batch
+    /// or list count past what the payload holds (refused before
+    /// anything is allocated for it), a fault that is not one whole
+    /// fault, trailing bytes, a flag that is not 0 or 1 — are typed
+    /// errors naming the row's layout, never a panic.
     #[test]
-    fn trailing_bytes_rejected() {
-        let mut bytes = encode_request(1, &Request::Disconnect(Endpoint::new(0, 0)));
-        // Declare two extra payload bytes and append them.
-        let len = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        bytes[12..16].copy_from_slice(&(len + 2).to_le_bytes());
-        bytes.extend_from_slice(&[0, 0]);
-        let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
-        assert!(matches!(
-            decode_request(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-    }
-
-    #[test]
-    fn connect_with_zero_fanout_rejected() {
-        let mut p = Vec::new();
-        put_endpoint(&mut p, Endpoint::new(0, 0));
-        put_u32(&mut p, 0);
-        let frame = RawFrame {
-            version: WIRE_VERSION,
-            kind: kind::CONNECT,
-            id: 1,
-            payload: p,
+    fn malformed_payloads_are_wire_errors_without_allocation() {
+        let endpoint_then = |n: u32| {
+            let mut p = Vec::new();
+            put_endpoint(&mut p, Endpoint::new(0, 0));
+            put_u32(&mut p, n);
+            p
         };
-        assert!(matches!(
-            decode_request(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-    }
-
-    #[test]
-    fn connect_with_huge_declared_fanout_rejected_without_allocation() {
-        let mut p = Vec::new();
-        put_endpoint(&mut p, Endpoint::new(0, 0));
-        put_u32(&mut p, u32::MAX);
-        let frame = RawFrame {
-            version: WIRE_VERSION,
-            kind: kind::CONNECT,
-            id: 1,
-            payload: p,
-        };
-        assert!(matches!(
-            decode_request(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-    }
-
-    #[test]
-    fn request_kinds_are_not_responses_and_vice_versa() {
-        let frame = read_frame(&mut Cursor::new(encode_request(1, &Request::Ping))).unwrap();
-        assert!(matches!(
-            decode_response(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-        let frame = read_frame(&mut Cursor::new(encode_response(1, &Response::Pong))).unwrap();
-        assert!(matches!(
-            decode_request(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-    }
-
-    #[test]
-    fn both_supported_versions_decode_and_report_their_version() {
-        for v in [1u8, 2] {
-            let bytes = encode_request_v(v, 5, &Request::Ping);
-            let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
-            assert_eq!(frame.version, v);
-            assert_eq!(decode_request(&frame).unwrap(), Request::Ping);
-        }
-        for v in [0u8, 3, 99] {
-            let mut bytes = encode_request(5, &Request::Ping);
-            bytes[2] = v;
-            assert_eq!(
-                read_frame(&mut Cursor::new(bytes)).unwrap_err(),
-                WireError::UnsupportedVersion(v)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_connect_roundtrips_in_v2() {
-        let conns = vec![
-            MulticastConnection::new(
-                Endpoint::new(0, 0),
-                [Endpoint::new(1, 0), Endpoint::new(2, 0)],
-            )
-            .unwrap(),
-            MulticastConnection::unicast(Endpoint::new(3, 1), Endpoint::new(4, 1)),
-        ];
-        let req = Request::BatchConnect(conns);
-        assert_eq!(roundtrip_request(&req), req);
-    }
-
-    #[test]
-    fn batch_kinds_are_malformed_in_v1_frames() {
-        // A v2 batch frame whose version byte is forced to 1 must be
-        // rejected at decode (the kind does not exist in v1), not parsed.
-        let req = Request::BatchConnect(vec![MulticastConnection::unicast(
-            Endpoint::new(0, 0),
-            Endpoint::new(1, 0),
-        )]);
-        let mut bytes = encode_request(1, &req);
-        bytes[2] = 1;
-        let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
-        assert!(matches!(
-            decode_request(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-        let resp = Response::Batch(vec![Response::Ok]);
-        let mut bytes = encode_response(1, &resp);
-        bytes[2] = 1;
-        let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
-        assert!(matches!(
-            decode_response(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-    }
-
-    #[test]
-    fn batch_reply_roundtrips_mixed_verdicts() {
-        let resp = Response::Batch(vec![
-            Response::Ok,
-            Response::Rejected {
-                reason: RejectReason::Blocked,
-                detail: "middle stage exhausted".into(),
-            },
-            Response::Ok,
-            Response::Rejected {
-                reason: RejectReason::Busy,
-                detail: String::new(),
-            },
-        ]);
-        assert_eq!(roundtrip_response(&resp), resp);
-    }
-
-    #[test]
-    fn huge_declared_batch_rejected_without_allocation() {
-        let mut p = Vec::new();
-        put_u32(&mut p, u32::MAX);
-        let frame = RawFrame {
-            version: WIRE_VERSION,
-            kind: kind::BATCH_CONNECT,
-            id: 1,
-            payload: p,
-        };
-        assert!(matches!(
-            decode_request(&frame).unwrap_err(),
-            WireError::Malformed(_)
-        ));
-    }
-
-    /// One fault of each of the seven variants.
-    fn every_fault(a: u32, b: u32) -> [Fault; 7] {
-        [
-            Fault::MiddleSwitch(a),
+        let mut link = Vec::new();
+        put_fault(
+            &mut link,
             Fault::InputLink {
-                module: a,
-                middle: b,
+                module: 1,
+                middle: 2,
             },
-            Fault::MiddleLink {
-                middle: a,
-                module: b,
-            },
-            Fault::InputConverters(a),
-            Fault::MiddleConverters(a),
-            Fault::OutputConverters(a),
-            Fault::Port(a),
-        ]
-    }
-
-    #[test]
-    fn fault_frames_roundtrip_every_variant() {
-        for fault in every_fault(3, u32::MAX) {
-            for req in [Request::Inject(fault), Request::Repair(fault)] {
-                assert_eq!(roundtrip_request(&req), req);
-            }
-        }
-        for resp in [
-            Response::Healed {
-                hit: 4,
-                healed: 3,
-                failed: 1,
-            },
-            Response::Repaired(true),
-            Response::Repaired(false),
-        ] {
-            assert_eq!(roundtrip_response(&resp), resp);
-        }
-    }
-
-    /// A fault payload that is not one whole fault — unknown tag, cut
-    /// short, trailing bytes — or a fault frame in wire v1 is a typed
-    /// error, never a panic.
-    #[test]
-    fn malformed_fault_frames_are_wire_errors() {
-        let frame = |version, payload: Vec<u8>| RawFrame {
-            version,
-            kind: kind::INJECT,
-            id: 1,
-            payload,
-        };
-        let link = |frame: RawFrame| {
-            let mut p = frame.payload.clone();
-            put_fault(
-                &mut p,
-                Fault::InputLink {
-                    module: 1,
-                    middle: 2,
-                },
-            );
-            RawFrame {
-                payload: p,
-                ..frame
-            }
-        };
-        let whole = link(frame(WIRE_VERSION, Vec::new()));
-        assert!(decode_request(&whole).is_ok());
-        let mut unknown_tag = whole.clone();
-        unknown_tag.payload[0] = 7;
-        let mut truncated = whole.clone();
-        truncated.payload.truncate(5);
-        let mut trailing = whole.clone();
-        trailing.payload.push(0);
-        let v1 = link(frame(1, Vec::new()));
+        );
+        assert!(decode_request(&frame(Kind::Inject, link.clone())).is_ok());
+        let mut unknown_tag = link.clone();
+        unknown_tag[0] = 7;
+        let mut trailing = endpoint_then(0);
+        trailing.truncate(10);
+        let snapshot = encode_response(1, &Response::Snapshot(metrics_from_seed(3)));
+        let mut huge_list = snapshot[HEADER_LEN..].to_vec();
+        huge_list[29 * 8..29 * 8 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         for bad in [
-            unknown_tag,
-            truncated,
-            trailing,
-            v1,
-            frame(WIRE_VERSION, vec![]),
+            frame(Kind::Connect, endpoint_then(0)),
+            frame(Kind::Connect, endpoint_then(u32::MAX)),
+            frame(Kind::BatchConnect, u32::MAX.to_le_bytes().to_vec()),
+            frame(Kind::Inject, unknown_tag),
+            frame(Kind::Inject, link[..5].to_vec()),
+            frame(Kind::Repair, [&link[..], &[0]].concat()),
+            frame(Kind::Repair, vec![]),
+            frame(Kind::Disconnect, trailing),
+            frame(Kind::SnapshotData, huge_list),
+            frame(Kind::Repaired, vec![2]),
         ] {
+            let err = match row_of(bad.kind).unwrap().dir {
+                Dir::Request => decode_request(&bad).err(),
+                Dir::Response => decode_response(&bad).err(),
+            };
+            let layout = row_of(bad.kind).unwrap().payload;
             assert!(
-                matches!(decode_request(&bad), Err(WireError::Malformed(_))),
-                "{bad:?}"
+                matches!(&err, Some(WireError::Malformed(m)) if m.contains(layout)),
+                "{bad:?}: {err:?}"
             );
         }
-        for resp in [
-            Response::Repaired(true),
-            Response::Healed {
-                hit: 0,
-                healed: 0,
-                failed: 0,
-            },
-        ] {
-            let mut bytes = encode_response(1, &resp);
-            bytes[2] = 1;
-            let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
-            assert!(matches!(
-                decode_response(&frame),
-                Err(WireError::Malformed(_))
-            ));
-        }
-        let mut bytes = encode_response(1, &Response::Repaired(true));
-        *bytes.last_mut().unwrap() = 2;
-        let frame = read_frame(&mut Cursor::new(bytes)).unwrap();
-        assert!(matches!(
-            decode_response(&frame),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    /// Strategy: an arbitrary legal request.
-    fn arb_request() -> impl Strategy<Value = Request> {
-        (0u8..7, 0u32..64, 0u32..4, 1usize..6).prop_map(|(kind, port, wl, fanout)| match kind {
-            0 => {
-                // Distinct ports guarantee a structurally legal
-                // connection.
-                let dests = (0..fanout as u32).map(|i| Endpoint::new(port + 1 + i, wl));
-                Request::Connect(MulticastConnection::new(Endpoint::new(port, wl), dests).unwrap())
-            }
-            1 => Request::Disconnect(Endpoint::new(port, wl)),
-            2 => Request::Snapshot,
-            3 => Request::Drain,
-            4 => Request::Inject(every_fault(port, wl)[fanout]),
-            5 => Request::Repair(every_fault(wl, port)[fanout - 1]),
-            _ => Request::Ping,
-        })
     }
 
     proptest! {
         /// Every request survives encode → decode bit-exactly.
         #[test]
-        fn prop_request_roundtrip(req in arb_request(), id in 0u64..u64::MAX) {
-            let bytes = encode_request(id, &req);
-            let (got_id, got) = read_request(&mut Cursor::new(bytes)).expect("roundtrip");
-            prop_assert_eq!(got_id, id);
-            prop_assert_eq!(got, req);
+        fn prop_request_roundtrip(i in 0usize..8, x in any::<u64>()) {
+            let bytes = frame_of(i, x);
+            let (id, req) = read_request(&mut Cursor::new(&bytes)).expect("roundtrip");
+            prop_assert_eq!(id, x);
+            prop_assert_eq!(encode_request(id, &req), bytes);
         }
 
-        /// Truncating any encoded request at any point yields a clean
+        /// Every response survives encode → decode bit-exactly, the
+        /// snapshot's floats (NaNs included) too.
+        #[test]
+        fn prop_response_roundtrip(i in 8usize..17, x in any::<u64>()) {
+            let bytes = frame_of(i, x);
+            let (id, resp) = read_response(&mut Cursor::new(&bytes)).expect("roundtrip");
+            prop_assert_eq!(id, x);
+            prop_assert_eq!(encode_response(id, &resp), bytes);
+        }
+
+        /// Truncating a frame of any kind at any point yields a clean
         /// protocol error, never a panic.
         #[test]
-        fn prop_truncation_never_panics(req in arb_request(), cut in 0usize..64) {
-            let bytes = encode_request(3, &req);
-            let cut = cut.min(bytes.len().saturating_sub(1));
-            let result = read_request(&mut Cursor::new(bytes[..cut].to_vec()));
-            prop_assert!(result.is_err());
+        fn prop_truncation_never_panics(i in 0usize..17, x in any::<u64>(), cut in 0usize..512) {
+            let bytes = frame_of(i, x);
+            let cut = cut.min(bytes.len() - 1);
+            prop_assert!(read_frame(&mut Cursor::new(&bytes[..cut])).is_err());
         }
 
-        /// Flipping any single byte of an encoded request either still
+        /// Flipping any single byte of a frame of any kind either still
         /// decodes (payload bytes that stay structurally valid) or fails
         /// with a typed error — it never panics.
         #[test]
         fn prop_corruption_never_panics(
-            req in arb_request(),
-            pos in 0usize..64,
+            i in 0usize..17,
+            x in any::<u64>(),
+            pos in 0usize..512,
             xor in 1u8..=255,
         ) {
-            let mut bytes = encode_request(3, &req);
+            let mut bytes = frame_of(i, x);
             let pos = pos.min(bytes.len() - 1);
             bytes[pos] ^= xor;
-            let _ = read_request(&mut Cursor::new(bytes));
-        }
-
-        /// Same, for responses built from engine outcomes.
-        #[test]
-        fn prop_response_corruption_never_panics(
-            pos in 0usize..64,
-            xor in 1u8..=255,
-            code in 0u8..9,
-        ) {
-            let resp = match code {
-                0 => Response::Ok,
-                1 => Response::Pong,
-                2 => Response::Rejected { reason: RejectReason::Busy, detail: "d".into() },
-                _ => Response::ProtocolError { message: "m".into() },
-            };
-            let mut bytes = encode_response(1, &resp);
-            let pos = pos.min(bytes.len() - 1);
-            bytes[pos] ^= xor;
-            let _ = read_response(&mut Cursor::new(bytes));
+            if let Ok(frame) = read_frame(&mut Cursor::new(bytes)) {
+                let _ = reencode(&frame);
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   [`Response`], [`RejectReason`]) mirroring the runtime's error
 //!   taxonomy, plus the trace → wire adapter (`From<&TraceEvent> for
 //!   Request`).
-//! * [`codec`] — versioned framing with strict malformed-frame
+//! * [`codec`] — one-version framing with strict malformed-frame
 //!   rejection ([`WireError`]); decoding never panics on hostile input.
 //! * [`serving`] — the sans-IO serving core: per-connection protocol
 //!   state, dispatch, backpressure, per-cycle batch coalescing, drain.
@@ -65,6 +65,6 @@ pub use client::{ClientConfig, NetClient, NetClientError};
 pub use codec::{RawFrame, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD};
 #[cfg(target_os = "linux")]
 pub use loadgen::{LoadConfig, LoadReport};
-pub use protocol::{RejectReason, Request, Response, MIN_WIRE_VERSION, WIRE_VERSION};
+pub use protocol::{RejectReason, Request, Response, WIRE_VERSION};
 #[cfg(target_os = "linux")]
 pub use reactor::{ReactorConfig, ReactorServer, ReactorSnapshot};

@@ -19,8 +19,8 @@
 //! no latency or rate. Measuring the served system is the `benchmark/`
 //! package's job (`BENCHMARK.json`).
 
-use crate::codec::{decode_response, encode_request_v};
-use crate::protocol::{RejectReason, Request, Response, WIRE_VERSION};
+use crate::codec::{decode_response, encode_request};
+use crate::protocol::{RejectReason, Request, Response};
 use crate::reactor::sys::{
     set_abortive_close, Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -48,8 +48,6 @@ pub struct LoadConfig {
     pub ports: u32,
     /// Wavelengths per port of the served fabric.
     pub wavelengths: u32,
-    /// Wire version stamped on every request frame.
-    pub wire_version: u8,
     /// Abort the run (with `completed = false`) after this long.
     pub max_runtime: Duration,
 }
@@ -63,7 +61,6 @@ impl Default for LoadConfig {
             rounds: 8,
             ports: 64,
             wavelengths: 2,
-            wire_version: WIRE_VERSION,
             max_runtime: Duration::from_secs(120),
         }
     }
@@ -291,7 +288,7 @@ impl Driver {
                     is_connect,
                 },
             );
-            let bytes = encode_request_v(self.config.wire_version, id, &req);
+            let bytes = encode_request(id, &req);
             let conn = self.lanes[lane_idx].conn;
             self.clients[conn].out.extend_from_slice(&bytes);
             self.report.requests_sent += 1;

@@ -13,19 +13,12 @@ use wdm_core::{Endpoint, Fault, MulticastConnection, RejectClass};
 use wdm_runtime::{MetricsSnapshot, RequestOutcome};
 use wdm_workload::TraceEvent;
 
-/// Current wire-format version, carried in every frame header.
-///
-/// Version 2 adds the [`Request::BatchConnect`] / [`Response::Batch`]
-/// frames and the fault frames ([`Request::Inject`] / [`Request::Repair`]
-/// and their [`Response::Healed`] / [`Response::Repaired`] replies). Negotiation is per-frame and server-driven: a server accepts
-/// any version in [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] and answers
-/// each frame *in the version it arrived with*, so a v1 client (which
-/// hard-rejects any other version byte) keeps working against a v2
-/// server unchanged.
-pub const WIRE_VERSION: u8 = 2;
-
-/// Oldest wire-format version this peer still accepts.
-pub const MIN_WIRE_VERSION: u8 = 1;
+/// The wire-format version, carried in every frame header. It is the
+/// only one: a frame of any other version is refused with
+/// `WireError::UnsupportedVersion`, and the server answers it with a
+/// [`Response::ProtocolError`] and hangs up. Version 3 carries the
+/// metrics snapshot field by field; versions 1 and 2 are retired.
+pub const WIRE_VERSION: u8 = 3;
 
 /// One request frame, client → server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,19 +34,19 @@ pub enum Request {
     Drain,
     /// Health probe; the server answers [`Response::Pong`].
     Ping,
-    /// Admit several multicast connections in one frame (wire v2). The
+    /// Admit several multicast connections in one frame. The
     /// server feeds the whole batch through the engine's amortized
     /// batch path and answers with one [`Response::Batch`] carrying a
     /// verdict per connection, in order.
     BatchConnect(Vec<MulticastConnection>),
-    /// Fail a component and heal the connections it carried (wire v2),
-    /// after every frame this connection sent earlier; the server
-    /// answers [`Response::Healed`]. A fault naming a component the
-    /// served fabric does not have is refused as
+    /// Fail a component and heal the connections it carried, after
+    /// every frame this connection sent earlier; the server answers
+    /// [`Response::Healed`]. A fault naming a component the served
+    /// fabric does not have is refused as
     /// [`RejectReason::Fatal`], and after a drain as
     /// [`RejectReason::Draining`].
     Inject(Fault),
-    /// Repair a component (wire v2); answered [`Response::Repaired`],
+    /// Repair a component; answered [`Response::Repaired`],
     /// refused as [`Request::Inject`] is.
     Repair(Fault),
 }
@@ -192,11 +185,11 @@ pub enum Response {
         /// What was wrong with the offending frame.
         message: String,
     },
-    /// Per-connection verdicts for one [`Request::BatchConnect`] (wire
-    /// v2), in request order. Items are only ever [`Response::Ok`] or
+    /// Per-connection verdicts for one [`Request::BatchConnect`], in
+    /// request order. Items are only ever [`Response::Ok`] or
     /// [`Response::Rejected`].
     Batch(Vec<Response>),
-    /// Answer to [`Request::Inject`] (wire v2): live connections the
+    /// Answer to [`Request::Inject`]: live connections the
     /// fault evicted, how many were re-admitted on surviving hardware,
     /// and how many were lost.
     Healed {
@@ -207,7 +200,7 @@ pub enum Response {
         /// Evictees the degraded fabric could not re-admit.
         failed: u32,
     },
-    /// Answer to [`Request::Repair`] (wire v2): whether the component
+    /// Answer to [`Request::Repair`]: whether the component
     /// was down.
     Repaired(bool),
 }

@@ -7,8 +7,8 @@
 //! buffered — a malformed header is rejected before its payload ever
 //! arrives, with the [`WireError`]s `read_frame` produces.
 
-use crate::codec::{check_header, decode_request_parts, RawFrame, WireError, HEADER_LEN};
-use crate::protocol::{Request, Response};
+use crate::codec::{check_header, decode_request_parts, RawFrame, Row, WireError, HEADER_LEN};
+use crate::protocol::{Request, Response, WIRE_VERSION};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -60,9 +60,9 @@ impl FrameAssembler {
     /// frame (or nothing). `Err` — the byte stream is not a valid frame
     /// sequence; the connection is desynchronized beyond recovery.
     pub(crate) fn next_frame(&mut self) -> Result<Option<RawFrame>, WireError> {
-        self.next_with(|version, kind, id, payload| RawFrame {
-            version,
-            kind,
+        self.next_with(|row, id, payload| RawFrame {
+            version: WIRE_VERSION,
+            kind: row.kind as u8,
             id,
             payload: payload.to_vec(),
         })
@@ -72,36 +72,34 @@ impl FrameAssembler {
     /// buffer, without copying the payload out. Yields exactly what
     /// `decode_request` makes of `next_frame`'s frame.
     pub(crate) fn next_request(&mut self) -> Result<Option<DecodedRequest>, WireError> {
-        self.next_with(|version, kind, id, payload| {
-            (version, id, decode_request_parts(version, kind, payload))
-        })
+        self.next_with(|row, id, payload| (id, decode_request_parts(row, payload)))
     }
 
-    /// Consume the next complete frame, handing `f` its version, kind,
-    /// id and payload in place.
+    /// Consume the next complete frame, handing `f` its kind row, id and
+    /// payload in place.
     fn next_with<T>(
         &mut self,
-        f: impl FnOnce(u8, u8, u64, &[u8]) -> T,
+        f: impl FnOnce(&'static Row, u64, &[u8]) -> T,
     ) -> Result<Option<T>, WireError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
         }
-        let (version, kind, id, len) = check_header(avail)?;
+        let (row, id, len) = check_header(avail)?;
         let total = HEADER_LEN + len;
         if avail.len() < total {
             return Ok(None);
         }
-        let out = f(version, kind, id, &avail[HEADER_LEN..total]);
+        let out = f(row, id, &avail[HEADER_LEN..total]);
         self.pos += total;
         self.compact();
         Ok(Some(out))
     }
 }
 
-/// A request frame decoded in place: version, id, and the request or
-/// why its payload did not parse (the stream itself stays in sync).
-pub(crate) type DecodedRequest = (u8, u64, Result<Request, WireError>);
+/// A request frame decoded in place: its id, and the request or why its
+/// payload did not parse (the stream itself stays in sync).
+pub(crate) type DecodedRequest = (u64, Result<Request, WireError>);
 
 /// The wakeup channel from engine-shard callbacks back to the driver:
 /// tokens queue here and the driver's wake callback runs (an eventfd
@@ -185,17 +183,17 @@ impl ConnShared {
         })
     }
 
-    /// Encode `resp` in its request's wire version straight onto the
-    /// output queue, from any thread. Only an empty queue asks for a
-    /// wakeup: a non-empty one is already owed a write, through the wake
-    /// list or, after a short write, the driver's writable interest.
-    pub(crate) fn respond(&self, version: u8, id: u64, resp: &Response) {
+    /// Encode `resp` straight onto the output queue, from any thread.
+    /// Only an empty queue asks for a wakeup: a non-empty one is already
+    /// owed a write, through the wake list or, after a short write, the
+    /// driver's writable interest.
+    pub(crate) fn respond(&self, id: u64, resp: &Response) {
         if self.closed.load(Ordering::Acquire) {
             return;
         }
         let mut out = self.out.lock();
         let was_empty = out.is_empty();
-        crate::codec::encode_response_into(&mut out, version, id, resp);
+        crate::codec::encode_response_into(&mut out, id, resp);
         self.queued.store(out.len(), Ordering::Relaxed);
         drop(out);
         if was_empty {
@@ -254,10 +252,10 @@ pub(crate) struct Connection {
 
 impl Connection {
     /// Answer an unreadable frame with a `ProtocolError`, then close.
-    pub(crate) fn refuse(&mut self, version: u8, id: u64, e: &WireError) {
+    pub(crate) fn refuse(&mut self, id: u64, e: &WireError) {
         let message = e.to_string();
         self.shared
-            .respond(version, id, &Response::ProtocolError { message });
+            .respond(id, &Response::ProtocolError { message });
         self.closing = true;
     }
 
@@ -274,12 +272,11 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_request, encode_request, encode_request_v, MAGIC, MAX_PAYLOAD};
-    use crate::protocol::{Request, WIRE_VERSION};
+    use crate::codec::{decode_request, encode_request, KINDS, MAGIC, MAX_PAYLOAD};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
-    use wdm_core::{Endpoint, MulticastConnection};
+    use wdm_core::{Endpoint, Fault, MulticastConnection};
 
     fn ping_bytes(id: u64) -> Vec<u8> {
         encode_request(id, &Request::Ping)
@@ -369,8 +366,8 @@ mod tests {
     fn write_queue_roundtrip_and_requeue_order() {
         let wake = Arc::new(WakeQueue::new(|| {}));
         let shared = ConnShared::new(9, Arc::clone(&wake));
-        shared.respond(WIRE_VERSION, 1, &Response::Pong);
-        shared.respond(WIRE_VERSION, 2, &Response::Ok);
+        shared.respond(1, &Response::Pong);
+        shared.respond(2, &Response::Ok);
         // One token per empty→non-empty transition, not per response.
         assert_eq!(wake.take(), vec![9]);
         let pending = shared.take_pending().expect("two responses queued");
@@ -378,7 +375,7 @@ mod tests {
         // third response lands behind it. The tail is owed a write
         // already, so the third response queues no token.
         shared.requeue_front(pending[3..].to_vec());
-        shared.respond(WIRE_VERSION, 3, &Response::Pong);
+        shared.respond(3, &Response::Pong);
         assert!(wake.take().is_empty());
         let rest = shared.take_pending().expect("tail + third");
         let mut full = pending[..3].to_vec();
@@ -393,7 +390,7 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3]);
         // After close, responds are dropped.
         shared.close();
-        shared.respond(WIRE_VERSION, 4, &Response::Pong);
+        shared.respond(4, &Response::Pong);
         assert!(shared.take_pending().is_none());
     }
 
@@ -423,19 +420,19 @@ mod tests {
         assert_eq!(queue.take(), vec![3, 4]);
     }
 
-    /// One frame of a random stream: a legal request in either wire
-    /// version, a well-framed payload that does not parse as a request,
-    /// or (rarely) a header that desynchronizes the stream.
+    /// One frame of a random stream: a legal request of any kind in the
+    /// table, a well-framed payload that does not parse as its request
+    /// kind, or (rarely) a header that desynchronizes the stream — bad
+    /// magic, an unknown kind, or a retired or future version.
     fn random_frame(rng: &mut StdRng) -> Vec<u8> {
         let id = rng.gen::<u64>();
-        let version = rng.gen_range(1..=WIRE_VERSION);
         let conn = |rng: &mut StdRng| {
             let src = rng.gen_range(0..64u32);
             let fanout = rng.gen_range(1..5u32);
             let dests = (1..=fanout).map(|i| Endpoint::new(src + i, 0));
             MulticastConnection::new(Endpoint::new(src, 0), dests).expect("distinct ports")
         };
-        let raw = |kind: u8, payload: &[u8]| {
+        let raw = |version: u8, kind: u8, payload: &[u8]| {
             let mut f = MAGIC.to_vec();
             f.extend_from_slice(&[version, kind]);
             f.extend_from_slice(&id.to_le_bytes());
@@ -443,25 +440,37 @@ mod tests {
             f.extend_from_slice(payload);
             f
         };
-        match rng.gen_range(0..40) {
-            0..=9 => encode_request_v(version, id, &Request::Connect(conn(rng))),
+        let fault = Fault::MiddleLink {
+            middle: rng.gen_range(0..8),
+            module: rng.gen_range(0..8),
+        };
+        match rng.gen_range(0..44) {
+            0..=9 => encode_request(id, &Request::Connect(conn(rng))),
             10..=14 => {
                 let batch = vec![conn(rng), conn(rng)];
-                encode_request_v(2, id, &Request::BatchConnect(batch))
+                encode_request(id, &Request::BatchConnect(batch))
             }
-            15..=19 => encode_request_v(version, id, &Request::Disconnect(Endpoint::new(3, 1))),
-            20..=23 => encode_request_v(version, id, &Request::Ping),
-            24..=26 => encode_request_v(version, id, &Request::Snapshot),
-            // Random payload bytes under a request kind: short,
-            // trailing, invalid or v2-only-in-v1 payloads.
-            27..=33 => {
+            15..=19 => encode_request(id, &Request::Disconnect(Endpoint::new(3, 1))),
+            20..=22 => encode_request(id, &Request::Ping),
+            23..=24 => encode_request(id, &Request::Snapshot),
+            25 => encode_request(id, &Request::Drain),
+            26 => encode_request(id, &Request::Inject(fault)),
+            27 => encode_request(id, &Request::Repair(fault)),
+            // Random payload bytes under a kind of the table: short,
+            // trailing or invalid request payloads, or a response kind
+            // where a request belongs.
+            28..=38 => {
                 let mut payload = vec![0u8; rng.gen_range(0..40)];
                 rng.fill_bytes(&mut payload);
-                raw(rng.gen_range(0x01..=0x06), &payload)
+                let kind = KINDS[rng.gen_range(0..KINDS.len())].kind as u8;
+                raw(WIRE_VERSION, kind, &payload)
             }
-            // A response kind where a request belongs.
-            34..=37 => raw(0x81, &[]),
-            38 => raw(0x77, &[]),
+            39 => raw(WIRE_VERSION, 0x77, &[]),
+            40 => raw(
+                [1, 2, WIRE_VERSION + 1][rng.gen_range(0..3usize)],
+                0x05,
+                &[],
+            ),
             _ => {
                 let mut f = encode_request(id, &Request::Ping);
                 f[0] = 0;
@@ -482,7 +491,7 @@ mod tests {
             let mut taken: Vec<u8> = Vec::new();
             for id in 0..rng.gen_range(1..64u64) {
                 match rng.gen_range(0..40) {
-                    0..=19 => shared.respond(WIRE_VERSION, id, &Response::Pong),
+                    0..=19 => shared.respond(id, &Response::Pong),
                     20..=27 => taken = shared.take_pending().unwrap_or_default(),
                     28..=38 => {
                         let cut = rng.gen_range(0..=taken.len());
@@ -516,7 +525,7 @@ mod tests {
                 loop {
                     let want = copying
                         .next_frame()
-                        .map(|f| f.map(|f| (f.version, f.id, decode_request(&f))));
+                        .map(|f| f.map(|f| (f.id, decode_request(&f))));
                     let got = in_place.next_request();
                     prop_assert_eq!(&got, &want);
                     prop_assert_eq!(in_place.pending(), copying.pending());

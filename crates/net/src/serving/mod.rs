@@ -4,11 +4,10 @@
 //! [`ServingCore`] holds each connection's frame assembler, write queue,
 //! in-flight count and closing / hang-up flags, and does everything
 //! between bytes and the engine: decode, dispatch, the in-flight cap,
-//! one coalesced engine batch per cycle, replies in each request's wire
-//! version, the reap decision. A driver feeds it bytes read, writable
-//! budgets, hang-ups and cycle ends — the epoll reactor
-//! ([`crate::reactor`]) in production, `wdm-sim`'s `NetSim` in tests —
-//! and the engine sits behind the [`Engine`] seam.
+//! one coalesced engine batch per cycle, the reap decision. A driver
+//! feeds it bytes read, writable budgets, hang-ups and cycle ends — the
+//! epoll reactor ([`crate::reactor`]) in production, `wdm-sim`'s
+//! `NetSim` in tests — and the engine sits behind the [`Engine`] seam.
 //!
 //! **Faults.** An `Inject` or `Repair` frame goes through the engine's
 //! one [`FaultHandle`] after the cycle batch is flushed, so it lands
@@ -26,7 +25,7 @@ mod stats;
 pub use stats::{ReactorMetrics, ReactorSnapshot};
 
 use crate::codec::MAX_PAYLOAD;
-use crate::protocol::{RejectReason, Request, Response, WIRE_VERSION};
+use crate::protocol::{RejectReason, Request, Response};
 use conn::{ConnShared, Connection, DecodedRequest, FrameAssembler, WakeQueue};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -407,11 +406,10 @@ impl<E: Engine> Cycle<E> {
                 Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(e) => {
-                    // The byte stream is desynchronized; explain at the
-                    // protocol's own version (the frame header is
-                    // unreliable), then hang up.
+                    // The byte stream is desynchronized; explain (under
+                    // id 0: the frame header is unreliable), then hang up.
                     self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    conn.refuse(WIRE_VERSION, 0, &e);
+                    conn.refuse(0, &e);
                     break;
                 }
             };
@@ -426,40 +424,40 @@ impl<E: Engine> Cycle<E> {
 
     /// Route one decoded frame. Admission work lands in the cycle batch;
     /// everything else is answered inline.
-    fn dispatch(&mut self, conn: &mut Connection, (version, id, req): DecodedRequest, now: f64) {
+    fn dispatch(&mut self, conn: &mut Connection, (id, req): DecodedRequest, now: f64) {
         let req = match req {
             Ok(r) => r,
             Err(e) => {
                 self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                conn.refuse(version, id, &e);
+                conn.refuse(id, &e);
                 return;
             }
         };
         let cs = Arc::clone(&conn.shared);
         match req {
-            Request::Ping => cs.respond(version, id, &Response::Pong),
-            Request::Snapshot => cs.respond(version, id, &self.slot.snapshot_response()),
+            Request::Ping => cs.respond(id, &Response::Pong),
+            Request::Snapshot => cs.respond(id, &self.slot.snapshot_response()),
             Request::Drain => {
                 // Earlier frames of this cycle must reach the engine
                 // before it stops accepting, so their verdicts are real
                 // and not `Draining`.
                 self.flush();
                 let (clean, summary) = self.slot.drain();
-                cs.respond(version, id, &Response::DrainReport { clean, summary });
+                cs.respond(id, &Response::DrainReport { clean, summary });
             }
             Request::Connect(c) => {
-                self.push_single(cs, version, id, TraceEvent::Connect(c), now);
+                self.push_single(cs, id, TraceEvent::Connect(c), now);
             }
             Request::Disconnect(src) => {
-                self.push_single(cs, version, id, TraceEvent::Disconnect(src), now);
+                self.push_single(cs, id, TraceEvent::Disconnect(src), now);
             }
             Request::BatchConnect(conns) => {
-                self.push_wire_batch(cs, version, id, conns, now);
+                self.push_wire_batch(cs, id, conns, now);
             }
             fault @ (Request::Inject(_) | Request::Repair(_)) => {
                 // As for a drain: earlier frames reach the engine first.
                 self.flush();
-                cs.respond(version, id, &self.slot.fault(&fault));
+                cs.respond(id, &self.slot.fault(&fault));
             }
         }
         if self.batch.events.len() >= self.max_coalesce {
@@ -469,18 +467,10 @@ impl<E: Engine> Cycle<E> {
 
     /// Queue one connect/disconnect into the cycle batch, or shed it at
     /// the per-connection in-flight cap.
-    fn push_single(
-        &mut self,
-        cs: Arc<ConnShared>,
-        version: u8,
-        id: u64,
-        event: TraceEvent,
-        time: f64,
-    ) {
+    fn push_single(&mut self, cs: Arc<ConnShared>, id: u64, event: TraceEvent, time: f64) {
         if cs.inflight.load(Ordering::Acquire) >= self.max_inflight {
             self.metrics.shed.fetch_add(1, Ordering::Relaxed);
             cs.respond(
-                version,
                 id,
                 &Response::Rejected {
                     reason: RejectReason::Backpressure,
@@ -492,25 +482,24 @@ impl<E: Engine> Cycle<E> {
         cs.inflight.fetch_add(1, Ordering::AcqRel);
         self.batch.events.push(TimedEvent { time, event });
         self.batch.callbacks.push(Box::new(move |outcome| {
-            cs.respond(version, id, &Response::from_outcome(outcome));
+            cs.respond(id, &Response::from_outcome(outcome));
             cs.inflight.fetch_sub(1, Ordering::AcqRel);
         }));
     }
 
-    /// Queue a wire-v2 `BatchConnect` into the cycle batch: per-item
+    /// Queue a `BatchConnect` into the cycle batch: per-item
     /// verdicts accumulate in slot order and whichever engine callback
     /// resolves last writes the single `Batch` reply.
     fn push_wire_batch(
         &mut self,
         cs: Arc<ConnShared>,
-        version: u8,
         id: u64,
         conns: Vec<MulticastConnection>,
         time: f64,
     ) {
         let n = conns.len();
         if n == 0 {
-            cs.respond(version, id, &Response::Batch(Vec::new()));
+            cs.respond(id, &Response::Batch(Vec::new()));
             return;
         }
         if cs.inflight.load(Ordering::Acquire) + n > self.max_inflight {
@@ -521,7 +510,7 @@ impl<E: Engine> Cycle<E> {
                     detail: "per-connection in-flight cap reached".into(),
                 })
                 .collect();
-            cs.respond(version, id, &Response::Batch(items));
+            cs.respond(id, &Response::Batch(items));
             return;
         }
         cs.inflight.fetch_add(n, Ordering::AcqRel);
@@ -546,7 +535,7 @@ impl<E: Engine> Cycle<E> {
                         .iter_mut()
                         .map(|s| s.take().expect("every slot resolved"))
                         .collect();
-                    cs.respond(version, id, &Response::Batch(items));
+                    cs.respond(id, &Response::Batch(items));
                 }
             }));
         }

@@ -7,7 +7,7 @@
 //! clients' observed acks. The serving-layer behaviours ride along:
 //! coalescing telemetry is live, the in-flight cap sheds with
 //! `Backpressure`, malformed frames close the connection, drains are
-//! idempotent, and v1 clients and wire batches round-trip.
+//! idempotent, and wire batches round-trip.
 
 #![cfg(target_os = "linux")]
 
@@ -226,41 +226,6 @@ fn reactor_malformed_frame_gets_protocol_error_then_close() {
     assert!(report.is_clean());
 }
 
-/// Version negotiation: a strict v1 client (stamping version 1 on every
-/// frame, and rejecting any other version byte in replies thanks to the
-/// codec's range check) must round-trip ping/connect/disconnect against
-/// the v2 server unchanged — the server mirrors the request's version.
-#[test]
-fn reactor_v1_client_round_trips_against_v2_server() {
-    assert_eq!(wdm_net::WIRE_VERSION, 2);
-    let server = serve_crossbar(4, 2, ReactorConfig::default());
-
-    let config = ClientConfig {
-        wire_version: 1,
-        ..ClientConfig::default()
-    };
-    let mut v1 = NetClient::connect_with(server.local_addr(), config).expect("connect");
-    v1.ping().expect("v1 ping");
-    let conn = MulticastConnection::unicast(Endpoint::new(0, 0), Endpoint::new(1, 0));
-    assert!(matches!(
-        v1.call(&Request::Connect(conn)).expect("v1 connect"),
-        Response::Ok
-    ));
-    assert!(matches!(
-        v1.call(&Request::Disconnect(Endpoint::new(0, 0)))
-            .expect("v1 disconnect"),
-        Response::Ok
-    ));
-    assert!(matches!(
-        v1.snapshot().expect("v1 snapshot"),
-        Response::Snapshot(_)
-    ));
-
-    let report = server.shutdown();
-    assert!(report.is_clean());
-    assert_eq!(report.summary.admitted, 1);
-}
-
 /// The engine's busy deadline in the batch test: its duplicate-source
 /// item parks behind the live connection until the deadline expires it.
 const BATCH_BUSY_DEADLINE: Duration = Duration::from_millis(200);
@@ -269,7 +234,7 @@ const BATCH_BUSY_DEADLINE: Duration = Duration::from_millis(200);
 /// the reply, so the parked item's verdict never races the read timeout.
 const BATCH_CLIENT_MARGIN: Duration = Duration::from_secs(5);
 
-/// A v2 `BatchConnect` answers with one `Batch` reply whose items line
+/// A `BatchConnect` answers with one `Batch` reply whose items line
 /// up index-for-index with the submitted connections.
 #[test]
 fn reactor_batch_connect_round_trips_with_per_item_verdicts() {

@@ -119,12 +119,12 @@ pub fn conformance_backend() -> CrossbarSession {
 /// wire), so releasing a live source after a duplicate rejection takes
 /// two disconnects. The script exercises admissions, the
 /// duplicate-source rejection, that skip pairing, readmission after
-/// release, a wire batch with a per-item rejection (v2 only), a drain
-/// over the wire, and post-drain refusals.
-pub fn conformance_script(wire_version: u8) -> Vec<Request> {
+/// release, a wire batch with a per-item rejection, a drain over the
+/// wire, and post-drain refusals.
+pub fn conformance_script() -> Vec<Request> {
     let a = unicast(0, 0, 1, 0);
     let b = unicast(2, 0, 3, 0);
-    let mut script = vec![
+    vec![
         Request::Ping,
         Request::Connect(a.clone()),
         Request::Connect(b.clone()),
@@ -140,33 +140,28 @@ pub fn conformance_script(wire_version: u8) -> Vec<Request> {
         Request::Connect(a.clone()),
         Request::Disconnect(a.source()),
         Request::Disconnect(b.source()),
-    ];
-    if wire_version >= 2 {
         // Batch: second item repeats the first item's source, so the
         // engine's per-source FIFO resolves [Ok, Rejected]; the first
         // disconnect pairs the rejected item, the second departs.
-        script.push(Request::BatchConnect(vec![
-            unicast(1, 0, 2, 0),
-            unicast(1, 0, 3, 0),
-        ]));
-        script.push(Request::Disconnect(Endpoint::new(1, 0)));
-        script.push(Request::Disconnect(Endpoint::new(1, 0)));
-    }
-    script.push(Request::Drain);
-    // Post-drain: admissions refused as Draining, drain idempotent,
-    // snapshot still answers.
-    script.push(Request::Connect(a));
-    script.push(Request::Drain);
-    script.push(Request::Snapshot);
-    script
+        Request::BatchConnect(vec![unicast(1, 0, 2, 0), unicast(1, 0, 3, 0)]),
+        Request::Disconnect(Endpoint::new(1, 0)),
+        Request::Disconnect(Endpoint::new(1, 0)),
+        Request::Drain,
+        // Post-drain: admissions refused as Draining, drain idempotent,
+        // snapshot still answers.
+        Request::Connect(a),
+        Request::Drain,
+        Request::Snapshot,
+    ]
 }
 
-/// What [`conformance_script`] must answer, entry for entry. The first
-/// ten entries are common to both wire versions; the `Fatal` disconnect
-/// leaves an engine error behind, so the drain is (deterministically)
-/// not clean.
-pub fn pinned_transcript(wire_version: u8) -> Vec<&'static str> {
-    let mut want = vec![
+/// What [`conformance_script`] must answer, entry for entry. The
+/// `Fatal` disconnect leaves an engine error behind, so the drain is
+/// (deterministically) not clean.
+pub fn pinned_transcript() -> Vec<&'static str> {
+    let drain = "drain:clean=false:offered=6:admitted=4:blocked=0:departed=4:\
+                 skipped=2:orphaned=0:component_down=0";
+    vec![
         "pong",
         "ok",
         "ok",
@@ -177,24 +172,17 @@ pub fn pinned_transcript(wire_version: u8) -> Vec<&'static str> {
         "ok",
         "ok",
         "ok",
-    ];
-    let (drain, report) = if wire_version >= 2 {
-        want.extend(["batch:[ok,rejected:Busy]", "rejected:UnknownSource", "ok"]);
-        (
-            "drain:clean=false:offered=6:admitted=4:blocked=0:departed=4:\
-             skipped=2:orphaned=0:component_down=0",
-            "report:clean=false:offered=6:admitted=4:blocked=0:departed=4:panics=0",
-        )
-    } else {
-        (
-            "drain:clean=false:offered=4:admitted=3:blocked=0:departed=3:\
-             skipped=1:orphaned=0:component_down=0",
-            "report:clean=false:offered=4:admitted=3:blocked=0:departed=3:panics=0",
-        )
-    };
-    // Post-drain: refused as Draining, drain idempotent, snapshot answers.
-    want.extend([drain, "rejected:Draining", drain, "snapshot", report]);
-    want
+        "batch:[ok,rejected:Busy]",
+        "rejected:UnknownSource",
+        "ok",
+        drain,
+        // Post-drain: refused as Draining, drain idempotent, snapshot
+        // answers.
+        "rejected:Draining",
+        drain,
+        "snapshot",
+        "report:clean=false:offered=6:admitted=4:blocked=0:departed=4:panics=0",
+    ]
 }
 
 /// The backend [`fault_script`] runs against: a three-stage fabric with
@@ -208,7 +196,7 @@ pub fn fault_backend() -> ThreeStageNetwork {
 
 /// Fault conformance: the fabric loses a middle switch mid-script by
 /// an in-band fault frame, serves through the degraded window, and is
-/// repaired (run on wire v2).
+/// repaired.
 pub fn fault_script() -> Vec<Request> {
     vec![
         Request::Connect(unicast(0, 0, 4, 0)),

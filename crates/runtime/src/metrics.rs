@@ -454,8 +454,7 @@ pub struct MetricsSnapshot {
     /// Rearrangement moves aborted (original route kept).
     pub repack_moves_aborted: u64,
     /// Seqlock retries of lock-free gauge reads against a concurrent
-    /// backend (absent in pre-concurrency serialized snapshots).
-    #[serde(default)]
+    /// backend.
     pub snapshot_retries: u64,
     /// Live connections at snapshot time.
     pub active: u64,
@@ -492,16 +491,6 @@ impl MetricsSnapshot {
         } else {
             self.admitted as f64 / self.elapsed_secs
         }
-    }
-
-    /// Render as a JSON line (for log shipping / offline analysis).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("snapshot serializes")
-    }
-
-    /// Parse a snapshot back from [`MetricsSnapshot::to_json`] output.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
     }
 }
 
@@ -607,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_through_json() {
+    fn snapshot_reads_every_counter() {
         let m = RuntimeMetrics::new(2);
         m.offered.fetch_add(10, Ordering::Relaxed);
         m.admitted.fetch_add(9, Ordering::Relaxed);
@@ -628,14 +617,6 @@ mod tests {
         assert!(snap.p99_repack_ns > 0);
         assert!((snap.blocking_probability - 0.1).abs() < 1e-12);
         assert!((snap.throughput() - 4.5).abs() < 1e-12);
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).unwrap();
-        assert_eq!(back, snap);
-        // Pre-concurrency snapshots lack the seqlock retry counter; it
-        // must default rather than fail deserialization.
-        let legacy = json.replace("\"snapshot_retries\":5,", "");
-        let back = MetricsSnapshot::from_json(&legacy).unwrap();
-        assert_eq!(back.snapshot_retries, 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The socket conformance transcripts, reproduced by the serving core's
 //! simulated driver: the literals in `wdm-net`'s `tests/transcripts/`
 //! must come out byte-identical under every schedule seed — random
-//! read, write and retry interleavings and chunk sizes — for a
-//! strict v1 client, a v2 client, and the fault inject/repair script.
+//! read, write and retry interleavings and chunk sizes — for the
+//! conformance script and the fault inject/repair script.
 
 mod simulated;
 #[path = "../../net/tests/transcripts/mod.rs"]
@@ -16,22 +16,16 @@ use transcripts::{
 use wdm_runtime::RuntimeConfig;
 use wdm_sim::NetSim;
 
-/// Both conformance transcripts (v1 and v2) and the fault transcript
-/// under `seeds` schedule seeds each.
+/// The conformance transcript and the fault transcript under `seeds`
+/// schedule seeds each.
 fn transcript_sweep(seeds: u64) {
     let runtime = RuntimeConfig::default;
     for seed in 0..seeds {
-        for wire_version in [1u8, 2] {
-            let sim = NetSim::new(conformance_backend(), 2, runtime());
-            let got = run_simulated(sim, wire_version, &conformance_script(wire_version), seed);
-            assert_transcript(
-                &format!("v{wire_version} seed {seed}"),
-                &got,
-                &pinned_transcript(wire_version),
-            );
-        }
+        let sim = NetSim::new(conformance_backend(), 2, runtime());
+        let got = run_simulated(sim, &conformance_script(), seed);
+        assert_transcript(&format!("seed {seed}"), &got, &pinned_transcript());
         let sim = NetSim::new(fault_backend(), 2, runtime());
-        let got = run_simulated(sim, 2, &fault_script(), seed);
+        let got = run_simulated(sim, &fault_script(), seed);
         assert_transcript(
             &format!("fault script seed {seed}"),
             &got,

@@ -5,16 +5,15 @@
 //! which includes `transcripts` at its crate root.
 
 use crate::transcripts::{run_script, Driver};
-use wdm_net::codec::encode_request_v;
-use wdm_net::{Request, Response};
+use wdm_net::codec::encode_request;
+use wdm_net::{Request, Response, WIRE_VERSION};
 use wdm_runtime::{Backend, RuntimeReport};
 use wdm_sim::{ChoiceStream, NetSim, Peer};
 
-/// One lane of a [`NetSim`], calling sequentially in one wire version.
+/// One lane of a [`NetSim`], calling sequentially.
 struct Simulated<B: Backend> {
     sim: NetSim<B>,
     lane: usize,
-    wire_version: u8,
     next_id: u64,
     choices: ChoiceStream,
 }
@@ -23,11 +22,10 @@ impl<B: Backend> Driver<B> for Simulated<B> {
     fn call(&mut self, req: &Request) -> Response {
         let id = self.next_id;
         self.next_id += 1;
-        self.sim
-            .script(self.lane, encode_request_v(self.wire_version, id, req));
+        self.sim.script(self.lane, encode_request(id, req));
         self.sim.run(&mut self.choices);
         let (version, got, resp) = self.sim.responses(self.lane).last().expect("answered");
-        assert_eq!((*version, *got), (self.wire_version, id), "mirrored reply");
+        assert_eq!((*version, *got), (WIRE_VERSION, id), "reply to the call");
         resp.clone()
     }
 
@@ -36,19 +34,13 @@ impl<B: Backend> Driver<B> for Simulated<B> {
     }
 }
 
-/// Run `script` on a fresh lane of `sim`, speaking `wire_version`, with
-/// every schedule choice drawn from `seed`.
-pub fn run_simulated<B: Backend>(
-    mut sim: NetSim<B>,
-    wire_version: u8,
-    script: &[Request],
-    seed: u64,
-) -> Vec<String> {
+/// Run `script` on a fresh lane of `sim`, with every schedule choice
+/// drawn from `seed`.
+pub fn run_simulated<B: Backend>(mut sim: NetSim<B>, script: &[Request], seed: u64) -> Vec<String> {
     let lane = sim.lane(1, Peer::Reads);
     let driver = Simulated {
         sim,
         lane,
-        wire_version,
         next_id: 1,
         choices: ChoiceStream::new(seed),
     };

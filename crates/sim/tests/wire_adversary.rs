@@ -9,7 +9,7 @@
 use wdm_core::{Endpoint, Fault, MulticastConnection, MulticastModel, NetworkConfig};
 use wdm_fabric::CrossbarSession;
 use wdm_multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
-use wdm_net::codec::{encode_request, encode_request_v};
+use wdm_net::codec::encode_request;
 use wdm_net::serving::MAX_QUEUED_OUTPUT;
 use wdm_net::{RejectReason, Request, Response, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION};
 use wdm_runtime::{Backend, RuntimeConfig, RuntimeReport};
@@ -68,39 +68,17 @@ fn oversized_length(seed: u64) -> RuntimeReport<CrossbarSession> {
     sim.finish()
 }
 
-/// A v1 frame, then a v2 frame, on one connection: each is answered in
-/// its own version.
-fn version_switch(seed: u64) -> RuntimeReport<CrossbarSession> {
-    let mut sim = new_sim();
-    let l = sim.lane(4, Peer::Reads);
-    sim.script(l, encode_request_v(1, 1, &Request::Connect(unicast(0, 1))));
-    let batch = Request::BatchConnect(vec![unicast(2, 3)]);
-    sim.script(l, encode_request_v(2, 2, &batch));
-    let gone = |src| Request::Disconnect(Endpoint::new(src, 0));
-    sim.script(l, encode_request_v(1, 3, &gone(0)));
-    sim.script(l, encode_request_v(2, 4, &gone(2)));
-    drive(&mut sim, seed, |_| {});
-    let mut got = sim.responses(l).to_vec();
-    got.sort_by_key(|(_, id, _)| *id);
-    let want = [
-        (1, 1, Response::Ok),
-        (2, 2, Response::Batch(vec![Response::Ok])),
-        (1, 3, Response::Ok),
-        (2, 4, Response::Ok),
-    ];
-    assert_eq!(got, want, "seed {seed}");
-    sim.finish()
-}
-
-/// A version-3 frame between two good ones: the first is answered, the
-/// bad one earns a `ProtocolError`, and nothing after it is served.
-fn version_3_mid_stream(seed: u64) -> RuntimeReport<CrossbarSession> {
+/// A frame of `version` — retired or not yet spoken — between two good
+/// ones: the first is answered, the bad one earns a `ProtocolError`,
+/// nothing after it is served, and the connection is reaped.
+fn version_mid_stream(version: u8, seed: u64) -> RuntimeReport<CrossbarSession> {
+    assert_ne!(version, WIRE_VERSION);
     let mut sim = new_sim();
     let l = sim.lane(3, Peer::Reads);
-    let mut v3 = encode_request(2, &Request::Ping);
-    v3[2] = 3;
+    let mut bad = encode_request(2, &Request::Ping);
+    bad[2] = version;
     sim.script(l, encode_request(1, &Request::Ping));
-    sim.script(l, v3);
+    sim.script(l, bad);
     sim.script(l, encode_request(3, &Request::Ping));
     drive(&mut sim, seed, |_| {});
     let got: Vec<_> = sim.responses(l).iter().map(|(_, id, r)| (*id, r)).collect();
@@ -199,10 +177,17 @@ fn ping_flood(seed: u64) -> RuntimeReport<CrossbarSession> {
 #[test]
 fn hostile_clients_degrade_by_the_taxonomy() {
     type Row = (&'static str, fn(u64) -> RuntimeReport<CrossbarSession>);
-    let rows: [Row; 5] = [
+    let rows: [Row; 6] = [
         ("length past MAX_PAYLOAD", oversized_length),
-        ("v1 then v2 on one connection", version_switch),
-        ("version 3 mid-stream", version_3_mid_stream),
+        ("retired version 1 mid-stream", |seed| {
+            version_mid_stream(1, seed)
+        }),
+        ("retired version 2 mid-stream", |seed| {
+            version_mid_stream(2, seed)
+        }),
+        ("next version mid-stream", |seed| {
+            version_mid_stream(WIRE_VERSION + 1, seed)
+        }),
         ("hang-up with requests in flight", hang_up_in_flight),
         ("never-reading ping flood", ping_flood),
     ];

@@ -11,8 +11,10 @@ mod transcripts;
 use std::io::Cursor;
 use std::sync::mpsc;
 use wdm_multicast::core::{Endpoint, Fault, MulticastConnection};
-use wdm_multicast::net::codec::{encode_request, encode_response, read_request, read_response};
-use wdm_multicast::net::{RejectReason, Request, Response};
+use wdm_multicast::net::codec::{
+    encode_request, encode_response, read_frame, read_request, read_response,
+};
+use wdm_multicast::net::{RejectReason, Request, Response, WireError, WIRE_VERSION};
 use wdm_multicast::runtime::{EngineBuilder, RequestOutcome, RuntimeConfig, RuntimeMetrics};
 use wdm_multicast::sim::{BackendKind, NetSim, Scenario};
 use wdm_multicast::workload::{TimedEvent, TraceEvent};
@@ -63,8 +65,10 @@ fn one_simulator_seed_per_backend_through_scenario() {
     }
 }
 
-/// Every `Request` and `Response` kind survives encode → frame → decode
-/// with its id.
+/// Every frame kind the header check admits — the codec's kind table,
+/// probed byte by byte — has a `Request` or `Response` that encodes to
+/// it and survives encode → frame → decode with its id; and a frame of
+/// a retired or future version is refused as `UnsupportedVersion`.
 #[test]
 fn wire_codec_round_trips_every_request_and_response_kind() {
     let multicast = MulticastConnection::new(
@@ -73,23 +77,26 @@ fn wire_codec_round_trips_every_request_and_response_kind() {
     )
     .unwrap();
     let unicast = MulticastConnection::unicast(Endpoint::new(1, 0), Endpoint::new(2, 0));
-    for req in [
+    let fault = Fault::MiddleLink {
+        middle: 2,
+        module: 5,
+    };
+    let requests = [
         Request::Connect(multicast.clone()),
         Request::Disconnect(Endpoint::new(5, 0)),
         Request::Snapshot,
         Request::Drain,
         Request::Ping,
         Request::BatchConnect(vec![multicast, unicast]),
-    ] {
-        let bytes = encode_request(7, &req);
-        assert_eq!(read_request(&mut Cursor::new(bytes)).unwrap(), (7, req));
-    }
+        Request::Inject(fault),
+        Request::Repair(Fault::MiddleSwitch(1)),
+    ];
     let rejected = Response::Rejected {
         reason: RejectReason::Blocked,
         detail: "middle stage exhausted".into(),
     };
     let snapshot = RuntimeMetrics::new(2).snapshot(1.5, 3, vec![1, 2, 0]);
-    for resp in [
+    let responses = [
         Response::Ok,
         rejected.clone(),
         Response::Snapshot(snapshot.clone()),
@@ -102,9 +109,44 @@ fn wire_codec_round_trips_every_request_and_response_kind() {
             message: "bad magic".into(),
         },
         Response::Batch(vec![Response::Ok, rejected]),
-    ] {
+        Response::Healed {
+            hit: 4,
+            healed: 3,
+            failed: 1,
+        },
+        Response::Repaired(true),
+    ];
+    let mut cases: Vec<(u8, Vec<u8>)> = Vec::new();
+    for req in requests {
+        let bytes = encode_request(7, &req);
+        assert_eq!(read_request(&mut Cursor::new(&bytes)).unwrap(), (7, req));
+        cases.push((bytes[3], bytes));
+    }
+    for resp in responses {
         let bytes = encode_response(9, &resp);
-        assert_eq!(read_response(&mut Cursor::new(bytes)).unwrap(), (9, resp));
+        assert_eq!(read_response(&mut Cursor::new(&bytes)).unwrap(), (9, resp));
+        cases.push((bytes[3], bytes));
+    }
+    let ping = encode_request(1, &Request::Ping);
+    let table: Vec<u8> = (0..=u8::MAX)
+        .filter(|&kind| {
+            let mut header = ping.clone();
+            header[3] = kind;
+            read_frame(&mut Cursor::new(header)).is_ok()
+        })
+        .collect();
+    let mut covered: Vec<u8> = cases.iter().map(|(kind, _)| *kind).collect();
+    covered.sort_unstable();
+    assert_eq!(covered, table, "one case per kind of the table");
+    for (_, bytes) in &cases {
+        for version in [0, 1, 2, WIRE_VERSION + 1] {
+            let mut frame = bytes.clone();
+            frame[2] = version;
+            assert_eq!(
+                read_frame(&mut Cursor::new(frame)),
+                Err(WireError::UnsupportedVersion(version))
+            );
+        }
     }
 }
 
@@ -313,19 +355,19 @@ fn busy_connect_is_retried_once_its_blocker_departs() {
     assert_eq!((s.admitted, s.departed, s.expired, s.active), (3, 3, 0, 0));
 }
 
-/// The v2 wire conformance script on the serving core's simulated
-/// driver: under 8 schedule seeds the transcript must equal, entry for
-/// entry, the literal the socket suite (`reactor_conformance.rs`) pins.
+/// The wire conformance script on the serving core's simulated driver:
+/// under 8 schedule seeds the transcript must equal, entry for entry,
+/// the literal the socket suite (`reactor_conformance.rs`) pins.
 #[test]
-fn serving_core_reproduces_the_v2_transcript_on_the_simulated_driver() {
-    let script = transcripts::conformance_script(2);
+fn serving_core_reproduces_the_conformance_transcript_on_the_simulated_driver() {
+    let script = transcripts::conformance_script();
     for seed in 0..8 {
         let sim = NetSim::new(
             transcripts::conformance_backend(),
             2,
             RuntimeConfig::default(),
         );
-        let got = simulated::run_simulated(sim, 2, &script, seed);
-        assert_eq!(got, transcripts::pinned_transcript(2), "seed {seed}");
+        let got = simulated::run_simulated(sim, &script, seed);
+        assert_eq!(got, transcripts::pinned_transcript(), "seed {seed}");
     }
 }
