@@ -265,9 +265,7 @@ impl GraphNetwork {
                 .search
                 .grow(&self.topo, src_node, &self.dest_nodes, free);
             if let Some(links) = feasible {
-                self.assignment
-                    .add(conn.clone())
-                    .expect("assignment was pre-checked");
+                self.assignment.add_checked(conn.clone());
                 for &l in links {
                     self.link_busy.set(wl, l);
                     let (_, to) = self.topo.link(l);

@@ -1,10 +1,9 @@
 //! Lock-free runtime telemetry: atomic counters, log-scaled latency and
 //! holding-time histograms, per-wavelength occupancy gauges, and the
-//! serializable [`MetricsSnapshot`] emitted periodically for offline
-//! analysis (tables/plots via `wdm-analysis`, JSON via `serde_json`).
+//! point-in-time [`MetricsSnapshot`] an engine reports (on the wire it
+//! crosses field by field, through `wdm-net`'s codec).
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const BUCKETS: usize = 64;
@@ -410,8 +409,8 @@ impl RuntimeMetrics {
     }
 }
 
-/// A serializable point-in-time view of a running (or drained) engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A point-in-time view of a running (or drained) engine.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Wall-clock seconds since the engine started.
     pub elapsed_secs: f64,

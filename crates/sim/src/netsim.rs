@@ -69,7 +69,7 @@ struct Lane {
     to_client: VecDeque<u8>,
     /// Bytes the client read but has not decoded into a whole frame.
     inbox: Vec<u8>,
-    responses: Vec<(u8, u64, Response)>,
+    responses: Vec<(u64, Response)>,
     /// The client shut its sending half.
     closed: bool,
     /// The server tore the connection down.
@@ -90,7 +90,7 @@ impl Lane {
         while let Ok(frame) = read_frame(&mut &*rest) {
             let resp = decode_response(&frame).expect("the server writes responses");
             rest = &rest[HEADER_LEN + frame.payload.len()..];
-            self.responses.push((frame.version, frame.id, resp));
+            self.responses.push((frame.id, resp));
         }
         let used = self.inbox.len() - rest.len();
         self.inbox.drain(..used);
@@ -267,8 +267,8 @@ impl<B: Backend> NetSim<B> {
         }
     }
 
-    /// Lane `l`'s decoded `(wire version, request id, response)`s.
-    pub fn responses(&self, l: usize) -> &[(u8, u64, Response)] {
+    /// Lane `l`'s decoded `(request id, response)`s.
+    pub fn responses(&self, l: usize) -> &[(u64, Response)] {
         &self.lanes[l].responses
     }
 

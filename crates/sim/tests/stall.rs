@@ -49,7 +49,7 @@ fn client_recv(sim: &mut NetSim<CrossbarSession>, l: usize) -> Response {
     let before = sim.responses(l).len();
     sim.step(Step::Recv(l));
     assert_eq!(sim.responses(l).len(), before + 1, "one response buffered");
-    sim.responses(l)[before].2.clone()
+    sim.responses(l)[before].1.clone()
 }
 
 /// One request of lane `l` from the client's send to its admission at
@@ -159,7 +159,7 @@ fn loopback_codec_conformance_under_random_schedules() {
         let mut choices = ChoiceStream::new(seed);
         sim.run(&mut choices);
         for lane in 0..2 {
-            for (_, id, resp) in sim.responses(lane) {
+            for (id, resp) in sim.responses(lane) {
                 assert!(
                     resp.is_ok(),
                     "seed {seed}: lane {lane} id {id} got {resp:?}"

@@ -53,14 +53,10 @@ fn oversized_length(seed: u64) -> RuntimeReport<CrossbarSession> {
     sim.script(l, header);
     sim.script(l, vec![0; 64]);
     drive(&mut sim, seed, |_| {});
-    let got: Vec<_> = sim
-        .responses(l)
-        .iter()
-        .map(|(v, id, _)| (*v, *id))
-        .collect();
-    assert_eq!(got, [(WIRE_VERSION, 0)], "seed {seed}");
+    let got: Vec<_> = sim.responses(l).iter().map(|(id, _)| *id).collect();
+    assert_eq!(got, [0], "seed {seed}");
     assert!(matches!(
-        sim.responses(l)[0].2,
+        sim.responses(l)[0].1,
         Response::ProtocolError { .. }
     ));
     assert!(all_reaped(&sim), "seed {seed}: closed after the error");
@@ -81,7 +77,7 @@ fn version_mid_stream(version: u8, seed: u64) -> RuntimeReport<CrossbarSession> 
     sim.script(l, bad);
     sim.script(l, encode_request(3, &Request::Ping));
     drive(&mut sim, seed, |_| {});
-    let got: Vec<_> = sim.responses(l).iter().map(|(_, id, r)| (*id, r)).collect();
+    let got: Vec<_> = sim.responses(l).iter().map(|(id, r)| (*id, r)).collect();
     assert_eq!(got.len(), 2, "seed {seed}: {got:?}");
     assert_eq!(got[0], (1, &Response::Pong));
     assert!(matches!(got[1], (0, Response::ProtocolError { .. })));
@@ -134,9 +130,9 @@ fn polite_lane(sim: &mut Sim) -> usize {
     l
 }
 
-fn sorted_responses<B: Backend>(sim: &NetSim<B>, l: usize) -> Vec<(u8, u64, Response)> {
+fn sorted_responses<B: Backend>(sim: &NetSim<B>, l: usize) -> Vec<(u64, Response)> {
     let mut got = sim.responses(l).to_vec();
-    got.sort_by_key(|(_, id, _)| *id);
+    got.sort_by_key(|(id, _)| *id);
     got
 }
 
@@ -252,7 +248,7 @@ fn fault_frame_lands_after_earlier_frames_of_its_connection() {
             healed: 1,
             failed: 0,
         };
-        assert_eq!(got[1].2, healed, "seed {seed}: {got:?}");
+        assert_eq!(got[1].1, healed, "seed {seed}: {got:?}");
         assert!(sim.finish().is_clean());
     }
 }
@@ -273,7 +269,7 @@ fn fault_frames_outside_the_fabric_or_after_a_drain_are_refused() {
     drive(&mut sim, 0, |_| {});
     let reasons: Vec<_> = sorted_responses(&sim, l)
         .into_iter()
-        .filter_map(|(_, _, r)| match r {
+        .filter_map(|(_, r)| match r {
             Response::Rejected { reason, .. } => Some(reason),
             _ => None,
         })
@@ -329,7 +325,7 @@ fn fault_frames_race_admissions_across_lanes() {
             assert_eq!(sim.responses(l).len(), sent, "seed {seed}: lane {l} wedged");
         }
         let (mut injected, mut repaired) = (0, 0);
-        for (_, _, r) in sim.responses(lanes[0]) {
+        for (_, r) in sim.responses(lanes[0]) {
             match r {
                 Response::Healed { .. } => injected += 1,
                 Response::Repaired(true) => repaired += 1,

@@ -8,10 +8,13 @@
 //! their tight spot rather than in the friendly average case.
 
 use crate::dynamic::TimedEvent;
+use crate::scan;
 use crate::trace::TraceEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wdm_core::{Endpoint, MulticastAssignment, MulticastConnection, MulticastModel, NetworkConfig};
+use std::cmp::Reverse;
+use wdm_core::bitset::count_ones;
+use wdm_core::{MulticastAssignment, MulticastConnection, MulticastModel, NetworkConfig};
 
 /// Three-stage geometry as seen by a workload generator (kept as plain
 /// numbers so this crate does not depend on `wdm-multistage`).
@@ -56,64 +59,36 @@ impl AdversarialGen {
         }
     }
 
+    /// The generator's RNG, for the differential tests to compare its
+    /// next draw with the reference's.
+    #[cfg(test)]
+    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
+
     /// The next hostile request against `asg`: sourced in the most
     /// heavily used input module (to maximize link contention), on the
     /// most-used wavelength the module still has free, spread over as
     /// many *distinct output modules* as possible (one destination port
     /// per module, maximizing the middle-switch fan-out pressure).
     pub fn next_request(&mut self, asg: &MulticastAssignment) -> Option<MulticastConnection> {
-        let net = asg.network();
-        debug_assert_eq!(net.ports, self.geo.ports());
+        debug_assert_eq!(asg.network().ports, self.geo.ports());
 
-        // Pick the input module with the most busy sources that still has
-        // a free source endpoint.
-        let mut best: Option<(usize, Endpoint)> = None;
-        for a in 0..self.geo.r {
-            let ports = self.geo.module_ports(a);
-            let busy = ports
-                .clone()
-                .flat_map(|p| (0..self.geo.k).map(move |w| Endpoint::new(p, w)))
-                .filter(|&e| asg.input_busy(e))
-                .count();
-            let free = ports
-                .clone()
-                .flat_map(|p| (0..self.geo.k).map(move |w| Endpoint::new(p, w)))
-                .find(|&e| !asg.input_busy(e));
-            if let Some(src) = free {
-                if best.is_none_or(|(b, _)| busy > b) {
-                    best = Some((busy, src));
-                }
-            }
-        }
-        let (_, src) = best?;
+        // Pick the input module with the most busy sources (the first
+        // such) that still has a free source endpoint.
+        let (geo, mask) = (self.geo, |p| asg.input_port_mask(p));
+        let (_, src) = (0..geo.r)
+            .filter_map(|a| {
+                let ports = geo.module_ports(a);
+                let busy: u32 = ports.clone().map(|p| count_ones(mask(p))).sum();
+                Some((busy, scan::first_free(ports, geo.k, None, mask)?))
+            })
+            .min_by_key(|&(busy, _)| Reverse(busy))?;
 
         // One destination in every output module that still has a free
         // endpoint on a compatible wavelength.
-        let dest_wl = match self.model {
-            MulticastModel::Msw => src.wavelength.0,
-            _ => self.rng.gen_range(0..self.geo.k),
-        };
-        let mut dests = Vec::new();
-        for b in 0..self.geo.r {
-            'module: for p in self.geo.module_ports(b) {
-                let wl_order: Vec<u32> = match self.model {
-                    MulticastModel::Msw => vec![src.wavelength.0],
-                    MulticastModel::Msdw => vec![dest_wl],
-                    MulticastModel::Maw => (0..self.geo.k).collect(),
-                };
-                for w in wl_order {
-                    let ep = Endpoint::new(p, w);
-                    if asg.output_user(ep).is_none() {
-                        dests.push(ep);
-                        break 'module;
-                    }
-                }
-            }
-        }
-        if dests.is_empty() {
-            return None;
-        }
-        Some(MulticastConnection::new(src, dests).expect("one port per module"))
+        let rng = &mut self.rng;
+        scan::request(asg, geo, self.model, rng, src, 0..geo.r, geo.r as usize)
     }
 
     /// A seeded *churn* trace: hostile connects interleaved with random
@@ -129,39 +104,45 @@ impl AdversarialGen {
     /// closed; callers wanting every connection released append the
     /// missing departures with [`crate::close_trace`].
     pub fn churn_trace(&mut self, steps: usize) -> Vec<TimedEvent> {
-        let net = NetworkConfig::new(self.geo.ports(), self.geo.k);
-        let mut asg = MulticastAssignment::new(net, self.model);
-        let mut live: Vec<Endpoint> = Vec::new();
-        let mut events = Vec::with_capacity(steps);
-        let mut t = 0.0;
-        while events.len() < steps {
-            t += 1.0;
-            let depart = !live.is_empty() && self.rng.gen_bool(0.4);
-            if !depart {
-                if let Some(req) = self.next_request(&asg) {
-                    let src = req.source();
-                    asg.add(req.clone()).expect("mirror admits legal request");
-                    live.push(src);
-                    events.push(TimedEvent {
-                        time: t,
-                        event: TraceEvent::Connect(req),
-                    });
-                    continue;
-                }
-                if live.is_empty() {
-                    break; // saturated a degenerate geometry with nothing live
-                }
-            }
-            let idx = self.rng.gen_range(0..live.len());
-            let src = live.swap_remove(idx);
-            asg.remove(src).expect("mirror tracked this source");
-            events.push(TimedEvent {
-                time: t,
-                event: TraceEvent::Disconnect(src),
-            });
-        }
-        events
+        let (geo, model) = (self.geo, self.model);
+        churn(self, geo, model, steps, |g| &mut g.rng, Self::next_request)
     }
+}
+
+/// The churn both generators' `churn_trace` run: a step departs a
+/// uniformly chosen live connection with probability 0.4, else admits
+/// `next`'s request into a local mirror (departing anyway when there is
+/// none), drawing from `rng(gen)` in that order.
+pub(crate) fn churn<G>(
+    gen: &mut G,
+    geo: Geometry,
+    model: MulticastModel,
+    steps: usize,
+    rng: fn(&mut G) -> &mut StdRng,
+    next: fn(&mut G, &MulticastAssignment) -> Option<MulticastConnection>,
+) -> Vec<TimedEvent> {
+    let mut asg = MulticastAssignment::new(NetworkConfig::new(geo.ports(), geo.k), model);
+    let (mut live, mut events) = (Vec::new(), Vec::with_capacity(steps));
+    while events.len() < steps {
+        let depart = !live.is_empty() && rng(gen).gen_bool(0.4);
+        let req = if depart { None } else { next(gen, &asg) };
+        let event = match req {
+            Some(req) => {
+                live.push(req.source());
+                asg.add(req.clone()).expect("mirror admits legal request");
+                TraceEvent::Connect(req)
+            }
+            None if live.is_empty() => break, // saturated a degenerate geometry with nothing live
+            None => {
+                let src = live.swap_remove(rng(gen).gen_range(0..live.len()));
+                asg.remove(src).expect("mirror tracked this source");
+                TraceEvent::Disconnect(src)
+            }
+        };
+        let time = (events.len() + 1) as f64;
+        events.push(TimedEvent { time, event });
+    }
+    events
 }
 
 #[cfg(test)]

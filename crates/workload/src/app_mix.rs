@@ -11,6 +11,7 @@
 //! * **e-commerce** — unicast-dominated request/response traffic with the
 //!   occasional small multicast (inventory pushes).
 
+use crate::generators::shuffle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -159,12 +160,6 @@ fn try_add(asg: &mut MulticastAssignment, src: Endpoint, dests: Vec<Endpoint>) {
         if asg.model().allows(&conn) {
             let _ = asg.add(conn);
         }
-    }
-}
-
-fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
-    for i in (1..v.len()).rev() {
-        v.swap(i, rng.gen_range(0..=i));
     }
 }
 

@@ -227,7 +227,7 @@ impl AssignmentGen {
     }
 }
 
-fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
+pub(crate) fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
     for i in (1..v.len()).rev() {
         v.swap(i, rng.gen_range(0..=i));
     }

@@ -9,13 +9,13 @@
 //! mild load into blocking — every structure fights for the few
 //! wavelengths on the fibers converging on the hot node.
 
-use crate::adversarial::Geometry;
+use crate::adversarial::{churn, Geometry};
 use crate::dynamic::TimedEvent;
-use crate::trace::TraceEvent;
+use crate::scan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
-use wdm_core::{Endpoint, MulticastAssignment, MulticastConnection, MulticastModel, NetworkConfig};
+use wdm_core::bitset::{count_ones, ones, set_bit, words_for};
+use wdm_core::{MulticastAssignment, MulticastConnection, MulticastModel};
 
 /// Generator of hotspot-skewed request sequences.
 ///
@@ -33,6 +33,8 @@ pub struct HotspotGen {
     skew_pct: u32,
     fanout: Option<u32>,
     rng: StdRng,
+    /// The modules picked for the request being drawn, one bit each.
+    modules: Vec<u64>,
 }
 
 impl HotspotGen {
@@ -51,6 +53,7 @@ impl HotspotGen {
             skew_pct: skew_pct.min(100),
             fanout: None,
             rng: StdRng::seed_from_u64(seed),
+            modules: vec![0; words_for(geo.r)],
         }
     }
 
@@ -66,44 +69,37 @@ impl HotspotGen {
         self
     }
 
-    /// The hot module.
-    pub fn hot_module(&self) -> u32 {
-        self.hot
-    }
-
-    /// The skew, in percent.
-    pub fn skew_pct(&self) -> u32 {
-        self.skew_pct
+    /// The generator's RNG, for the differential tests to compare its
+    /// next draw with the reference's.
+    #[cfg(test)]
+    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
+        &mut self.rng
     }
 
     /// The next skewed request against `asg`, or `None` when no legal
     /// request exists (no free source, or no free destination in any
     /// picked module).
     pub fn next_request(&mut self, asg: &MulticastAssignment) -> Option<MulticastConnection> {
-        let net = asg.network();
-        debug_assert_eq!(net.ports, self.geo.ports());
+        debug_assert_eq!(asg.network().ports, self.geo.ports());
 
-        // Uniform source over the free input endpoints.
-        let free: Vec<Endpoint> = (0..self.geo.ports())
-            .flat_map(|p| (0..self.geo.k).map(move |w| Endpoint::new(p, w)))
-            .filter(|&e| !asg.input_busy(e))
-            .collect();
-        if free.is_empty() {
+        // Uniform source over the free inputs (a connection holds one).
+        let free = asg.network().endpoints_per_side() as usize - asg.len();
+        if free == 0 {
             return None;
         }
-        let src = free[self.rng.gen_range(0..free.len())];
+        let src = scan::nth_free_input(asg, self.rng.gen_range(0..free));
 
-        let mut modules = BTreeSet::new();
+        self.modules.fill(0);
         match self.fanout {
             // Pinned fanout: the hot module joins with probability
             // `skew_pct`%, the rest fill uniformly — request size (and
             // thus offered load) is independent of the skew.
             Some(fanout) => {
                 if self.rng.gen_bool(f64::from(self.skew_pct) / 100.0) {
-                    modules.insert(self.hot);
+                    set_bit(&mut self.modules, self.hot);
                 }
-                while (modules.len() as u32) < fanout {
-                    modules.insert(self.rng.gen_range(0..self.geo.r));
+                while count_ones(&self.modules) < fanout {
+                    set_bit(&mut self.modules, self.rng.gen_range(0..self.geo.r));
                 }
             }
             // Variable fanout: a few destination-module picks, each
@@ -118,36 +114,20 @@ impl HotspotGen {
                     } else {
                         self.rng.gen_range(0..self.geo.r)
                     };
-                    modules.insert(m);
+                    set_bit(&mut self.modules, m);
                 }
             }
         }
-
-        let dest_wl = match self.model {
-            MulticastModel::Msw => src.wavelength.0,
-            _ => self.rng.gen_range(0..self.geo.k),
-        };
-        let mut dests = Vec::new();
-        for b in modules {
-            'module: for p in self.geo.module_ports(b) {
-                let wl_order: Vec<u32> = match self.model {
-                    MulticastModel::Msw => vec![src.wavelength.0],
-                    MulticastModel::Msdw => vec![dest_wl],
-                    MulticastModel::Maw => (0..self.geo.k).collect(),
-                };
-                for w in wl_order {
-                    let ep = Endpoint::new(p, w);
-                    if asg.output_user(ep).is_none() {
-                        dests.push(ep);
-                        break 'module;
-                    }
-                }
-            }
-        }
-        if dests.is_empty() {
-            return None;
-        }
-        Some(MulticastConnection::new(src, dests).expect("one port per module"))
+        let fanout = count_ones(&self.modules) as usize;
+        scan::request(
+            asg,
+            self.geo,
+            self.model,
+            &mut self.rng,
+            src,
+            ones(&self.modules),
+            fanout,
+        )
     }
 
     /// A seeded churn trace with the same connect/depart mix as
@@ -155,44 +135,17 @@ impl HotspotGen {
     /// pressure, endpoint-legal by construction, not closed), but with
     /// hotspot-skewed requests.
     pub fn churn_trace(&mut self, steps: usize) -> Vec<TimedEvent> {
-        let net = NetworkConfig::new(self.geo.ports(), self.geo.k);
-        let mut asg = MulticastAssignment::new(net, self.model);
-        let mut live: Vec<Endpoint> = Vec::new();
-        let mut events = Vec::with_capacity(steps);
-        let mut t = 0.0;
-        while events.len() < steps {
-            t += 1.0;
-            let depart = !live.is_empty() && self.rng.gen_bool(0.4);
-            if !depart {
-                if let Some(req) = self.next_request(&asg) {
-                    let src = req.source();
-                    asg.add(req.clone()).expect("mirror admits legal request");
-                    live.push(src);
-                    events.push(TimedEvent {
-                        time: t,
-                        event: TraceEvent::Connect(req),
-                    });
-                    continue;
-                }
-                if live.is_empty() {
-                    break; // saturated a degenerate geometry with nothing live
-                }
-            }
-            let idx = self.rng.gen_range(0..live.len());
-            let src = live.swap_remove(idx);
-            asg.remove(src).expect("mirror tracked this source");
-            events.push(TimedEvent {
-                time: t,
-                event: TraceEvent::Disconnect(src),
-            });
-        }
-        events
+        let (geo, model) = (self.geo, self.model);
+        churn(self, geo, model, steps, |g| &mut g.rng, Self::next_request)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
+    use std::collections::BTreeSet;
+    use wdm_core::NetworkConfig;
 
     fn geo() -> Geometry {
         Geometry { n: 2, r: 5, k: 2 }

@@ -31,6 +31,9 @@ pub mod dynamic;
 mod generators;
 pub mod hotspot;
 pub mod partition;
+#[cfg(test)]
+mod reference;
+mod scan;
 pub mod trace;
 
 pub use dynamic::{DynamicTraffic, TimedEvent};

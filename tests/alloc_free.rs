@@ -9,6 +9,10 @@
 //! the request — and every disconnect none: torn-down route storage is
 //! reused by the next commits.
 //!
+//! The seeded request generators are pinned the same way: after its
+//! first call, `HotspotGen` and `AdversarialGen` allocate exactly once
+//! per returned request (its destination list) and never for a `None`.
+//!
 //! Debug-only code may allocate where release code does not, so CI also
 //! runs this file in release: `cargo test --release --test alloc_free`.
 
@@ -16,10 +20,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use wdm_multicast::core::{Endpoint, MulticastConnection, MulticastModel};
+use wdm_multicast::core::{
+    Endpoint, MulticastAssignment, MulticastConnection, MulticastModel, NetworkConfig,
+};
 use wdm_multicast::multistage::{bounds, Construction, ThreeStageNetwork, ThreeStageParams};
 use wdm_multicast::runtime::{Backend, EngineBuilder};
-use wdm_multicast::workload::{TimedEvent, TraceEvent};
+use wdm_multicast::workload::adversarial::{AdversarialGen, Geometry};
+use wdm_multicast::workload::{HotspotGen, TimedEvent, TraceEvent};
 
 thread_local! {
     /// Whether allocations on this thread are being counted.
@@ -243,4 +250,69 @@ fn two_shard_submit_sizes_each_slice_once() {
     // one slice per shard, each allocated at its exact size.
     let (allocs, submits) = engine_allocations_per_submit(2);
     assert_eq!(allocs, 5 * submits, "{allocs} allocations");
+}
+
+/// The graph workload's geometry: 16 modules of 4 ports, k = 4.
+const GRAPH_GEO: Geometry = Geometry { n: 4, r: 16, k: 4 };
+
+/// Offer 5 000 requests of `next` to a mirror that admits each one and
+/// retires a random live source whenever `target` are live; return the
+/// requests returned and the allocations `next` made, its first call
+/// excepted.
+fn generator_allocations(
+    model: MulticastModel,
+    target: usize,
+    mut next: impl FnMut(&MulticastAssignment) -> Option<MulticastConnection>,
+) -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut mirror =
+        MulticastAssignment::new(NetworkConfig::new(GRAPH_GEO.ports(), GRAPH_GEO.k), model);
+    let mut live: Vec<Endpoint> = Vec::new();
+    let (mut returned, mut allocs) = (0, 0);
+    for i in 0..5_000 {
+        if live.len() >= target {
+            let src = live.swap_remove(rng.gen_range(0..live.len()));
+            mirror.remove(src).expect("mirror tracked this source");
+        }
+        let (req, n) = counted(|| next(&mirror));
+        if let Some(req) = req {
+            if i > 0 {
+                returned += 1;
+                allocs += n;
+            }
+            live.push(req.source());
+            mirror
+                .add(req)
+                .expect("the generator offers legal requests");
+        } else if i > 0 {
+            allocs += n;
+        }
+    }
+    (returned, allocs)
+}
+
+#[test]
+fn request_generators_allocate_only_the_destination_list() {
+    for model in [
+        MulticastModel::Msw,
+        MulticastModel::Msdw,
+        MulticastModel::Maw,
+    ] {
+        for fanout in [None, Some(3)] {
+            let mut gen = HotspotGen::new(GRAPH_GEO, model, 0, 60, 42);
+            if let Some(f) = fanout {
+                gen = gen.with_fanout(f);
+            }
+            let (returned, allocs) = generator_allocations(model, 40, |a| gen.next_request(a));
+            assert!(
+                returned > 3_000,
+                "{model:?} {fanout:?}: {returned} requests"
+            );
+            assert_eq!(allocs, returned, "hotspot {model:?} {fanout:?}");
+        }
+        let mut gen = AdversarialGen::new(GRAPH_GEO, model, 42);
+        let (returned, allocs) = generator_allocations(model, 12, |a| gen.next_request(a));
+        assert!(returned > 3_000, "{model:?}: {returned} requests");
+        assert_eq!(allocs, returned, "adversarial {model:?}");
+    }
 }
